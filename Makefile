@@ -61,11 +61,12 @@ staticcheck:
 	@if command -v staticcheck >/dev/null; then staticcheck ./...; \
 	else echo "staticcheck not installed (go install honnef.co/go/tools/cmd/staticcheck@latest)"; fi
 
-# Short fuzz budget over the CSV/dataset parser and the release-artifact
-# decoder, as in CI.
+# Short fuzz budget over the CSV/dataset parser, the release-artifact
+# decoder and the isotonic fits, as in CI.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadGroups -fuzztime=10s ./internal/dataset
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRelease -fuzztime=10s .
+	$(GO) test -run=NONE -fuzz=FuzzFitMonotone -fuzztime=10s ./internal/isotonic
 
 serve:
 	$(GO) run ./cmd/hcoc-serve

@@ -358,6 +358,29 @@ func BenchmarkEstimators(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateHc measures the Hc kernel behind every node of a
+// fresh release: one double-geometric draw per cumulative cell, then
+// the L1 fit, at DefaultK on the census-shaped RaceHawaiian root. Its
+// cost follows K, not the handful of distinct sizes, so it also
+// reports ns per cell.
+func BenchmarkEstimateHc(b *testing.B) {
+	tree, err := SyntheticTree(DatasetRaceHawaiian, DatasetConfig{Seed: 1, Scale: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	truth := tree.Root.Hist
+	p := estimator.Params{Epsilon: 0.5, K: DefaultK}
+	gen := noise.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := estimator.EstimateRuns(estimator.MethodHc, truth, p, gen); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/DefaultK, "ns/cell")
+}
+
 // BenchmarkGenerate measures the synthetic workload generators.
 func BenchmarkGenerate(b *testing.B) {
 	for _, kind := range dataset.Kinds {

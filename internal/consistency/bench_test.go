@@ -25,6 +25,15 @@ func benchOpts(workers int) Options {
 	return Options{Epsilon: 1, K: 5000, Seed: 1, Workers: workers}
 }
 
+// benchWorkers is the worker sweep: 1, then GOMAXPROCS when that is
+// larger, so a 1-CPU run does not report workers=1 twice.
+func benchWorkers() []int {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
 // BenchmarkTopDownMatch isolates the per-parent matching/merging loop
 // (lines 8-12 of Algorithm 1) at 1 worker and at GOMAXPROCS, after a
 // shared estimation pass, for both the dense per-group walk and the
@@ -32,7 +41,7 @@ func benchOpts(workers int) Options {
 // worker (they run inline) and faster at GOMAXPROCS.
 func BenchmarkTopDownMatch(b *testing.B) {
 	tree := benchTopDownTree(b)
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, workers := range benchWorkers() {
 		b.Run(fmt.Sprintf("dense/workers=%d", workers), func(b *testing.B) {
 			opts := benchOpts(workers)
 			states, err := estimateAll(tree, opts, opts.Epsilon/float64(tree.Depth()))
@@ -69,7 +78,7 @@ func BenchmarkTopDownMatch(b *testing.B) {
 // dense reference versus run-length production pipeline.
 func BenchmarkTopDownRelease(b *testing.B) {
 	tree := benchTopDownTree(b)
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, workers := range benchWorkers() {
 		b.Run(fmt.Sprintf("dense/workers=%d", workers), func(b *testing.B) {
 			opts := benchOpts(workers)
 			b.ReportAllocs()

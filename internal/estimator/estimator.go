@@ -245,8 +245,9 @@ func estimateHgRuns(h histogram.Hist, g int64, p Params, gen *noise.Gen) []SizeR
 // straight into the float buffer (no dense Hist, Cumulative, or noisy
 // arrays), the L1 fit reuses that buffer, and the rounded cumulative is
 // scanned into runs without materializing it — for bound K that is 2
-// K-length allocations (plus the fit's internal scratch) instead of 6
-// and none of the per-group arrays.
+// K-length allocations in all (the buffer and the L1 fit's heap; the L2
+// fit allocates its own output instead) and none of the per-group
+// arrays.
 func estimateHcRuns(h histogram.Hist, g int64, p Params, gen *noise.Gen, l1 bool) []SizeRun {
 	scale := 1 / p.Epsilon
 	ys := make([]float64, p.K) // cell K is pinned to G

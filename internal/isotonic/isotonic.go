@@ -59,57 +59,36 @@ func FitL2Weighted(ys, ws []float64) []float64 {
 // solution whose values are all drawn from the input values; in
 // particular, integer inputs yield an integer fit (the property the
 // paper relies on when it notes the L1 version "mostly returns
-// integers").
+// integers"). It is FitL1InPlace on a copy of ys.
 func FitL1(ys []float64) []float64 {
-	n := len(ys)
-	if n == 0 {
-		return nil
-	}
-	h := make(maxHeap, 0, n)
-	tops := make([]float64, n)
-	for i, y := range ys {
-		h.push(y)
-		if h[0] > y {
-			h.pop()
-			h.push(y)
-		}
-		tops[i] = h[0]
-	}
-	out := make([]float64, n)
-	run := tops[n-1]
-	for i := n - 1; i >= 0; i-- {
-		if tops[i] < run {
-			run = tops[i]
-		}
-		out[i] = run
-	}
-	return out
+	return FitL1InPlace(append([]float64(nil), ys...))
 }
 
-// FitL1InPlace is FitL1 writing the fit into ys (which it destroys and
-// returns): the backward minimum scan reads only the recorded heap
-// tops, so the input buffer can receive the output. Exactly the same
-// sequence of float operations as FitL1 — callers that only need the
-// fit save one n-length allocation.
+// FitL1InPlace is FitL1 writing the fit into ys, which it overwrites
+// and returns. Each step's heap top is stored at the index just read,
+// and the backward minimum scan then runs over ys, so the heap is the
+// only allocation.
 func FitL1InPlace(ys []float64) []float64 {
 	n := len(ys)
 	if n == 0 {
 		return ys
 	}
-	h := make(maxHeap, 0, n)
-	tops := make([]float64, n)
+	h := make(maxHeap4, 0, n)
 	for i, y := range ys {
-		h.push(y)
-		if h[0] > y {
-			h.pop()
-			h.push(y)
+		// The slope trick pushes y and, when the top then exceeds y,
+		// pops the top and pushes y again. Replacing the top with y
+		// before the push leaves the same multiset, and so the same
+		// top, with two sifts in place of three.
+		if len(h) > 0 && h[0] > y {
+			h.replaceTop(y)
 		}
-		tops[i] = h[0]
+		h.push(y)
+		ys[i] = h[0]
 	}
-	run := tops[n-1]
+	run := ys[n-1]
 	for i := n - 1; i >= 0; i-- {
-		if tops[i] < run {
-			run = tops[i]
+		if ys[i] < run {
+			run = ys[i]
 		}
 		ys[i] = run
 	}
@@ -193,43 +172,46 @@ func IsMonotone(zs []float64) bool {
 	return true
 }
 
-// maxHeap is a simple float64 max-heap (avoiding container/heap's
-// interface boxing on this hot path).
-type maxHeap []float64
+// maxHeap4 is a float64 max-heap in 4-ary layout, the children of i
+// being 4i+1 to 4i+4: half the depth of a binary heap, so a push sifts
+// through half the levels. Both sifts move a hole instead of swapping.
+type maxHeap4 []float64
 
-func (h *maxHeap) push(x float64) {
+func (h *maxHeap4) push(x float64) {
 	*h = append(*h, x)
-	i := len(*h) - 1
+	s := *h
+	i := len(s) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if (*h)[parent] >= (*h)[i] {
+		p := (i - 1) / 4
+		if s[p] >= x {
 			break
 		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
-		i = parent
+		s[i] = s[p]
+		i = p
 	}
+	s[i] = x
 }
 
-func (h *maxHeap) pop() float64 {
-	top := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	*h = (*h)[:last]
+// replaceTop overwrites the maximum with x and restores the heap.
+func (h maxHeap4) replaceTop(x float64) {
+	n := len(h)
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < len(*h) && (*h)[l] > (*h)[largest] {
-			largest = l
-		}
-		if r < len(*h) && (*h)[r] > (*h)[largest] {
-			largest = r
-		}
-		if largest == i {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		(*h)[i], (*h)[largest] = (*h)[largest], (*h)[i]
-		i = largest
+		m := c
+		for j := c + 1; j < min(c+4, n); j++ {
+			if h[j] > h[m] {
+				m = j
+			}
+		}
+		if h[m] <= x {
+			break
+		}
+		h[i] = h[m]
+		i = m
 	}
-	return top
+	h[i] = x
 }

@@ -294,23 +294,37 @@ func TestPropSortedInputIsFixedPoint(t *testing.T) {
 	}
 }
 
-// TestFitL1InPlaceMatchesFitL1 pins the in-place variant to the
-// allocating one bit-for-bit (the sparse estimator path relies on it).
+// TestFitL1InPlaceMatchesFitL1 pins FitL1InPlace and FitL1 to the
+// binary-heap reference bit for bit, on short tie-heavy inputs and on
+// long census-shaped ones (a ramp to a noisy plateau) whose heaps are
+// many levels deep.
 func TestFitL1InPlaceMatchesFitL1(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 100; trial++ {
-		ys := make([]float64, r.Intn(200))
-		for i := range ys {
-			ys[i] = float64(r.Intn(50)) - 10
+	for trial := 0; trial < 120; trial++ {
+		var ys []float64
+		if trial < 100 {
+			ys = make([]float64, r.Intn(200))
+			for i := range ys {
+				ys[i] = float64(r.Intn(50)) - 10
+			}
+		} else {
+			ys = make([]float64, 1000+r.Intn(20000))
+			for i := range ys {
+				ys[i] = float64(min(i, 20)*50 + r.Intn(41) - 20)
+			}
 		}
-		want := FitL1(ys)
-		got := FitL1InPlace(append([]float64(nil), ys...))
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: length %d != %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: index %d: %v != %v", trial, i, got[i], want[i])
+		want := fitL1Reference(ys)
+		in := append([]float64(nil), ys...)
+		for name, got := range map[string][]float64{
+			"FitL1": FitL1(ys), "FitL1InPlace": FitL1InPlace(in),
+		} {
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: %s length %d != %d", trial, name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: %s index %d: %v != %v", trial, name, i, got[i], want[i])
+				}
 			}
 		}
 	}

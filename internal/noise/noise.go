@@ -9,6 +9,10 @@ import (
 // paper. A Gen is not safe for concurrent use; create one per goroutine.
 type Gen struct {
 	r *rand.Rand
+	// scale, alpha and logAlpha memoize DoubleGeometric's constants for
+	// the last scale it drew at. Callers draw whole histograms at one
+	// scale, and exp and log dominate a draw.
+	scale, alpha, logAlpha float64
 }
 
 // New returns a generator seeded with the given seed.
@@ -37,20 +41,24 @@ func (g *Gen) DoubleGeometric(scale float64) int64 {
 	if scale <= 0 {
 		panic("noise: scale must be positive")
 	}
-	alpha := math.Exp(-1 / scale)
-	return g.geometric(alpha) - g.geometric(alpha)
+	if scale != g.scale {
+		g.scale = scale
+		g.alpha = math.Exp(-1 / scale)
+		g.logAlpha = math.Log(g.alpha)
+	}
+	return g.geometric() - g.geometric()
 }
 
 // geometric samples the number of failures before the first success of a
 // Bernoulli(1-alpha) process, i.e. P(G = k) = (1-alpha) * alpha^k for
-// k = 0, 1, 2, ... via inversion.
-func (g *Gen) geometric(alpha float64) int64 {
-	if alpha <= 0 {
+// k = 0, 1, 2, ... via inversion, with alpha the memoized g.alpha.
+func (g *Gen) geometric() int64 {
+	if g.alpha <= 0 {
 		return 0
 	}
 	// U in (0,1); floor(log(U)/log(alpha)) is Geometric(1-alpha).
 	u := 1 - g.r.Float64() // in (0, 1]
-	return int64(math.Floor(math.Log(u) / math.Log(alpha)))
+	return int64(math.Floor(math.Log(u) / g.logAlpha))
 }
 
 // Laplace samples real-valued noise from the Laplace distribution with

@@ -2,6 +2,7 @@ package noise
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -141,6 +142,29 @@ func TestVarianceFormulas(t *testing.T) {
 		}
 		if dg > lap {
 			t.Errorf("scale %f: double-geometric variance %f should not exceed laplace %f", scale, dg, lap)
+		}
+	}
+}
+
+// TestDoubleGeometricMatchesUnmemoized pins the memoized sampler to the
+// textbook one that recomputes exp(-1/scale) and its log on every draw,
+// across scale changes, including a scale whose alpha underflows to 0.
+func TestDoubleGeometricMatchesUnmemoized(t *testing.T) {
+	g, ref := New(5), rand.New(rand.NewSource(5))
+	geometric := func(alpha float64) int64 {
+		if alpha <= 0 {
+			return 0
+		}
+		u := 1 - ref.Float64()
+		return int64(math.Floor(math.Log(u) / math.Log(alpha)))
+	}
+	for i, scale := range []float64{2, 2, 0.5, 1e-3, 1e-3, 7, 2, 100, 0.5} {
+		for j := 0; j < 1000; j++ {
+			alpha := math.Exp(-1 / scale)
+			want := geometric(alpha) - geometric(alpha)
+			if got := g.DoubleGeometric(scale); got != want {
+				t.Fatalf("scale %g (step %d), draw %d: %d, want %d", scale, i, j, got, want)
+			}
 		}
 	}
 }
