@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -191,14 +190,16 @@ type Release struct {
 	Epsilon   float64 `json:"epsilon"`
 	// Nodes is the number of hierarchy nodes covered.
 	Nodes int `json:"nodes"`
-	// CacheHit, StoreHit, PeerHit and Deduped tell which tier satisfied
-	// the request without a fresh computation. PeerHit means the serving
-	// node fetched another node's artifact instead of recomputing — the
-	// noise was drawn (and the budget charged) on the peer.
+	// CacheHit, StoreHit and Deduped tell which tier satisfied the
+	// request without a fresh computation.
 	CacheHit bool `json:"cache_hit"`
 	StoreHit bool `json:"store_hit"`
-	PeerHit  bool `json:"peer_hit"`
 	Deduped  bool `json:"deduped"`
+	// PeerHit is always false: daemons do not fetch artifacts from each
+	// other.
+	//
+	// Deprecated: nothing sets it; it remains so existing callers build.
+	PeerHit bool `json:"-"`
 	// DurationMS is the wall time of the computation that produced the
 	// release (zero for cache hits).
 	DurationMS float64 `json:"duration_ms"`
@@ -237,11 +238,10 @@ type Job struct {
 	Release string `json:"release,omitempty"`
 	// Error is the failure message when Status is "failed".
 	Error string `json:"error,omitempty"`
-	// CacheHit, StoreHit, PeerHit and Deduped describe how a done job
-	// was satisfied.
+	// CacheHit, StoreHit and Deduped describe how a done job was
+	// satisfied.
 	CacheHit bool `json:"cache_hit"`
 	StoreHit bool `json:"store_hit"`
-	PeerHit  bool `json:"peer_hit"`
 	Deduped  bool `json:"deduped"`
 	// DurationMS is the computation wall time of a done job.
 	DurationMS float64 `json:"duration_ms"`
@@ -385,37 +385,6 @@ func (c *Client) DownloadReleaseDense(ctx context.Context, id string) (hcoc.Hist
 		return err
 	})
 	return rel, epsilon, err
-}
-
-// ImportRelease PUTs a release artifact into a daemon's cache/store
-// tiers — the cluster replication path: an artifact computed by one
-// backend is copied into its replicas so failover reads serve the
-// exact same bytes. algorithm and durationMS describe the original
-// computation ("" and 0 select the defaults). The returned bool
-// reports whether the daemon admitted the artifact (false = it already
-// held the key; importing is idempotent). No privacy budget is spent
-// server-side.
-func (c *Client) ImportRelease(ctx context.Context, id, hierarchy, algorithm string, durationMS float64, rel hcoc.SparseHistograms, epsilon float64) (bool, error) {
-	var buf bytes.Buffer
-	if err := hcoc.WriteReleaseSparse(&buf, rel, epsilon); err != nil {
-		return false, fmt.Errorf("client: encoding artifact: %w", err)
-	}
-	q := url.Values{}
-	q.Set("hierarchy", hierarchy)
-	if algorithm != "" {
-		q.Set("algorithm", algorithm)
-	}
-	if durationMS > 0 {
-		q.Set("duration_ms", strconv.FormatFloat(durationMS, 'g', -1, 64))
-	}
-	var out struct {
-		Release  string `json:"release"`
-		Imported bool   `json:"imported"`
-	}
-	err := c.attempt(ctx, func() error {
-		return c.once(ctx, http.MethodPut, "/v1/release/"+url.PathEscape(id)+"?"+q.Encode(), buf.Bytes(), &out, nil)
-	})
-	return out.Imported, err
 }
 
 // download streams a GET body into decode, through the same retry loop
@@ -666,7 +635,6 @@ type TenantStatus struct {
 	CacheHits uint64 `json:"cache_hits"`
 	Deduped   uint64 `json:"deduped"`
 	StoreHits uint64 `json:"store_hits"`
-	PeerHits  uint64 `json:"peer_hits"`
 	Computed  uint64 `json:"computed"`
 	// EpsilonSpent is the tenant's cumulative privacy spend.
 	EpsilonSpent float64 `json:"epsilon_spent"`

@@ -3,42 +3,47 @@
 // request across a fleet of them on a consistent-hash ring keyed by
 // hierarchy fingerprint.
 //
-// Placement and durability: each hierarchy is owned by -replication
-// backends in a deterministic primary→replica order. Uploads fan out
-// to every owner; a synchronous release runs on the primary and its
-// artifact is replicated to the other owners (PUT /v1/release/{id}),
-// so when a backend dies mid-fleet, reads fail over down the replica
-// order and keep serving the exact same bytes. Cluster-wide listings
-// scatter-gather over the live backends and merge deduplicated
-// results.
+// Storage: the fleet shares one blob store — every backend runs
+// hcoc-serve -store-backend=s3 on the same bucket and prefix — so any
+// backend can read any release. That is the only multi-node
+// deployment; the gateway never copies artifacts between nodes.
 //
-// With -shared-store, the fleet instead mounts one shared object store
-// (hcoc-serve -store-backend=s3 on a common bucket): durability is the
-// store's job, so the gateway skips write-time replication and
-// anti-entropy byte copies entirely — every backend already reads the
-// same durable manifest, and a restarted or freshly joined node
-// warm-starts from it.
+// Placement: each hierarchy is owned by -replication backends in a
+// deterministic primary→replica order. Uploads and event appends fan
+// out to every owner; a release runs on the primary and its artifact
+// lands in the shared store. When a backend dies, reads and batches —
+// cross-release ones included, which forward whole — fail over down
+// the replica order and keep serving the exact same bytes.
+// Cluster-wide listings scatter-gather over the live backends and
+// merge deduplicated results.
+//
+// Budget: each backend enforces -max-epsilon-per-hierarchy on its own
+// ledger, which reads the shared manifest only at start-up. While
+// clients reach the backends solely through the gateway and membership
+// holds still, a hierarchy can spend at most R × that bound across the
+// fleet; a node that becomes an owner later brings a ledger of its own.
 //
 // Health: every backend is probed at -probe-interval; -fail-threshold
 // consecutive failures (probes and forwarded requests share the
 // counter) eject a backend from preferred routing, and the first
 // success re-admits it. GET /v1/cluster shows the topology — ring
-// parameters, per-backend health, traffic counters, repair progress,
-// and, with ?key=h-<fp>, a key's current failover route.
+// parameters, per-backend health and traffic counters, and, with
+// ?key=h-<fp>, a key's current failover route.
 //
 // Elasticity: membership is live. POST/DELETE /v1/cluster/nodes join
 // and drain backends at runtime, and SIGHUP re-reads -backends-file
 // and applies the delta; each change moves at most ~1/(N+1) of the key
-// space. A background anti-entropy sweeper (every -repair-interval)
-// diffs each backend's durable manifest against ring ownership and
-// re-replicates missing artifacts through the budget-neutral import
-// path, so a node that was down during a write — or one that just
-// joined cold — converges to its owned set without operator action.
-// POST /v1/cluster/repair runs one sweep synchronously.
+// space. A joining node reads every release from the shared store
+// straight away, and a drained node's releases stay readable by the
+// survivors.
 //
 // Example:
 //
-//	hcoc-serve -addr :8081 & hcoc-serve -addr :8082 & hcoc-serve -addr :8083 &
+//	hcoc-s3stub -addr :9000 -buckets hcoc &
+//	for p in 8081 8082 8083; do
+//	    hcoc-serve -addr :$p -store-backend s3 \
+//	        -s3-endpoint http://localhost:9000 -s3-bucket hcoc -s3-prefix fleet &
+//	done
 //	hcoc-gateway -addr :8080 \
 //	    -backends http://localhost:8081,http://localhost:8082,http://localhost:8083 \
 //	    -replication 2
@@ -73,9 +78,6 @@ func main() {
 		vnodes       = flag.Int("virtual-nodes", 0, "ring points per backend (0 = default 128)")
 		interval     = flag.Duration("probe-interval", 0, "health-probe period (0 = default 2s)")
 		thresh       = flag.Int("fail-threshold", 0, "consecutive failures that eject a backend (0 = default 3)")
-		repairEvery  = flag.Duration("repair-interval", 0, "anti-entropy sweep period (0 = default 30s, negative disables the loop)")
-		repairConc   = flag.Int("repair-concurrency", 0, "parallel artifact copies per sweep (0 = default 4)")
-		sharedStore  = flag.Bool("shared-store", false, "declare that every backend mounts the same shared object store (hcoc-serve -store-backend=s3 on one bucket); skips write-time artifact replication and anti-entropy copies, which the shared store makes redundant")
 	)
 	flag.Parse()
 	urls, static, err := initialBackends(*backends, *backendsFile)
@@ -92,9 +94,6 @@ func main() {
 		vnodes:       *vnodes,
 		interval:     *interval,
 		thresh:       *thresh,
-		repairEvery:  *repairEvery,
-		repairConc:   *repairConc,
-		sharedStore:  *sharedStore,
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "hcoc-gateway: %v\n", err)
@@ -112,9 +111,6 @@ type config struct {
 	vnodes       int
 	interval     time.Duration
 	thresh       int
-	repairEvery  time.Duration
-	repairConc   int
-	sharedStore  bool
 }
 
 // initialBackends resolves the starting membership from -backends
@@ -204,14 +200,11 @@ func parseBackends(s string) ([]string, error) {
 
 func run(cfg config) error {
 	gw, err := gateway.New(gateway.Options{
-		Backends:          cfg.backends,
-		Replication:       cfg.repl,
-		VirtualNodes:      cfg.vnodes,
-		ProbeInterval:     cfg.interval,
-		FailThreshold:     cfg.thresh,
-		RepairInterval:    cfg.repairEvery,
-		RepairConcurrency: cfg.repairConc,
-		SharedStore:       cfg.sharedStore,
+		Backends:      cfg.backends,
+		Replication:   cfg.repl,
+		VirtualNodes:  cfg.vnodes,
+		ProbeInterval: cfg.interval,
+		FailThreshold: cfg.thresh,
 	})
 	if err != nil {
 		return err
@@ -232,7 +225,7 @@ func run(cfg config) error {
 
 	// SIGHUP re-reads -backends-file and applies the delta as runtime
 	// joins/leaves — the same code path as POST/DELETE /v1/cluster/nodes,
-	// so the movement bound and the post-change repair kick apply.
+	// so the movement bound applies.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)

@@ -14,14 +14,17 @@
 //   - s3: any S3-compatible object store (-s3-endpoint, -s3-bucket,
 //     -s3-prefix; credentials from AWS_ACCESS_KEY_ID /
 //     AWS_SECRET_ACCESS_KEY, unsigned when unset). Several nodes may
-//     point at the same bucket+prefix: the store is shared, a node
-//     picks up artifacts and budget spend written by its peers, and a
-//     wiped node warm-starts from the shared manifest.
+//     point at the same bucket+prefix: the store is shared, every node
+//     reads the artifacts its peers wrote, and a wiped node warm-starts
+//     from the shared manifest. This is the only multi-node deployment;
+//     the disk backend serves single nodes.
 //
-// With -peers, a node that misses both its cache and store asks the
-// listed hcoc-serve URLs for the artifact before recomputing — a peer
-// hit costs a download instead of a computation and spends no local
-// budget.
+// A node reads the budget spend recorded in the shared manifest only at
+// start-up; it does not see charges other nodes make while it runs, and
+// SIGHUP does not change that. The per-hierarchy bound is therefore per
+// node: a fleet whose backends are reachable solely through
+// cmd/hcoc-gateway spends at most R × -max-epsilon-per-hierarchy per
+// hierarchy, R being the gateway's -replication.
 //
 // Endpoints:
 //
@@ -41,8 +44,6 @@
 //	GET  /v1/release          list durable release artifacts
 //	GET  /v1/release/{id}     download a release artifact (zero-copy,
 //	                          strong ETag, byte ranges)
-//	PUT  /v1/release/{id}     import an artifact computed by another
-//	                          node (cluster replication; spends nothing)
 //	GET  /v1/jobs/{id}        poll an async release job
 //	GET  /v1/query/{node}     quantiles, k-th largest, top-coded, Gini
 //	POST /v1/query/batch      N node queries in one engine pass
@@ -83,8 +84,7 @@
 // Shared-store fleet:
 //
 //	hcoc-serve -addr :8081 -store-backend s3 \
-//	    -s3-endpoint http://minio:9000 -s3-bucket hcoc -s3-prefix fleet \
-//	    -peers http://node2:8082,http://node3:8083
+//	    -s3-endpoint http://minio:9000 -s3-bucket hcoc -s3-prefix fleet
 package main
 
 import (
@@ -199,8 +199,6 @@ func main() {
 		cacheMB = flag.Int64("cache-mb", 0, "byte budget for the release cache in MiB, accounted by runs actually held (0 = count bound only); see the README memory-footprint section for sizing")
 		maxEps  = flag.Float64("max-epsilon-per-hierarchy", 0, "cumulative epsilon bound per hierarchy across all computed releases (0 = unenforced); cache/store hits are free, and with a durable store the spend survives restarts")
 		maxCont = flag.Float64("max-epsilon-continual", 0, "continual-observation epsilon bound per hierarchy, summed across every version of its event log (0 = unenforced); bounds the total privacy loss of continually re-releasing an evolving hierarchy")
-		peers   = flag.String("peers", "", "comma-separated peer hcoc-serve base URLs to ask for artifacts before recomputing (peer hits spend no local budget)")
-		peerTo  = flag.Duration("peer-timeout", serve.DefaultPeerTimeout, "bound on one whole peer-fetch sweep")
 		cfg     storeConfig
 		qos     qosConfig
 	)
@@ -214,27 +212,16 @@ func main() {
 	flag.StringVar(&cfg.prefix, "s3-prefix", "", "key prefix inside the bucket (lets several stores share one bucket)")
 	flag.StringVar(&cfg.region, "s3-region", "", "signing region (default us-east-1)")
 	flag.Parse()
-	if err := run(*addr, *workers, *cache, *cacheMB<<20, *maxEps, *maxCont, cfg, splitPeers(*peers), *peerTo, qos); err != nil {
+	if err := run(*addr, *workers, *cache, *cacheMB<<20, *maxEps, *maxCont, cfg, qos); err != nil {
 		fmt.Fprintf(os.Stderr, "hcoc-serve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// splitPeers parses the -peers list, dropping empty entries.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // refreshSharedStore is the SIGHUP store step: re-sync a shared store
-// against its manifest so artifacts and budget spend written by peer
-// nodes become visible, then re-open the hierarchy event logs the
-// refresh may have brought in.
+// against its manifest so artifacts written by other nodes become
+// visible, then re-open the hierarchy event logs the refresh may have
+// brought in. The engine's budget ledger is not re-read.
 func refreshSharedStore(st *store.Store, handler *serve.Server) error {
 	if err := st.Refresh(); err != nil {
 		return fmt.Errorf("store refresh: %w", err)
@@ -285,7 +272,7 @@ func handleHUP(st *store.Store, handler *serve.Server, eng *engine.Engine, weigh
 	}
 }
 
-func run(addr string, workers, cache int, cacheBytes int64, maxEps, maxCont float64, cfg storeConfig, peers []string, peerTimeout time.Duration, qos qosConfig) error {
+func run(addr string, workers, cache int, cacheBytes int64, maxEps, maxCont float64, cfg storeConfig, qos qosConfig) error {
 	var weights map[string]float64
 	if qos.weightsFile != "" {
 		var err error
@@ -302,7 +289,7 @@ func run(addr string, workers, cache int, cacheBytes int64, maxEps, maxCont floa
 		defer st.Close()
 		fmt.Printf("hcoc-serve: durable store on %s backend (%d releases, shared=%v)\n", st.Backend(), st.Len(), st.Shared())
 	}
-	opts := engine.Options{
+	eng := engine.New(engine.Options{
 		CacheSize:              cache,
 		CacheBytes:             cacheBytes,
 		Workers:                workers,
@@ -311,12 +298,7 @@ func run(addr string, workers, cache int, cacheBytes int64, maxEps, maxCont floa
 		ComputeSlots:           qos.slots,
 		ComputeQueueDepth:      qos.queueDepth,
 		TenantWeights:          weights,
-	}
-	if len(peers) > 0 {
-		opts.PeerFetch = serve.PeerFetcher(peers, peerTimeout, nil)
-		fmt.Printf("hcoc-serve: peer fetch enabled (%d peers)\n", len(peers))
-	}
-	eng := engine.New(opts)
+	})
 	handler, err := serve.NewServer(eng, st, serve.WithContinualBudget(maxCont))
 	if err != nil {
 		return err

@@ -56,32 +56,15 @@ func TestStoreConfigOpen(t *testing.T) {
 	}
 }
 
-func TestSplitPeers(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{"", nil},
-		{"http://a:1", []string{"http://a:1"}},
-		{"http://a:1,http://b:2", []string{"http://a:1", "http://b:2"}},
-		{" http://a:1 , ,http://b:2,", []string{"http://a:1", "http://b:2"}},
-	}
-	for _, tc := range cases {
-		if got := splitPeers(tc.in); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("splitPeers(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestRunRejectsBadStore(t *testing.T) {
-	err := run(":0", 0, 1, 0, 0, 0, storeConfig{backend: "tape"}, nil, 0, qosConfig{})
+	err := run(":0", 0, 1, 0, 0, 0, storeConfig{backend: "tape"}, qosConfig{})
 	if err == nil {
 		t.Fatal("run with an unknown backend succeeded")
 	}
 }
 
 func TestRunRejectsBadWeightsFile(t *testing.T) {
-	err := run(":0", 0, 1, 0, 0, 0, storeConfig{backend: "disk"}, nil, 0,
+	err := run(":0", 0, 1, 0, 0, 0, storeConfig{backend: "disk"},
 		qosConfig{weightsFile: filepath.Join(t.TempDir(), "absent")})
 	if err == nil {
 		t.Fatal("run with a missing weights file succeeded")

@@ -182,11 +182,10 @@ func (c *Cluster) AddBackend(url string) (joined bool, err error) {
 }
 
 // RemoveBackend drains a backend from the ring at runtime: it stops
-// owning keys and stops being probed or routed to. The artifacts it
-// holds are not touched — the anti-entropy sweep re-replicates what
-// the surviving owners are missing. Removing the last backend is
-// refused (ErrLastBackend); removing an unknown one is
-// ErrUnknownBackend.
+// owning keys and stops being probed or routed to. Its releases live
+// in the store the fleet shares, so the surviving owners read them
+// unchanged. Removing the last backend is refused (ErrLastBackend);
+// removing an unknown one is ErrUnknownBackend.
 func (c *Cluster) RemoveBackend(url string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

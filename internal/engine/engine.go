@@ -59,21 +59,7 @@ type Options struct {
 	// A request that would exceed it fails with a *BudgetError. Cache
 	// hits, store hits and coalesced duplicates spend nothing.
 	MaxEpsilonPerHierarchy float64
-	// PeerFetch, when non-nil, is tried on a cache+store miss BEFORE
-	// recomputing: it should return the release artifact for key as
-	// computed by a ring peer, with the epsilon it was released under.
-	// A (nil, 0, nil) return is a clean miss (no peer holds the key);
-	// an error counts as a fetch failure. Either way the engine falls
-	// back to computing. A fetched release is admitted through the
-	// budget-neutral import path — the computing peer already drew and
-	// accounted the noise, so this node spends nothing.
-	PeerFetch PeerFetchFunc
 }
-
-// PeerFetchFunc fetches a release artifact from cluster peers by key.
-// The engine invokes it detached from any single request context;
-// implementations should bound their own timeouts.
-type PeerFetchFunc func(ctx context.Context, key string) (hcoc.SparseHistograms, float64, error)
 
 // DefaultCacheSize is the default LRU capacity in completed releases.
 const DefaultCacheSize = 64
@@ -168,7 +154,6 @@ type cached struct {
 	duration  time.Duration // of the computation that produced it
 	cost      int64         // CostBytes of release, fixed at admission
 	fromStore bool          // revived from the durable store, not computed
-	fromPeer  bool          // fetched from a ring peer, not computed
 
 	// incremental reports the computation reused a prior version's
 	// retained state; stats counts what it actually re-ran (zero for
@@ -213,9 +198,8 @@ type Engine struct {
 	// accounted on its priority lane and never wait on it.
 	qos *sched.Scheduler
 
-	store     *store.Store  // nil = memory only
-	peerFetch PeerFetchFunc // nil = no peer tier
-	epsLimit  float64       // 0 = unenforced
+	store    *store.Store // nil = memory only
+	epsLimit float64      // 0 = unenforced
 
 	mu       sync.Mutex
 	cache    *lruCache
@@ -243,12 +227,11 @@ type Engine struct {
 	tenantReqs map[string]*tenantCounters
 
 	// counters, guarded by mu
-	hits, misses, deduped                uint64
-	storeHits, storePuts, storeFails     uint64
-	peerAttempts, peerHits, peerFailures uint64
-	evictions, releases                  uint64
-	queries, batches                     uint64
-	releaseTotal, lastDur                time.Duration
+	hits, misses, deduped            uint64
+	storeHits, storePuts, storeFails uint64
+	evictions, releases              uint64
+	queries, batches                 uint64
+	releaseTotal, lastDur            time.Duration
 
 	// incremental-recompute counters: computations that reused prior
 	// state, and the cumulative node/parent recompute tallies — the
@@ -279,7 +262,6 @@ func New(opts Options) *Engine {
 			Weights:    opts.TenantWeights,
 		}),
 		store:      opts.Store,
-		peerFetch:  opts.PeerFetch,
 		epsLimit:   opts.MaxEpsilonPerHierarchy,
 		cache:      newLRU(size, opts.CacheBytes),
 		inflight:   make(map[string]*call),
@@ -332,63 +314,6 @@ func newInstanceID() string {
 // two probes seeing different IDs at one URL have seen a restart.
 func (e *Engine) ID() string { return e.id }
 
-// Admit injects a release computed elsewhere (another node of a
-// cluster) into this engine's tiers: the durable store when one is
-// configured, then the LRU. No privacy budget is charged — the noise
-// was drawn and accounted by the computing node, and a replicated
-// artifact is post-processing of that one draw. The store write is a
-// plain release entry, not a budget charge, so a warm start does not
-// mistake replication for spend. Admitting a key that is already
-// cached or stored is a no-op (reported by the bool), which makes
-// replication idempotent and safe to race.
-func (e *Engine) Admit(key, treeFP string, alg Algorithm, rel hcoc.SparseHistograms, epsilon float64, duration time.Duration) (bool, error) {
-	if key == "" || len(rel) == 0 {
-		return false, fmt.Errorf("engine: admit needs a key and a non-empty release")
-	}
-	if epsilon <= 0 {
-		return false, fmt.Errorf("engine: admit needs a positive epsilon, got %g", epsilon)
-	}
-	e.mu.Lock()
-	_, inCache := e.cache.get(key)
-	e.mu.Unlock()
-	if inCache || (e.store != nil && e.store.Has(key)) {
-		return false, nil
-	}
-	v := &cached{
-		release:   rel,
-		epsilon:   epsilon,
-		algorithm: alg,
-		duration:  duration,
-		cost:      rel.CostBytes(),
-	}
-	if e.store != nil {
-		m := store.Meta{
-			Key:        key,
-			Hierarchy:  treeFP,
-			Algorithm:  alg.String(),
-			Epsilon:    epsilon,
-			CostBytes:  v.cost,
-			DurationMS: float64(duration.Microseconds()) / 1000,
-			CreatedAt:  time.Now().UTC(),
-		}
-		err := e.store.PutRelease(m, rel)
-		e.mu.Lock()
-		if err != nil {
-			e.storeFails++
-		} else {
-			e.storePuts++
-		}
-		e.mu.Unlock()
-		if err != nil {
-			return false, fmt.Errorf("engine: persisting admitted release: %w", err)
-		}
-	}
-	e.mu.Lock()
-	e.evictions += uint64(e.cache.add(key, v))
-	e.mu.Unlock()
-	return true, nil
-}
-
 // Result describes how a release request was satisfied.
 type Result struct {
 	// Key addresses the release in the cache for later queries.
@@ -401,10 +326,6 @@ type Result struct {
 	// StoreHit reports the request was answered from the durable store
 	// without recomputation (and without privacy spend).
 	StoreHit bool
-	// PeerHit reports the request was answered by fetching the artifact
-	// from a ring peer instead of recomputing — like StoreHit, no local
-	// computation and no privacy spend.
-	PeerHit bool
 	// Deduped reports the request piggybacked on an identical in-flight
 	// computation started by an earlier request.
 	Deduped bool
@@ -421,7 +342,7 @@ type Result struct {
 	// QueueWait is the time the computation spent queued for a slot.
 	QueueWait time.Duration
 	// Incremental reports the computation reused a prior version's
-	// retained state (false for cache/store/peer hits and from-scratch
+	// retained state (false for cache/store hits and from-scratch
 	// computations); Stats counts what the computation re-ran.
 	Incremental bool
 	// Stats is the recompute accounting of the computation that produced
@@ -499,7 +420,6 @@ func (e *Engine) release(ctx context.Context, tree *hcoc.Tree, treeFP string, al
 		Key:         key,
 		Release:     c.value.release,
 		StoreHit:    c.value.fromStore,
-		PeerHit:     c.value.fromPeer,
 		Deduped:     joined,
 		Duration:    c.value.duration,
 		Queued:      c.queued,
@@ -534,15 +454,6 @@ func (e *Engine) leave(key string, c *call) {
 func (e *Engine) run(key, treeFP string, c *call, tree *hcoc.Tree, alg Algorithm, opts hcoc.Options, prev []PrevVersion) {
 	if e.store != nil {
 		if v, ok := e.loadFromStore(key); ok {
-			e.finish(key, treeFP, c, v, nil)
-			return
-		}
-	}
-	// Store miss: try ring peers before burning a compute slot and
-	// budget — a peer that already computed this key hands over the
-	// artifact for the cost of one HTTP transfer.
-	if e.peerFetch != nil {
-		if v, ok := e.fetchFromPeers(key, treeFP, alg); ok {
 			e.finish(key, treeFP, c, v, nil)
 			return
 		}
@@ -636,14 +547,10 @@ func (e *Engine) finish(key, treeFP string, c *call, v *cached, err error) {
 	tc := e.tenantCountersFor(treeFP)
 	if err == nil {
 		e.evictions += uint64(e.cache.add(key, v))
-		switch {
-		case v.fromStore:
+		if v.fromStore {
 			e.storeHits++
 			tc.storeHits++
-		case v.fromPeer:
-			// counted by fetchFromPeers; not a local computation
-			tc.peerHits++
-		default:
+		} else {
 			e.releases++
 			e.releaseTotal += v.duration
 			e.lastDur = v.duration
@@ -838,58 +745,6 @@ func (e *Engine) loadFromStore(key string) (*cached, bool) {
 	}, true
 }
 
-// fetchFromPeers asks the configured peer tier for a release computed
-// elsewhere on the ring. A fetched artifact is written through to the
-// durable store as a plain release entry (budget-neutral: the noise was
-// drawn and charged on the computing peer) and admitted to the LRU by
-// the caller. Any failure — transport or a clean miss — degrades to
-// recomputation; peer fetch is an optimization, never a correctness
-// dependency.
-func (e *Engine) fetchFromPeers(key, treeFP string, alg Algorithm) (*cached, bool) {
-	e.mu.Lock()
-	e.peerAttempts++
-	e.mu.Unlock()
-	rel, epsilon, err := e.peerFetch(context.Background(), key)
-	if err != nil {
-		e.mu.Lock()
-		e.peerFailures++
-		e.mu.Unlock()
-		return nil, false
-	}
-	if len(rel) == 0 || epsilon <= 0 {
-		return nil, false // clean miss: no peer holds the key
-	}
-	v := &cached{
-		release:   rel,
-		epsilon:   epsilon,
-		algorithm: alg,
-		cost:      rel.CostBytes(),
-		fromPeer:  true,
-	}
-	if e.store != nil {
-		m := store.Meta{
-			Key:       key,
-			Hierarchy: treeFP,
-			Algorithm: alg.String(),
-			Epsilon:   epsilon,
-			CostBytes: v.cost,
-			CreatedAt: time.Now().UTC(),
-		}
-		err := e.store.PutRelease(m, rel)
-		e.mu.Lock()
-		if err != nil {
-			e.storeFails++
-		} else {
-			e.storePuts++
-		}
-		e.mu.Unlock()
-	}
-	e.mu.Lock()
-	e.peerHits++
-	e.mu.Unlock()
-	return v, true
-}
-
 // compute runs the selected release algorithm through the run-length
 // pipeline, applying the engine's default parallelism when the request
 // does not pin one. TopDown always runs through the state-capturing
@@ -1059,11 +914,6 @@ type Metrics struct {
 	// StoreArtifacts is the number of releases the durable store holds
 	// (0 without a store).
 	StoreArtifacts int
-	// PeerFetchAttempts counts cache+store misses that consulted the
-	// peer tier; PeerFetchHits the fetches that returned an artifact
-	// (avoiding a recompute); PeerFetchFailures the fetches that failed
-	// in transport (a clean peer miss is neither a hit nor a failure).
-	PeerFetchAttempts, PeerFetchHits, PeerFetchFailures uint64
 	// Evictions counts completed releases dropped by the LRU.
 	Evictions uint64
 	// Releases counts completed release computations.
@@ -1152,9 +1002,6 @@ func (e *Engine) Metrics() Metrics {
 		StorePuts:         e.storePuts,
 		StoreErrors:       e.storeFails,
 		StoreArtifacts:    artifacts,
-		PeerFetchAttempts: e.peerAttempts,
-		PeerFetchHits:     e.peerHits,
-		PeerFetchFailures: e.peerFailures,
 		Evictions:         e.evictions,
 		Releases:          e.releases,
 		Queries:           e.queries,
@@ -1188,7 +1035,6 @@ type tenantCounters struct {
 	cacheHits uint64 // answered from the LRU
 	deduped   uint64 // coalesced onto an in-flight computation
 	storeHits uint64 // computations satisfied by the durable store
-	peerHits  uint64 // computations satisfied by a ring peer
 	computed  uint64 // actual release computations
 	rejected  uint64 // refused at scheduler admission (overload)
 }
@@ -1247,8 +1093,8 @@ type TenantStat struct {
 	// computations spent queued.
 	QueueWait time.Duration
 	// Requests counts release requests however satisfied; CacheHits,
-	// Deduped, StoreHits, PeerHits and Computed break down how.
-	Requests, CacheHits, Deduped, StoreHits, PeerHits, Computed uint64
+	// Deduped, StoreHits and Computed break down how.
+	Requests, CacheHits, Deduped, StoreHits, Computed uint64
 	// EpsilonSpent is the tenant's cumulative privacy spend, including
 	// spend replayed from the store manifest.
 	EpsilonSpent float64
@@ -1278,7 +1124,7 @@ func (e *Engine) TenantStats() []TenantStat {
 	for fp, tc := range e.tenantReqs {
 		ts := get(fp)
 		ts.Requests, ts.CacheHits, ts.Deduped = tc.requests, tc.cacheHits, tc.deduped
-		ts.StoreHits, ts.PeerHits, ts.Computed = tc.storeHits, tc.peerHits, tc.computed
+		ts.StoreHits, ts.Computed = tc.storeHits, tc.computed
 		if ts.Rejected < tc.rejected {
 			// The scheduler prunes idle tenants; the engine ledger
 			// remembers refusals the scheduler may have forgotten.

@@ -856,72 +856,42 @@ func TestInstanceID(t *testing.T) {
 	}
 }
 
-// TestAdmit covers the replication path: a release computed on one
-// engine is admitted into another, which then serves it from cache and
-// store without spending its own budget.
-func TestAdmit(t *testing.T) {
-	src := New(Options{})
+// TestEpsilonSpentLocalExcludesReplay: a warm start replays historical
+// spend into EpsilonSpent but not EpsilonSpentLocal, which only counts
+// draws by this process.
+func TestEpsilonSpentLocalExcludesReplay(t *testing.T) {
 	tree := testTree(t)
-	ctx := context.Background()
-	res, err := src.Release(ctx, tree, "", TopDown, testOpts(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := FingerprintTree(tree)
-
 	dir := t.TempDir()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	dst := New(Options{Store: st, MaxEpsilonPerHierarchy: 0.25})
+	first := New(Options{Store: st})
+	if _, err := first.Release(context.Background(), tree, "", TopDown, testOpts(1)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
 
-	admitted, err := dst.Admit(res.Key, fp, TopDown, res.Release, 1, 42*time.Millisecond)
-	if err != nil || !admitted {
-		t.Fatalf("admit = %v, %v", admitted, err)
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Idempotent: the same key admits once.
-	if again, err := dst.Admit(res.Key, fp, TopDown, res.Release, 1, 0); err != nil || again {
-		t.Fatalf("re-admit = %v, %v", again, err)
+	defer st2.Close()
+	e := New(Options{Store: st2})
+	m := e.Metrics()
+	if m.EpsilonSpent != 1 {
+		t.Fatalf("EpsilonSpent = %g, want 1 (replayed)", m.EpsilonSpent)
 	}
-
-	// Served from the replica's tiers, bit-identical.
-	rel, eps, err := dst.Sparse(res.Key)
-	if err != nil || eps != 1 {
-		t.Fatalf("Sparse: eps %g, err %v", eps, err)
+	if m.EpsilonSpentLocal != 0 {
+		t.Fatalf("EpsilonSpentLocal = %g, want 0 on a warm start", m.EpsilonSpentLocal)
 	}
-	for path, h := range res.Release {
-		if !h.Equal(rel[path]) {
-			t.Fatalf("admitted release differs at %s", path)
-		}
+	// A fresh draw by this process moves both.
+	if _, err := e.Release(context.Background(), tree, "", TopDown, testOpts(2)); err != nil {
+		t.Fatal(err)
 	}
-
-	// Admission spent nothing: the replica's budget is untouched even
-	// though the artifact's epsilon (1) exceeds its bound (0.25).
-	if spent, _, _, _ := dst.BudgetStatus(fp); spent != 0 {
-		t.Fatalf("admit spent epsilon %g", spent)
-	}
-
-	// The admitted artifact is durable: a cold engine over the same
-	// store serves it, and replays no phantom budget spend.
-	st2 := New(Options{Store: st, MaxEpsilonPerHierarchy: 0.25})
-	if _, _, err := st2.Sparse(res.Key); err != nil {
-		t.Fatalf("warm-start read of admitted release: %v", err)
-	}
-	if spent, _, _, _ := st2.BudgetStatus(fp); spent != 0 {
-		t.Fatalf("warm start replayed phantom spend %g from an admitted release", spent)
-	}
-
-	// Invalid admissions are refused.
-	if _, err := dst.Admit("", fp, TopDown, res.Release, 1, 0); err == nil {
-		t.Fatal("empty key admitted")
-	}
-	if _, err := dst.Admit("k", fp, TopDown, nil, 1, 0); err == nil {
-		t.Fatal("empty release admitted")
-	}
-	if _, err := dst.Admit("k", fp, TopDown, res.Release, 0, 0); err == nil {
-		t.Fatal("zero epsilon admitted")
+	m = e.Metrics()
+	if m.EpsilonSpent != 2 || m.EpsilonSpentLocal != 1 {
+		t.Fatalf("after a local draw: spent=%g local=%g, want 2 and 1", m.EpsilonSpent, m.EpsilonSpentLocal)
 	}
 }
 

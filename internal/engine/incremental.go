@@ -19,7 +19,7 @@ type PrevVersion struct {
 }
 
 // ReleaseFrom is Release with incremental-recompute candidates: when
-// the computation actually runs (no cache, store, or peer hit), the
+// the computation actually runs (no cache or store hit), the
 // engine looks up retained per-node state for each candidate's release
 // key — same algorithm and options, the candidate's fingerprint — and
 // seeds hcoc.ReleaseSparseFrom with the first hit. The released

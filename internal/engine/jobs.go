@@ -42,7 +42,7 @@ type Job struct {
 	// Err is the failure message when State is JobFailed.
 	Err string
 	// How the release request was satisfied (meaningful when done).
-	CacheHit, StoreHit, PeerHit, Deduped bool
+	CacheHit, StoreHit, Deduped bool
 	// Duration is the wall time of the computation that produced the
 	// release (see Result.Duration).
 	Duration time.Duration
@@ -120,7 +120,6 @@ func (js *Jobs) Submit(run func() (Result, error)) (Job, error) {
 			j.Key = r.Key
 			j.CacheHit = r.CacheHit
 			j.StoreHit = r.StoreHit
-			j.PeerHit = r.PeerHit
 			j.Deduped = r.Deduped
 			j.Duration = r.Duration
 		}

@@ -2,37 +2,44 @@ package gateway
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"hcoc"
 	"hcoc/client"
 	"hcoc/internal/engine"
 	"hcoc/internal/histogram"
 	"hcoc/internal/serve"
 )
 
-// countingBackend is an in-process backend whose artifact downloads
-// (GET /v1/release/{id}) are counted — the probe for the gateway's
-// scan-sharing contract.
+// countingBackend is an in-process backend on the shared store whose
+// artifact downloads (GET /v1/release/{id}) and batch queries are
+// counted — the probes for the gateway's forward-whole contract.
 type countingBackend struct {
 	fixture   *backendFixture
 	downloads atomic.Int64
+	batches   atomic.Int64
 }
 
-func newCountingBackend(t *testing.T) *countingBackend {
+func newCountingBackend(t *testing.T, stub string) *countingBackend {
 	t.Helper()
 	cb := &countingBackend{}
-	eng := engine.New(engine.Options{})
-	srv, err := serve.NewServer(eng, nil)
+	st := sharedStoreFixture(t, stub)
+	eng := engine.New(engine.Options{Store: st})
+	srv, err := serve.NewServer(eng, st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/release/") {
 			cb.downloads.Add(1)
+		}
+		if r.URL.Path == "/v1/query/batch" {
+			cb.batches.Add(1)
 		}
 		srv.ServeHTTP(w, r)
 	}))
@@ -46,33 +53,57 @@ func newCountingBackend(t *testing.T) *countingBackend {
 }
 
 // TestGatewayCrossReleaseBatch drives a multi-release batch through the
-// gateway: a 16-query batch spanning two releases triggers exactly two
-// artifact downloads (one per release, whichever ring owners hold
-// them), the cross-release answers match computing from the downloaded
-// artifacts, and a batch whose entries all read one release still
-// forwards whole without any gateway-side download.
+// gateway over two releases computed on different backends: the
+// 16-query batch is forwarded whole to one backend, which reads the
+// other backend's release from the shared store — zero gateway-side
+// artifact downloads — and the cross-release answers match computing
+// from the downloaded artifacts. A batch whose entries all read one
+// release forwards whole the same way.
 func TestGatewayCrossReleaseBatch(t *testing.T) {
 	ctx := context.Background()
-	cbs := []*countingBackend{newCountingBackend(t), newCountingBackend(t)}
-	_, c, _ := newGateway(t, 1, 1, cbs[0].fixture, cbs[1].fixture)
+	stub := newStub(t)
+	cbs := []*countingBackend{newCountingBackend(t, stub), newCountingBackend(t, stub)}
+	gw, c, _ := newGateway(t, 1, 1, cbs[0].fixture, cbs[1].fixture)
 
-	h, err := c.UploadHierarchy(ctx, "US", testGroups())
-	if err != nil {
-		t.Fatal(err)
+	// Two hierarchies of the same shape whose primaries differ (R=1),
+	// so each release is computed on a different backend.
+	var ids []string
+	seen := map[string]bool{}
+	for i := 0; len(ids) < 2; i++ {
+		if i == 64 {
+			t.Fatal("no two hierarchies landed on different backends")
+		}
+		groups := append(testGroups(), hcoc.Group{Path: []string{"CA"}, Size: int64(i + 1)})
+		h, err := c.UploadHierarchy(ctx, "US", groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := gw.Cluster().Owners(hierarchyFP(h.ID))[0]
+		if !seen[owner] {
+			seen[owner] = true
+			ids = append(ids, h.ID)
+		}
 	}
 	rels := make([]string, 2)
-	for i, seed := range []int64{7, 8} {
-		r, err := c.Release(ctx, client.ReleaseRequest{Hierarchy: h.ID, Epsilon: 1, K: 50, Seed: seed})
+	for i, id := range ids {
+		r, err := c.Release(ctx, client.ReleaseRequest{Hierarchy: id, Epsilon: 1, K: 50, Seed: int64(7 + i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rels[i] = r.Release
 	}
+	for _, cb := range cbs {
+		if n := cb.fixture.eng.Metrics().Releases; n != 1 {
+			t.Fatalf("backend %s computed %d releases, want 1", cb.fixture.ts.URL, n)
+		}
+	}
 
 	downloads := func() int64 { return cbs[0].downloads.Load() + cbs[1].downloads.Load() }
+	batches := func() string { return fmt.Sprint(cbs[0].batches.Load(), cbs[1].batches.Load()) }
 	base := downloads()
 
-	// 16 queries over 2 releases: exactly 2 downloads, all answered.
+	// 16 queries over 2 releases: forwarded whole (0 downloads, one
+	// backend sees one batch), all answered.
 	queries := make([]client.NodeQuery, 16)
 	nodes := []string{"US", "US/CA", "US/WA", "US/CA"}
 	ops := []string{"emd", "delta", "series", "compare"}
@@ -83,8 +114,11 @@ func TestGatewayCrossReleaseBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := downloads() - base; got != 2 {
-		t.Fatalf("cross batch made %d artifact downloads, want 2", got)
+	if got := downloads() - base; got != 0 {
+		t.Fatalf("cross batch made %d artifact downloads, want 0 (forwarded whole)", got)
+	}
+	if got := batches(); got != "1 0" && got != "0 1" {
+		t.Fatalf("backend batch counts = %s, want the whole batch on one backend", got)
 	}
 	for i, res := range results {
 		if res.Error != "" {

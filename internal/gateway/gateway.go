@@ -39,19 +39,16 @@ type Options struct {
 	// is a single retry per backend: the gateway's own replica failover
 	// is the real retry mechanism.
 	ClientOptions []client.Option
-	// RepairInterval is the anti-entropy sweep period; 0 selects
-	// DefaultRepairInterval, negative disables the background sweeper
-	// (RepairNow still works).
+
+	// RepairInterval is ignored: the backends share one store, and
+	// nothing copies artifacts between them.
+	//
+	// Deprecated: nothing reads it; it remains so existing callers build.
 	RepairInterval time.Duration
-	// RepairConcurrency bounds parallel artifact copies within one
-	// sweep (0 selects DefaultRepairConcurrency).
-	RepairConcurrency int
-	// SharedStore declares that every backend mounts the same shared
-	// object store (hcoc-serve -store-backend=s3 against one bucket).
-	// Durability is then the store's job, not the gateway's: write-time
-	// replication and anti-entropy sweeps are skipped entirely — each
-	// would copy bytes to a node that already reads them from the shared
-	// backend — and any backend can serve any release.
+	// SharedStore is ignored: sharing one store is the only multi-node
+	// mode.
+	//
+	// Deprecated: nothing reads it; it remains so existing callers build.
 	SharedStore bool
 }
 
@@ -73,14 +70,13 @@ type tenantTraffic struct {
 	throttled uint64
 }
 
-// Gateway routes the /v1 surface across a cluster of backends. Safe
-// for concurrent use; Start/Stop bound the background health probing.
+// Gateway routes the /v1 surface across a cluster of backends that
+// share one blob store, so any backend can read any release. Safe for
+// concurrent use; Start/Stop bound the background health probing.
 type Gateway struct {
-	cluster     *cluster.Cluster
-	mux         *http.ServeMux
-	copts       []client.Option
-	repair      *repairer
-	sharedStore bool
+	cluster *cluster.Cluster
+	mux     *http.ServeMux
+	copts   []client.Option
 
 	mu           sync.Mutex
 	clients      map[string]*client.Client // guarded: membership changes at runtime
@@ -90,9 +86,6 @@ type Gateway struct {
 	tenants      map[string]*tenantTraffic // hierarchy fingerprint -> release traffic
 	failovers    uint64
 	fanouts      uint64
-	replications uint64
-	replFailures uint64
-	replSkipped  uint64
 	joins        uint64
 	leaves       uint64
 }
@@ -113,7 +106,6 @@ func New(opts Options) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cluster:      cl,
-		sharedStore:  opts.SharedStore,
 		clients:      make(map[string]*client.Client),
 		mux:          http.NewServeMux(),
 		releaseOwner: make(map[string]string),
@@ -133,25 +125,17 @@ func New(opts Options) (*Gateway, error) {
 		g.clients[u] = c
 		g.stats[u] = &backendStats{}
 	}
-	g.repair = newRepairer(g, opts.RepairInterval, opts.RepairConcurrency)
 	for _, rt := range g.routeTable() {
 		g.mux.HandleFunc(rt.Method+" "+rt.Pattern, rt.handler)
 	}
 	return g, nil
 }
 
-// Start launches the background health-probe and anti-entropy loops;
-// Stop ends them.
-func (g *Gateway) Start() {
-	g.cluster.Start()
-	g.repair.start()
-}
+// Start launches the background health-probe loop; Stop ends it.
+func (g *Gateway) Start() { g.cluster.Start() }
 
-// Stop ends the loops started by Start.
-func (g *Gateway) Stop() {
-	g.cluster.Stop()
-	g.repair.stop()
-}
+// Stop ends the loop started by Start.
+func (g *Gateway) Stop() { g.cluster.Stop() }
 
 // client resolves a backend URL to its SDK client; nil after the
 // backend left the cluster.
@@ -162,9 +146,9 @@ func (g *Gateway) client(u string) *client.Client {
 }
 
 // AddBackend joins a backend at runtime: an SDK client is built for
-// it, it takes its ring share immediately, and the next anti-entropy
-// sweep streams it the artifacts it now owns. Idempotent; the returned
-// bool reports whether the membership actually changed.
+// it and it takes its ring share immediately, serving every release
+// from the shared store. Idempotent; the returned bool reports whether
+// the membership actually changed.
 func (g *Gateway) AddBackend(u string) (bool, error) {
 	c, err := client.New(u, g.copts...)
 	if err != nil {
@@ -188,8 +172,8 @@ func (g *Gateway) AddBackend(u string) (bool, error) {
 }
 
 // RemoveBackend drains a backend at runtime: it stops owning keys and
-// receiving traffic. Its artifacts are left in place; the next sweep
-// re-replicates anything the surviving owners are missing.
+// receiving traffic. Its artifacts live in the shared store, so the
+// surviving owners already read them.
 func (g *Gateway) RemoveBackend(u string) error {
 	if err := g.cluster.RemoveBackend(u); err != nil {
 		return err
@@ -234,7 +218,6 @@ func (g *Gateway) routeTable() []routeEntry {
 		{serve.Route{Method: "GET", Pattern: "/v1/cluster"}, g.handleCluster},
 		{serve.Route{Method: "POST", Pattern: "/v1/cluster/nodes"}, g.handleAddNode},
 		{serve.Route{Method: "DELETE", Pattern: "/v1/cluster/nodes"}, g.handleRemoveNode},
-		{serve.Route{Method: "POST", Pattern: "/v1/cluster/repair"}, g.handleRepair},
 		{serve.Route{Method: "GET", Pattern: "/healthz"}, g.handleHealthz},
 		{serve.Route{Method: "GET", Pattern: "/metrics"}, g.handleMetrics},
 	}
@@ -242,7 +225,7 @@ func (g *Gateway) routeTable() []routeEntry {
 
 // Routes lists every registered endpoint, for the OpenAPI coverage
 // test: the gateway surface is the backend surface plus /v1/cluster,
-// minus the replication-internal artifact import.
+// minus the per-node /v1/tenants report.
 func (g *Gateway) Routes() []serve.Route {
 	table := g.routeTable()
 	out := make([]serve.Route, len(table))
@@ -482,11 +465,11 @@ func (g *Gateway) routeHierarchy(fp string) []string {
 
 // orderForRelease resolves a release id to its failover order: the
 // owning hierarchy's route when learned — extended with the remaining
-// live backends, because after a membership change a release's new
-// ring owners may not have been repaired yet while an old owner still
-// holds the artifact — every live backend when the hint is forgotten
-// (a gateway restart forgets the hints, not the data), and, with the
-// whole fleet ejected, every configured backend as a last resort.
+// live backends, since every backend reads the shared store and a read
+// should outlive all R owners — every live backend when the hint is
+// forgotten (a gateway restart forgets the hints, not the data), and,
+// with the whole fleet ejected, every configured backend as a last
+// resort.
 func (g *Gateway) orderForRelease(releaseID string) ([]string, error) {
 	g.mu.Lock()
 	fp, ok := g.releaseOwner[releaseID]

@@ -17,7 +17,6 @@ import (
 	"hcoc/client"
 	"hcoc/internal/engine"
 	"hcoc/internal/serve"
-	"hcoc/internal/store"
 )
 
 // backendFixture is one in-process hcoc-serve node.
@@ -93,18 +92,19 @@ func byURL(t *testing.T, backends []*backendFixture, url string) *backendFixture
 
 // TestGatewayClusterFailover is the cluster tier end to end, in
 // process: an upload fans out to R replicas, a release computed on the
-// primary is replicated, the primary is killed, and the same release
-// and its queries keep being served — bit-identically — from a
-// replica, while /v1/cluster reports the ejection.
+// primary lands in the shared store, the primary is killed, and the
+// same release and its queries keep being served — bit-identically —
+// from a replica, while /v1/cluster reports the ejection.
 func TestGatewayClusterFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster integration skipped in -short mode")
 	}
 	ctx := context.Background()
+	stub := newStub(t)
 	backends := []*backendFixture{
-		newBackend(t, engine.Options{}),
-		newBackend(t, engine.Options{}),
-		newBackend(t, engine.Options{}),
+		newSharedBackend(t, stub),
+		newSharedBackend(t, stub),
+		newSharedBackend(t, stub),
 	}
 	gw, c, _ := newGateway(t, 2, 1, backends...)
 
@@ -140,7 +140,8 @@ func TestGatewayClusterFailover(t *testing.T) {
 		t.Fatalf("first release was not a fresh computation: %+v", rel)
 	}
 
-	// Replication: both owners hold the artifact, bit-identically.
+	// Both owners serve the artifact, bit-identically: the replica
+	// reads the primary's write from the shared store.
 	primary, replica := byURL(t, backends, owners[0]), byURL(t, backends, owners[1])
 	fromPrimary, epsP, err := primary.c.DownloadRelease(ctx, rel.Release)
 	if err != nil {
@@ -148,7 +149,7 @@ func TestGatewayClusterFailover(t *testing.T) {
 	}
 	fromReplica, epsR, err := replica.c.DownloadRelease(ctx, rel.Release)
 	if err != nil {
-		t.Fatalf("replica did not receive the artifact: %v", err)
+		t.Fatalf("replica cannot read the artifact: %v", err)
 	}
 	if epsP != epsR || len(fromPrimary) != len(fromReplica) {
 		t.Fatalf("replica artifact differs: eps %g/%g, nodes %d/%d", epsP, epsR, len(fromPrimary), len(fromReplica))
@@ -177,14 +178,17 @@ func TestGatewayClusterFailover(t *testing.T) {
 	}
 
 	// The same release request is still served — from the replica's
-	// admitted cache entry, not a recomputation (a recompute would draw
-	// fresh noise and break the bit-identical guarantee above).
+	// cache or the shared store, not a recomputation (a recompute would
+	// draw fresh noise and break the bit-identical guarantee above).
 	again, err := c.Release(ctx, client.ReleaseRequest{Hierarchy: h.ID, Epsilon: 1, K: 50, Seed: 7})
 	if err != nil {
 		t.Fatalf("release after killing the primary: %v", err)
 	}
-	if again.Release != rel.Release || !again.CacheHit {
-		t.Fatalf("post-failover release = %+v, want a cache hit on %s", again, rel.Release)
+	if again.Release != rel.Release || (!again.CacheHit && !again.StoreHit) {
+		t.Fatalf("post-failover release = %+v, want a cache or store hit on %s", again, rel.Release)
+	}
+	if m := replica.eng.Metrics(); m.Releases != 0 || m.EpsilonSpentLocal != 0 {
+		t.Fatalf("replica computed %d releases and spent %g epsilon, want none", m.Releases, m.EpsilonSpentLocal)
 	}
 
 	// Topology reflects the ejection (FailThreshold 1: the failed
@@ -438,6 +442,10 @@ func TestGatewayBadRequests(t *testing.T) {
 			_, err := c.Job(ctx, "j-nope")
 			return err
 		}, http.StatusNotFound},
+		{"plain batch naming no release", func() error {
+			_, err := c.BatchQuery(ctx, "", []client.NodeQuery{{Node: "US"}})
+			return err
+		}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		err := tc.do()
@@ -446,13 +454,19 @@ func TestGatewayBadRequests(t *testing.T) {
 			t.Fatalf("%s: err = %v, want status %d", tc.name, err, tc.code)
 		}
 	}
+	// An extended batch naming no release answers as a backend does:
+	// 200, with the failure on the item.
+	res, err := c.BatchQuery(ctx, "", []client.NodeQuery{{Op: "stats", Node: "US"}})
+	if err != nil || len(res) != 1 || res[0].Error == "" {
+		t.Fatalf("extended batch naming no release = %+v, %v; want one per-item error", res, err)
+	}
 	if live := gw.Cluster().Live(); len(live) != 1 {
 		t.Fatalf("4xx traffic ejected the backend: live = %v", live)
 	}
 }
 
 // TestGatewayRoutesStable pins the gateway surface: the backend routes
-// plus /v1/cluster, minus the replication-internal PUT.
+// plus /v1/cluster, minus the per-node /v1/tenants report.
 func TestGatewayRoutesStable(t *testing.T) {
 	b := newBackend(t, engine.Options{})
 	gw, _, _ := newGateway(t, 1, 1, b)
@@ -475,7 +489,6 @@ func TestGatewayRoutesStable(t *testing.T) {
 		"GET /v1/cluster",
 		"POST /v1/cluster/nodes",
 		"DELETE /v1/cluster/nodes",
-		"POST /v1/cluster/repair",
 		"GET /healthz",
 		"GET /metrics",
 	}
@@ -588,23 +601,16 @@ func TestGatewayTenantTraffic(t *testing.T) {
 }
 
 // TestGatewayArtifactsAndTopology covers the remaining read surface
-// over a durable fleet: artifact downloads in both formats through the
-// gateway, the merged durable-release listing, and /v1/cluster
+// over a shared-store fleet: artifact downloads in both formats through
+// the gateway, the merged durable-release listing, and /v1/cluster
 // topology (including ?key routing and probe-learned instance ids).
 func TestGatewayArtifactsAndTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster integration skipped in -short mode")
 	}
 	ctx := context.Background()
-	var backends []*backendFixture
-	for i := 0; i < 2; i++ {
-		st, err := store.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		backends = append(backends, newBackend(t, engine.Options{Store: st}))
-	}
+	stub := newStub(t)
+	backends := []*backendFixture{newSharedBackend(t, stub), newSharedBackend(t, stub)}
 	gw, c, base := newGateway(t, 2, 2, backends...)
 	gw.Start()
 	defer gw.Stop()
@@ -637,8 +643,8 @@ func TestGatewayArtifactsAndTopology(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// The durable listing merges and dedupes across the fleet: the
-	// artifact was replicated to both backends but lists once.
+	// The durable listing merges and dedupes across the fleet: both
+	// backends read the one shared artifact, and it lists once.
 	arts, err := c.Releases(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -743,5 +749,84 @@ func TestGatewayTransportConventions(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
+	}
+}
+
+// postJSON hits a gateway admin endpoint and decodes the reply.
+func postJSON(t *testing.T, url string, body, out any) int {
+	t.Helper()
+	buf, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if out != nil && resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode
+}
+
+func del(t *testing.T, url string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestNodeAdminEndpoints pins the membership API: joins and drains
+// take effect immediately, duplicates are no-ops, unknowns 404, and
+// the last backend cannot be drained (409).
+func TestNodeAdminEndpoints(t *testing.T) {
+	a := newBackend(t, engine.Options{})
+	b := newBackend(t, engine.Options{})
+	c := newBackend(t, engine.Options{})
+	gw, _, gwURL := newGateway(t, 2, 1, a, b)
+
+	var nr nodeResponse
+	if code := postJSON(t, gwURL+"/v1/cluster/nodes", nodeRequest{URL: c.ts.URL}, &nr); code != http.StatusOK {
+		t.Fatalf("join: status %d", code)
+	}
+	if !nr.Changed || nr.Backends != 3 {
+		t.Fatalf("join reply = %+v", nr)
+	}
+	if code := postJSON(t, gwURL+"/v1/cluster/nodes", nodeRequest{URL: c.ts.URL}, &nr); code != http.StatusOK || nr.Changed {
+		t.Fatalf("duplicate join: status %d, reply %+v", code, nr)
+	}
+	if code := postJSON(t, gwURL+"/v1/cluster/nodes", nodeRequest{URL: "no-scheme:8080"}, nil); code != http.StatusBadRequest {
+		t.Fatalf("schemeless join: status %d", code)
+	}
+	if code := postJSON(t, gwURL+"/v1/cluster/nodes", nodeRequest{}, nil); code != http.StatusBadRequest {
+		t.Fatalf("empty join: status %d", code)
+	}
+
+	if code := del(t, gwURL+"/v1/cluster/nodes?url=http://nope.invalid"); code != http.StatusNotFound {
+		t.Fatalf("unknown drain: status %d", code)
+	}
+	if code := del(t, gwURL+"/v1/cluster/nodes"); code != http.StatusBadRequest {
+		t.Fatalf("drain without url: status %d", code)
+	}
+	for _, u := range []string{c.ts.URL, b.ts.URL} {
+		if code := del(t, gwURL+"/v1/cluster/nodes?url="+u); code != http.StatusOK {
+			t.Fatalf("drain %s: status %d", u, code)
+		}
+	}
+	if code := del(t, gwURL+"/v1/cluster/nodes?url="+a.ts.URL); code != http.StatusConflict {
+		t.Fatalf("draining the last backend: status %d, want 409", code)
+	}
+	if got := gw.Cluster().Backends(); len(got) != 1 || got[0] != a.ts.URL {
+		t.Fatalf("backends after churn = %v", got)
 	}
 }

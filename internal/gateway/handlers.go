@@ -14,14 +14,8 @@ import (
 	"hcoc/client"
 	"hcoc/internal/cluster"
 	"hcoc/internal/engine"
-	"hcoc/internal/query"
-	"hcoc/internal/query/plan"
 	"hcoc/internal/serve"
 )
-
-// maxBatchQueries mirrors the backend bound for batches the gateway
-// evaluates itself (multi-release batches never reach a backend whole).
-const maxBatchQueries = 4096
 
 // groupRecord and hierarchyRequest mirror the backend upload shape —
 // the gateway must parse uploads itself to fingerprint the tree, which
@@ -262,7 +256,7 @@ func scatter[T any](g *Gateway, op func(c *client.Client) ([]T, error)) ([]T, er
 }
 
 // handleListHierarchies merges the hierarchy listings of every live
-// backend, deduplicated by id (replication stores each tree R times).
+// backend, deduplicated by id (uploads fan out to R owners).
 func (g *Gateway) handleListHierarchies(w http.ResponseWriter, r *http.Request) {
 	all, err := scatter(g, func(c *client.Client) ([]client.Hierarchy, error) {
 		return c.Hierarchies(r.Context())
@@ -324,10 +318,10 @@ type releaseRequest struct {
 }
 
 // handleRelease routes a release to the hierarchy's primary, failing
-// over down the replica order; a fresh synchronous computation is then
-// replicated to the remaining owners so failover reads serve identical
-// bytes. Async jobs stay backend-local (the job table is not
-// replicated) — the gateway records which backend runs each job.
+// over down the replica order. The computing backend writes the
+// artifact to the shared store, where every other backend reads the
+// same bytes. Async jobs stay backend-local (the job table is not
+// shared) — the gateway records which backend runs each job.
 func (g *Gateway) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req releaseRequest
 	if !serve.DecodeJSON(w, r, &req) {
@@ -373,13 +367,12 @@ func (g *Gateway) handleRelease(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var rel client.Release
-	var servedBy string
 	err := g.forward(order, func(c *client.Client, u string) error {
 		res, err := c.Release(r.Context(), creq)
 		if err != nil {
 			return err
 		}
-		rel, servedBy = res, u
+		rel = res
 		return nil
 	})
 	g.recordTenant(fp, err)
@@ -388,74 +381,7 @@ func (g *Gateway) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.learnRelease(rel.Release, fp)
-	// Replicate only what this request actually computed: hits and
-	// deduped answers were either replicated when first computed or
-	// predate the gateway, and re-pushing them on every cache hit would
-	// turn the hot path into artifact traffic. On a shared store the
-	// computing backend's PutRelease already made the artifact durable
-	// for every node, so the copy is pure redundant byte traffic —
-	// skipped, and counted so operators can see the savings.
-	if !rel.CacheHit && !rel.StoreHit && !rel.Deduped && !rel.PeerHit {
-		if g.sharedStore {
-			g.mu.Lock()
-			g.replSkipped++
-			g.mu.Unlock()
-		} else {
-			g.replicate(r.Context(), rel, servedBy, g.cluster.Owners(fp))
-		}
-	}
 	serve.WriteJSON(w, http.StatusOK, rel)
-}
-
-// replicate copies a freshly computed artifact from the backend that
-// computed it to the remaining ring owners (idempotent PUT). Best
-// effort: a failed copy costs availability-on-failover, not
-// correctness, and the next fresh computation retries the path.
-func (g *Gateway) replicate(ctx context.Context, rel client.Release, servedBy string, owners []string) {
-	targets := make([]string, 0, len(owners))
-	for _, u := range owners {
-		if u != servedBy {
-			targets = append(targets, u)
-		}
-	}
-	if len(targets) == 0 {
-		return
-	}
-	src := g.client(servedBy)
-	if src == nil {
-		return
-	}
-	sparse, epsilon, err := src.DownloadRelease(ctx, rel.Release)
-	if err != nil {
-		g.mu.Lock()
-		g.replFailures++
-		g.mu.Unlock()
-		return
-	}
-	// The copies go out in parallel: the client's release response is
-	// waiting on this, and R-1 sequential PUTs would stack transfer
-	// latencies onto it.
-	var wg sync.WaitGroup
-	for _, u := range targets {
-		c := g.client(u)
-		if c == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(u string, c *client.Client) {
-			defer wg.Done()
-			_, err := c.ImportRelease(ctx, rel.Release, rel.Hierarchy, rel.Algorithm, rel.DurationMS, sparse, epsilon)
-			g.reportHealth(u, err)
-			g.mu.Lock()
-			if err != nil {
-				g.replFailures++
-			} else {
-				g.replications++
-			}
-			g.mu.Unlock()
-		}(u, c)
-	}
-	wg.Wait()
 }
 
 // handleGetRelease proxies an artifact from the first replica that
@@ -570,14 +496,12 @@ type batchQueryResponse struct {
 	Results []client.NodeResult `json:"results"`
 }
 
-// handleBatchQuery routes a batch by how many releases it spans. A
-// batch over one release (any plain batch, and cross-release entries
-// whose releases coincide) forwards whole to one replica of the owning
-// release — the batch's one-engine-pass economics only hold on a single
-// backend. A batch spanning releases that may live on different ring
-// owners scatters the artifact downloads (each distinct release fetched
-// exactly once, in parallel, down its own failover order) and evaluates
-// the planned queries at the gateway.
+// handleBatchQuery forwards the whole batch down the failover order of
+// the first release it reads — the default release, else the first one
+// an entry names. Every backend reads every release from the shared
+// store, so one backend answers even a batch spanning releases owned by
+// different hierarchies, in one engine pass; the backend also enforces
+// the batch-size bound and answers per-query errors.
 func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	var req batchQueryRequest
 	if !serve.DecodeJSON(w, r, &req) {
@@ -587,29 +511,7 @@ func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, "no queries in batch")
 		return
 	}
-	if len(req.Queries) > maxBatchQueries {
-		serve.WriteError(w, http.StatusBadRequest, "batch of %d queries exceeds the %d-query limit", len(req.Queries), maxBatchQueries)
-		return
-	}
-	distinct := distinctReleases(req)
-	if legacy := isLegacyBatch(req); legacy && req.Release == "" {
-		serve.WriteError(w, http.StatusBadRequest, "missing release")
-		return
-	} else if legacy || len(distinct) <= 1 {
-		g.forwardBatchQuery(w, r, req)
-		return
-	}
-	g.crossBatchQuery(w, r, req, distinct)
-}
-
-// forwardBatchQuery sends the whole batch down one release's failover
-// order.
-func (g *Gateway) forwardBatchQuery(w http.ResponseWriter, r *http.Request, req batchQueryRequest) {
-	routeBy := req.Release
-	if routeBy == "" {
-		routeBy = distinctReleases(req)[0]
-	}
-	order, err := g.orderForRelease(routeBy)
+	order, err := g.orderForRelease(firstRelease(req))
 	if err != nil {
 		writeClientError(w, err)
 		return
@@ -630,176 +532,21 @@ func (g *Gateway) forwardBatchQuery(w http.ResponseWriter, r *http.Request, req 
 	serve.WriteJSON(w, http.StatusOK, batchQueryResponse{Release: req.Release, Results: results})
 }
 
-// crossBatchQuery evaluates a multi-release batch at the gateway:
-// every distinct release downloads exactly once, in parallel, from its
-// own ring owners; the scan-sharing planner then answers all queries
-// against the shared artifacts. A release that no backend can serve
-// fails only the queries reading it.
-func (g *Gateway) crossBatchQuery(w http.ResponseWriter, r *http.Request, req batchQueryRequest, distinct []string) {
-	rels := make(map[string]hcoc.SparseHistograms, len(distinct))
-	errs := make(map[string]error, len(distinct))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, id := range distinct {
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			order, err := g.orderForRelease(id)
-			if err == nil {
-				err = g.forward(order, func(c *client.Client, u string) error {
-					rel, _, err := c.DownloadRelease(r.Context(), id)
-					if err != nil {
-						return err
-					}
-					mu.Lock()
-					rels[id] = rel
-					mu.Unlock()
-					return nil
-				})
-			}
-			if err != nil {
-				mu.Lock()
-				errs[id] = err
-				mu.Unlock()
-			}
-		}(id)
-	}
-	wg.Wait()
-	// A dead cluster is a whole-batch condition, not a per-query one.
-	if len(rels) == 0 {
-		for _, err := range errs {
-			if errors.Is(err, cluster.ErrNoBackends) {
-				writeClientError(w, err)
-				return
-			}
-		}
-	}
-	results := plan.New(planQueries(req)).Execute(plan.SourceFunc(func(key string) (hcoc.SparseHistograms, error) {
-		if err := errs[key]; err != nil {
-			return nil, err
-		}
-		rel, ok := rels[key]
-		if !ok {
-			return nil, fmt.Errorf("release not cached")
-		}
-		return rel, nil
-	}))
-	resp := batchQueryResponse{Release: req.Release, Results: make([]client.NodeResult, len(results))}
-	for i, res := range results {
-		resp.Results[i] = toNodeResult(req.Queries[i], res)
-	}
-	serve.WriteJSON(w, http.StatusOK, resp)
-}
-
-// isLegacyBatch reports whether every entry is a plain node query, the
-// pre-cross-release body shape with its whole-batch missing-release 400.
-func isLegacyBatch(req batchQueryRequest) bool {
-	for _, q := range req.Queries {
-		if q.Op != "" || len(q.Releases) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// distinctReleases lists the distinct release ids the batch reads, in
-// first-use order, counting the default release for entries naming
-// none.
-func distinctReleases(req batchQueryRequest) []string {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(id string) {
-		if id != "" && !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
+// firstRelease names the release a batch routes by: the default
+// release, else the first one any entry lists ("" when none does,
+// which routes to any live backend; it answers the batch's errors).
+func firstRelease(req batchQueryRequest) string {
+	if req.Release != "" {
+		return req.Release
 	}
 	for _, q := range req.Queries {
-		if len(q.Releases) == 0 {
-			add(req.Release)
-			continue
-		}
 		for _, id := range q.Releases {
-			add(id)
+			if id != "" {
+				return id
+			}
 		}
 	}
-	return out
-}
-
-// planQueries lowers the wire entries into the planner IR, keyed by the
-// wire release ids (the gateway's Source downloads by wire id). Unknown
-// op names stay put and fail per query in the planner.
-func planQueries(req batchQueryRequest) []plan.Query {
-	qs := make([]plan.Query, len(req.Queries))
-	for i, q := range req.Queries {
-		op, err := plan.ParseOp(q.Op)
-		if err != nil {
-			op = plan.Op(q.Op)
-		}
-		keys := q.Releases
-		if len(keys) == 0 && req.Release != "" {
-			keys = []string{req.Release}
-		}
-		qs[i] = plan.Query{Op: op, Releases: keys, Node: q.Node, Params: query.Params{
-			Quantiles:  q.Quantiles,
-			KthLargest: q.KthLargest,
-			TopCode:    q.TopCode,
-		}}
-	}
-	return qs
-}
-
-// toNodeResult renders one planner result in the SDK's wire shape,
-// echoing the entry as sent.
-func toNodeResult(q client.NodeQuery, res plan.Result) client.NodeResult {
-	out := client.NodeResult{
-		NodeReport: client.NodeReport{Node: q.Node},
-		Op:         q.Op,
-		Releases:   q.Releases,
-	}
-	if res.Err != nil {
-		out.Error = res.Err.Error()
-		return out
-	}
-	switch {
-	case res.Report != nil:
-		out.NodeReport = toNodeReport(q, *res.Report)
-	case res.Series != nil:
-		out.Series = make([]client.SeriesPoint, len(res.Series))
-		for i, pt := range res.Series {
-			out.Series[i] = client.SeriesPoint{Release: pt.Release, NodeReport: toNodeReport(q, pt.Report)}
-		}
-	case res.Left != nil && res.Right != nil:
-		left := toNodeReport(q, *res.Left)
-		right := toNodeReport(q, *res.Right)
-		out.Left, out.Right = &left, &right
-	}
-	out.EMD = res.EMD
-	out.GroupsDelta = res.GroupsDelta
-	out.PeopleDelta = res.PeopleDelta
-	return out
-}
-
-// toNodeReport converts a query-layer report to the SDK shape,
-// re-pairing the rank statistics with the parameters that requested
-// them.
-func toNodeReport(q client.NodeQuery, rep query.Report) client.NodeReport {
-	out := client.NodeReport{
-		Node:     q.Node,
-		Groups:   rep.Groups,
-		People:   rep.People,
-		Mean:     rep.Mean,
-		Median:   rep.Median,
-		Gini:     rep.Gini,
-		TopCoded: rep.TopCoded,
-	}
-	for i, size := range rep.Quantiles {
-		out.Quantiles = append(out.Quantiles, client.QuantileValue{Q: q.Quantiles[i], Size: size})
-	}
-	for i, size := range rep.KthLargest {
-		out.KthLargest = append(out.KthLargest, client.OrderStat{K: q.KthLargest[i], Size: size})
-	}
-	return out
+	return ""
 }
 
 // handleBudget reads the budget position from the hierarchy's primary
@@ -825,17 +572,13 @@ func (g *Gateway) handleBudget(w http.ResponseWriter, r *http.Request) {
 
 // clusterResponse is the JSON shape of GET /v1/cluster.
 type clusterResponse struct {
-	Replication  int `json:"replication"`
-	VirtualNodes int `json:"virtual_nodes"`
-	Live         int `json:"live"`
-	// SharedStore reports whether the fleet mounts one shared object
-	// store (gateway replication and anti-entropy are then skipped).
-	SharedStore bool          `json:"shared_store"`
-	Failovers   uint64        `json:"failovers"`
-	Joins       uint64        `json:"joins"`
-	Leaves      uint64        `json:"leaves"`
-	Repair      repairStatus  `json:"repair"`
-	Backends    []backendInfo `json:"backends"`
+	Replication  int           `json:"replication"`
+	VirtualNodes int           `json:"virtual_nodes"`
+	Live         int           `json:"live"`
+	Failovers    uint64        `json:"failovers"`
+	Joins        uint64        `json:"joins"`
+	Leaves       uint64        `json:"leaves"`
+	Backends     []backendInfo `json:"backends"`
 	// Tenants is the per-hierarchy release traffic seen by this gateway,
 	// sorted by tenant id — the fleet-wide view of who is sending
 	// compute and who is being throttled by backend QoS.
@@ -862,26 +605,19 @@ type backendInfo struct {
 	Requests            uint64  `json:"requests"`
 	Errors              uint64  `json:"errors"`
 	MeanLatencyMS       float64 `json:"mean_latency_ms"`
-	// ReplicaDeficit is how many releases this backend owns on the ring
-	// but did not hold at the last anti-entropy sweep — the per-node
-	// under-replication an operator watches converge to zero.
-	ReplicaDeficit int `json:"replica_deficit"`
 }
 
 // handleCluster reports the topology: ring parameters, every backend's
-// health, traffic and replica deficit, repair progress, and — with
-// ?key=h-<fp> — that key's current failover route, primary first.
+// health and traffic, and — with ?key=h-<fp> — that key's current
+// failover route, primary first.
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	states := g.cluster.States()
 	resp := clusterResponse{
 		Replication:  g.cluster.Replication(),
 		VirtualNodes: g.cluster.VirtualNodes(),
 		Live:         len(g.cluster.Live()),
-		SharedStore:  g.sharedStore,
-		Repair:       g.repair.status(),
 		Backends:     make([]backendInfo, len(states)),
 	}
-	deficits := g.repair.deficits()
 	g.mu.Lock()
 	resp.Failovers = g.failovers
 	resp.Joins, resp.Leaves = g.joins, g.leaves
@@ -893,7 +629,6 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 			ConsecutiveFailures: st.ConsecutiveFailures,
 			Ejections:           st.Ejections,
 			LastError:           st.LastError,
-			ReplicaDeficit:      deficits[st.URL],
 		}
 		if !st.LastProbe.IsZero() {
 			info.LastProbe = st.LastProbe.UTC().Format(time.RFC3339Nano)
@@ -939,9 +674,9 @@ type nodeResponse struct {
 
 // handleAddNode joins a backend to the ring at runtime
 // (POST /v1/cluster/nodes {"url": "http://host:port"}). The join is
-// answered immediately; an anti-entropy sweep is kicked off in the
-// background so the new node converges to its owned set without
-// waiting for the next interval.
+// answered immediately and a probe runs in the background; the new
+// node reads every release from the shared store, so there is nothing
+// to copy to it.
 func (g *Gateway) handleAddNode(w http.ResponseWriter, r *http.Request) {
 	var req nodeRequest
 	if !serve.DecodeJSON(w, r, &req) {
@@ -963,15 +698,14 @@ func (g *Gateway) handleAddNode(w http.ResponseWriter, r *http.Request) {
 	}
 	if joined {
 		go g.cluster.ProbeNow(context.Background())
-		g.repair.kick()
 	}
 	serve.WriteJSON(w, http.StatusOK, nodeResponse{URL: u, Changed: joined, Backends: len(g.cluster.Backends())})
 }
 
 // handleRemoveNode drains a backend from the ring at runtime
-// (DELETE /v1/cluster/nodes?url=http://host:port). A sweep is kicked
-// off so the releases the departed node held get re-replicated onto
-// their new owners while it is still likely reachable elsewhere.
+// (DELETE /v1/cluster/nodes?url=http://host:port). Its keys move to
+// the survivors, which already read its releases from the shared
+// store.
 func (g *Gateway) handleRemoveNode(w http.ResponseWriter, r *http.Request) {
 	u := strings.TrimSuffix(strings.TrimSpace(r.URL.Query().Get("url")), "/")
 	if u == "" {
@@ -989,16 +723,7 @@ func (g *Gateway) handleRemoveNode(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	g.repair.kick()
 	serve.WriteJSON(w, http.StatusOK, nodeResponse{URL: u, Changed: true, Backends: len(g.cluster.Backends())})
-}
-
-// handleRepair runs one anti-entropy sweep synchronously and reports
-// it — the operator's "converge now" button, and what CI uses to make
-// convergence deterministic instead of sleeping past an interval.
-func (g *Gateway) handleRepair(w http.ResponseWriter, r *http.Request) {
-	report := g.repair.sweep(r.Context())
-	serve.WriteJSON(w, http.StatusOK, report)
 }
 
 // handleHealthz answers 200 while at least one backend is live — the
@@ -1022,8 +747,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	states := g.cluster.States()
-	repair := g.repair.status()
-	deficits := g.repair.deficits()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
@@ -1037,14 +760,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP hcoc_gateway_live_backends Backends currently healthy.\nhcoc_gateway_live_backends %d\n", live)
 	fmt.Fprintf(w, "# HELP hcoc_gateway_failovers_total Requests retried past their first-choice backend.\nhcoc_gateway_failovers_total %d\n", g.failovers)
 	fmt.Fprintf(w, "# HELP hcoc_gateway_fanout_uploads_total Hierarchy uploads fanned out to the ring owners.\nhcoc_gateway_fanout_uploads_total %d\n", g.fanouts)
-	fmt.Fprintf(w, "# HELP hcoc_gateway_replications_total Artifacts copied to replicas.\nhcoc_gateway_replications_total %d\n", g.replications)
-	fmt.Fprintf(w, "# HELP hcoc_gateway_replication_errors_total Failed artifact copies (best effort, retried on the next fresh computation).\nhcoc_gateway_replication_errors_total %d\n", g.replFailures)
-	fmt.Fprintf(w, "# HELP hcoc_gateway_replications_skipped_total Artifact copies skipped because the fleet mounts a shared store.\nhcoc_gateway_replications_skipped_total %d\n", g.replSkipped)
-	shared := 0
-	if g.sharedStore {
-		shared = 1
-	}
-	fmt.Fprintf(w, "# HELP hcoc_gateway_shared_store Whether the fleet mounts one shared object store (1 = yes).\nhcoc_gateway_shared_store %d\n", shared)
 
 	fmt.Fprintf(w, "# HELP hcoc_gateway_backend_requests_total Requests forwarded per backend.\n")
 	for _, st := range states {
@@ -1097,13 +812,4 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	fmt.Fprintf(w, "# HELP hcoc_gateway_node_joins_total Backends added at runtime.\nhcoc_gateway_node_joins_total %d\n", g.joins)
 	fmt.Fprintf(w, "# HELP hcoc_gateway_node_leaves_total Backends removed at runtime.\nhcoc_gateway_node_leaves_total %d\n", g.leaves)
-	fmt.Fprintf(w, "# HELP hcoc_repair_sweeps_total Completed anti-entropy sweeps.\nhcoc_repair_sweeps_total %d\n", repair.Sweeps)
-	fmt.Fprintf(w, "# HELP hcoc_repair_releases_scanned_total Durable releases examined by sweeps.\nhcoc_repair_releases_scanned_total %d\n", repair.ReleasesScanned)
-	fmt.Fprintf(w, "# HELP hcoc_repair_releases_repaired_total Replica slots filled by sweeps.\nhcoc_repair_releases_repaired_total %d\n", repair.ReleasesRepaired)
-	fmt.Fprintf(w, "# HELP hcoc_repair_releases_failed_total Replica copies that failed (retried next sweep).\nhcoc_repair_releases_failed_total %d\n", repair.ReleasesFailed)
-	fmt.Fprintf(w, "# HELP hcoc_repair_last_sweep_duration_seconds Wall time of the most recent sweep.\nhcoc_repair_last_sweep_duration_seconds %g\n", repair.LastSweepDurationMS/1000)
-	fmt.Fprintf(w, "# HELP hcoc_repair_under_replicated Owned-but-missing replica slots per backend after the last sweep (0 = converged).\n")
-	for _, st := range states {
-		fmt.Fprintf(w, "hcoc_repair_under_replicated{backend=%q} %d\n", st.URL, deficits[st.URL])
-	}
 }

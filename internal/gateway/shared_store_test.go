@@ -1,10 +1,10 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +15,15 @@ import (
 	"hcoc/internal/store"
 	"hcoc/internal/store/s3stub"
 )
+
+// newStub starts an in-process S3 stub serving the "hcoc" bucket and
+// returns its endpoint.
+func newStub(t *testing.T) string {
+	t.Helper()
+	stub := httptest.NewServer(s3stub.New("hcoc"))
+	t.Cleanup(stub.Close)
+	return stub.URL
+}
 
 // sharedStoreFixture opens one node's *store.Store over the shared
 // bucket behind endpoint.
@@ -32,36 +41,21 @@ func sharedStoreFixture(t *testing.T, endpoint string) *store.Store {
 	return st
 }
 
+// newSharedBackend starts one backend whose store is the shared bucket
+// behind endpoint — the multi-node deployment.
+func newSharedBackend(t *testing.T, endpoint string) *backendFixture {
+	t.Helper()
+	return newBackend(t, engine.Options{Store: sharedStoreFixture(t, endpoint)})
+}
+
 // TestGatewaySharedStore: with every backend mounting one shared object
-// store, the gateway stops moving artifact bytes itself — write-time
-// replication is skipped (and counted), anti-entropy sweeps are no-ops,
-// and a backend that never computed the release still serves it
-// byte-identically straight from the shared backend.
+// store, a release is computed once, and a backend that never computed
+// it still serves it byte-identically straight from the shared backend.
 func TestGatewaySharedStore(t *testing.T) {
 	ctx := context.Background()
-	stub := httptest.NewServer(s3stub.New("hcoc"))
-	t.Cleanup(stub.Close)
-
-	backends := []*backendFixture{
-		newBackend(t, engine.Options{Store: sharedStoreFixture(t, stub.URL)}),
-		newBackend(t, engine.Options{Store: sharedStoreFixture(t, stub.URL)}),
-	}
-	urls := []string{backends[0].ts.URL, backends[1].ts.URL}
-	gw, err := New(Options{
-		Backends:      urls,
-		Replication:   2,
-		SharedStore:   true,
-		ClientOptions: []client.Option{client.WithMaxRetries(0)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(gw)
-	t.Cleanup(ts.Close)
-	c, err := client.New(ts.URL, client.WithMaxRetries(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	stub := newStub(t)
+	backends := []*backendFixture{newSharedBackend(t, stub), newSharedBackend(t, stub)}
+	_, c, _ := newGateway(t, 2, 1, backends...)
 
 	h, err := c.UploadHierarchy(ctx, "US", testGroups())
 	if err != nil {
@@ -73,45 +67,6 @@ func TestGatewaySharedStore(t *testing.T) {
 	}
 	if rel.CacheHit || rel.StoreHit {
 		t.Fatalf("first release = %+v, want a fresh computation", rel)
-	}
-
-	// The freshly computed artifact was NOT pushed to the replica — the
-	// skip is counted instead.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{
-		"hcoc_gateway_replications_total 0",
-		"hcoc_gateway_replications_skipped_total 1",
-		"hcoc_gateway_shared_store 1",
-	} {
-		if !strings.Contains(string(metrics), want) {
-			t.Fatalf("metrics missing %q:\n%s", want, metrics)
-		}
-	}
-
-	// An anti-entropy sweep is a converged no-op: there are no per-node
-	// replica sets to repair.
-	report := gw.repair.sweep(ctx)
-	if report.Scanned != 0 || report.Missing != 0 || report.Repaired != 0 || report.Failed != 0 {
-		t.Fatalf("shared-store sweep did work: %+v", report)
-	}
-
-	// /v1/cluster advertises the mode.
-	var cl clusterResponse
-	cresp, err := http.Get(ts.URL + "/v1/cluster")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(cresp.Body).Decode(&cl); err != nil {
-		t.Fatal(err)
-	}
-	cresp.Body.Close()
-	if !cl.SharedStore {
-		t.Fatal("cluster response does not report shared_store")
 	}
 
 	// Every backend — including the one that computed nothing — serves
@@ -139,5 +94,90 @@ func TestGatewaySharedStore(t *testing.T) {
 	}
 	if computed != 1 {
 		t.Fatalf("%d backends computed the release, want exactly 1", computed)
+	}
+}
+
+// TestGatewayColdJoin is the elasticity loop on the shared store: a
+// backend joins at runtime and, with nothing copied to it, answers the
+// identical release request as a store hit without spending budget,
+// and serves the release computed before it joined byte-identically —
+// directly and, once the original node is gone, through the gateway.
+func TestGatewayColdJoin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster integration skipped in -short mode")
+	}
+	ctx := context.Background()
+	stub := newStub(t)
+	a := newSharedBackend(t, stub)
+	_, c, gwURL := newGateway(t, 2, 1, a)
+
+	h, err := c.UploadHierarchy(ctx, "US", testGroups())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := client.ReleaseRequest{Hierarchy: h.ID, Epsilon: 1, K: 50, Seed: 7}
+	rel, err := c.Release(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	original, err := a.c.DownloadReleaseBytes(ctx, rel.Release, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := newSharedBackend(t, stub)
+	var nr nodeResponse
+	if code := postJSON(t, gwURL+"/v1/cluster/nodes", nodeRequest{URL: b.ts.URL}, &nr); code != http.StatusOK || !nr.Changed || nr.Backends != 2 {
+		t.Fatalf("join: status %d, reply %+v", code, nr)
+	}
+	var cs clusterResponse
+	resp, err := http.Get(gwURL + "/v1/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&cs)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Joins != 1 {
+		t.Fatalf("cluster joins = %d, want 1", cs.Joins)
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(m, "hcoc_gateway_node_joins_total 1\n") {
+		t.Fatalf("metrics missing hcoc_gateway_node_joins_total 1:\n%s", m)
+	}
+
+	// The identical release sent to the new node directly is a store
+	// hit. (Probed before any artifact read, which would admit the
+	// release into its LRU.)
+	again, err := b.c.Release(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Release != rel.Release || !again.StoreHit || again.CacheHit {
+		t.Fatalf("release on the joined node = %+v, want a store hit on %s", again, rel.Release)
+	}
+	if m := b.eng.Metrics(); m.EpsilonSpentLocal != 0 || m.Releases != 0 {
+		t.Fatalf("joined node spent %g epsilon over %d releases, want none", m.EpsilonSpentLocal, m.Releases)
+	}
+
+	got, err := b.c.DownloadReleaseBytes(ctx, rel.Release, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, original) {
+		t.Fatal("joined node serves different artifact bytes")
+	}
+	a.ts.Close()
+	viaGateway, err := c.DownloadReleaseBytes(ctx, rel.Release, "")
+	if err != nil {
+		t.Fatalf("download through the gateway after losing the original node: %v", err)
+	}
+	if !bytes.Equal(viaGateway, original) {
+		t.Fatal("gateway serves different artifact bytes after the original node died")
 	}
 }

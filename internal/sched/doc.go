@@ -15,7 +15,7 @@
 //
 // Reads never touch the slot pool. ReadBegin only counts them — the
 // read lane is an accounting construct that makes the isolation
-// invariant observable: cache, store and peer reads, and query
+// invariant observable: cache and store reads, and query
 // evaluation, are admitted unconditionally and can never wait behind a
 // queued computation.
 //

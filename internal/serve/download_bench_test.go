@@ -10,6 +10,7 @@ import (
 	"hcoc/internal/dataset"
 	"hcoc/internal/engine"
 	"hcoc/internal/store"
+	"hcoc/internal/store/s3stub"
 )
 
 // discardWriter is a ResponseWriter whose body sink is free, so the
@@ -75,6 +76,36 @@ func benchServers(tb testing.TB) (zerocopy, buffered *Server, id string, size in
 	return zerocopy, buffered, "r-" + res.Key, info.Size
 }
 
+// benchS3Server serves the artifact src holds under id from a store
+// over an in-process s3stub: the read a shared-store fleet pays a bucket
+// GET for on every direct download.
+func benchS3Server(tb testing.TB, src *Server, id string) *Server {
+	tb.Helper()
+	stub := httptest.NewServer(s3stub.New("hcoc"))
+	tb.Cleanup(stub.Close)
+	b, err := store.NewS3(store.S3Options{Endpoint: stub.URL, Bucket: "hcoc"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := store.OpenBackend(b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	rel, m, err := src.st.GetRelease(releaseID(id))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := st.PutRelease(m, rel); err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := NewServer(engine.New(engine.Options{Store: st}), st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return srv
+}
+
 func benchDownload(b *testing.B, srv *Server, id string, size int64) {
 	b.ReportAllocs()
 	b.SetBytes(size)
@@ -88,14 +119,18 @@ func benchDownload(b *testing.B, srv *Server, id string, size int64) {
 	}
 }
 
-// BenchmarkArtifactDownload compares the two GET /v1/release/{id}
-// paths on a census-sized artifact: zerocopy streams the stored bytes
-// through http.ServeContent; buffered is the decode + re-serialize
-// baseline the zero-copy refactor replaced.
+// BenchmarkArtifactDownload compares the GET /v1/release/{id} paths on
+// a census-sized artifact: zerocopy streams the stored bytes from the
+// disk store through http.ServeContent; buffered is the decode +
+// re-serialize baseline the zero-copy refactor replaced; s3 streams the
+// same bytes from a store over an in-process s3stub, one bucket GET per
+// download.
 func BenchmarkArtifactDownload(b *testing.B) {
 	zerocopy, buffered, id, size := benchServers(b)
+	s3 := benchS3Server(b, zerocopy, id)
 	b.Run("zerocopy", func(b *testing.B) { benchDownload(b, zerocopy, id, size) })
 	b.Run("buffered", func(b *testing.B) { benchDownload(b, buffered, id, size) })
+	b.Run("s3", func(b *testing.B) { benchDownload(b, s3, id, size) })
 }
 
 // TestDownloadAllocRatio pins the refactor's acceptance bound: the

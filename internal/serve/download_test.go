@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"hcoc"
 	"hcoc/internal/engine"
@@ -193,55 +192,5 @@ func TestDownloadBufferedPathSameContract(t *testing.T) {
 	}
 	if status := get(t, url+"?format=bogus", nil).StatusCode; status != http.StatusBadRequest {
 		t.Fatalf("bogus format: status %d, want 400", status)
-	}
-}
-
-// TestPeerFetchOverHTTP wires two real servers: node A computes a
-// release; node B, configured with A as a peer, satisfies the same
-// request by fetching A's artifact — peer_hit in the response, zero
-// local computation and zero local spend in B's metrics.
-func TestPeerFetchOverHTTP(t *testing.T) {
-	stA := openStore(t, t.TempDir())
-	tsA := newTestServer(t, engine.Options{Store: stA})
-	idA := releaseOnServer(t, tsA)
-
-	stB := openStore(t, t.TempDir())
-	tsB := newTestServer(t, engine.Options{
-		Store:     stB,
-		PeerFetch: PeerFetcher([]string{tsA.URL}, 5*time.Second, nil),
-	})
-	hr := uploadGroups(t, tsB, "Manhattan", taxiGroups(t))
-	var rr releaseResponse
-	req := releaseRequest{Hierarchy: hr.ID, Algorithm: "topdown", Epsilon: 1, K: 2000, Seed: 7}
-	if status, body := postJSON(t, tsB.URL+"/v1/release", req, &rr); status != http.StatusOK {
-		t.Fatalf("release on B: status %d: %s", status, body)
-	}
-	if !rr.PeerHit || rr.CacheHit || rr.StoreHit {
-		t.Fatalf("B's release = %+v, want peer_hit", rr)
-	}
-	if rr.Release != idA {
-		t.Fatalf("B fetched key %s, A computed %s", rr.Release, idA)
-	}
-
-	// B's artifact is byte-identical to A's.
-	bodyA, _ := io.ReadAll(get(t, tsA.URL+"/v1/release/"+idA, nil).Body)
-	bodyB, _ := io.ReadAll(get(t, tsB.URL+"/v1/release/"+idA, nil).Body)
-	if !bytes.Equal(bodyA, bodyB) {
-		t.Fatal("peer-fetched artifact differs from the original")
-	}
-
-	metrics, _ := io.ReadAll(get(t, tsB.URL+"/metrics", nil).Body)
-	for _, want := range []string{
-		"hcoc_peer_fetch_attempts_total 1",
-		"hcoc_peer_fetch_hits_total 1",
-		"hcoc_peer_fetch_failures_total 0",
-		"hcoc_releases_total 0",
-		"hcoc_epsilon_spent_total 0",
-		"hcoc_epsilon_spent_local 0",
-		`hcoc_store_backend_info{backend="disk",shared="false"} 1`,
-	} {
-		if !strings.Contains(string(metrics), want) {
-			t.Fatalf("B's metrics missing %q:\n%s", want, metrics)
-		}
 	}
 }

@@ -169,7 +169,6 @@ func TestRoutesStable(t *testing.T) {
 		"POST /v1/release",
 		"GET /v1/release",
 		"GET /v1/release/{id}",
-		"PUT /v1/release/{id}",
 		"GET /v1/jobs/{id}",
 		"POST /v1/query/batch",
 		"GET /v1/query/{node...}",

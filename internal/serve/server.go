@@ -133,7 +133,6 @@ func (s *Server) routeTable() []routeEntry {
 		{Route{"POST", "/v1/release"}, s.handleRelease},
 		{Route{"GET", "/v1/release"}, s.handleListReleases},
 		{Route{"GET", "/v1/release/{id}"}, s.handleGetRelease},
-		{Route{"PUT", "/v1/release/{id}"}, s.handleImportRelease},
 		{Route{"GET", "/v1/jobs/{id}"}, s.handleGetJob},
 		{Route{"POST", "/v1/query/batch"}, s.handleBatchQuery},
 		{Route{"GET", "/v1/query/{node...}"}, s.handleQuery},
@@ -208,7 +207,7 @@ func (s *Server) chargeContinual(l *eventlog.Log, epsilon float64) (charged, ok 
 }
 
 // refundContinual returns a charge for a request that drew no noise —
-// a cache/store/peer hit, a dedup onto an in-flight computation (the
+// a cache/store hit, a dedup onto an in-flight computation (the
 // computing request carries the charge), or a failed release.
 func (s *Server) refundContinual(l *eventlog.Log, epsilon float64) {
 	s.contMu.Lock()
@@ -686,7 +685,6 @@ type releaseResponse struct {
 	Nodes          int     `json:"nodes"`
 	CacheHit       bool    `json:"cache_hit"`
 	StoreHit       bool    `json:"store_hit"`
-	PeerHit        bool    `json:"peer_hit"`
 	Deduped        bool    `json:"deduped"`
 	Incremental    bool    `json:"incremental"`
 	NodesEstimated int     `json:"nodes_estimated"`
@@ -777,10 +775,10 @@ func prevCandidates(l *eventlog.Log, target int64) []engine.PrevVersion {
 }
 
 // freeResult reports that a release request drew no new noise — the
-// engine answered from a cache/store/peer tier or coalesced onto an
+// engine answered from a cache/store tier or coalesced onto an
 // in-flight computation that carries the spend.
 func freeResult(res engine.Result) bool {
-	return res.CacheHit || res.StoreHit || res.PeerHit || res.Deduped
+	return res.CacheHit || res.StoreHit || res.Deduped
 }
 
 func parseMethods(names []string) ([]hcoc.Method, error) {
@@ -931,7 +929,6 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		Nodes:          len(res.Release),
 		CacheHit:       res.CacheHit,
 		StoreHit:       res.StoreHit,
-		PeerHit:        res.PeerHit,
 		Deduped:        res.Deduped,
 		Incremental:    res.Incremental,
 		NodesEstimated: res.Stats.NodesEstimated,
@@ -949,7 +946,6 @@ type jobResponse struct {
 	Error      string  `json:"error,omitempty"`
 	CacheHit   bool    `json:"cache_hit"`
 	StoreHit   bool    `json:"store_hit"`
-	PeerHit    bool    `json:"peer_hit"`
 	Deduped    bool    `json:"deduped"`
 	DurationMS float64 `json:"duration_ms"`
 	CreatedAt  string  `json:"created_at,omitempty"`
@@ -977,7 +973,6 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		Error:      j.Err,
 		CacheHit:   j.CacheHit,
 		StoreHit:   j.StoreHit,
-		PeerHit:    j.PeerHit,
 		Deduped:    j.Deduped,
 		DurationMS: float64(j.Duration.Microseconds()) / 1000,
 		CreatedAt:  j.Created.UTC().Format(time.RFC3339Nano),
@@ -1141,73 +1136,6 @@ func (s *Server) handleGetRelease(w http.ResponseWriter, r *http.Request) {
 	ServeArtifact(w, r, releaseETag(key, format), time.Time{}, bytes.NewReader(buf.Bytes()))
 }
 
-// importResponse is the JSON shape of PUT /v1/release/{id}.
-type importResponse struct {
-	Release  string `json:"release"`
-	Imported bool   `json:"imported"`
-}
-
-// handleImportRelease accepts a release artifact computed by another
-// node and admits it into this node's cache/store tiers — the cluster
-// replication path. The body is the sparse artifact exactly as served
-// by GET /v1/release/{id}; ?hierarchy names the owning hierarchy for
-// the durable manifest and ?algorithm/?duration_ms carry the original
-// computation's metadata. No privacy budget is spent: the noise was
-// drawn (and accounted) on the computing node. Importing a key this
-// node already holds is an idempotent no-op.
-func (s *Server) handleImportRelease(w http.ResponseWriter, r *http.Request) {
-	key := releaseID(r.PathValue("id"))
-	q := r.URL.Query()
-	fp := strings.TrimPrefix(q.Get("hierarchy"), "h-")
-	if fp == "" {
-		WriteError(w, http.StatusBadRequest, "missing hierarchy query parameter")
-		return
-	}
-	alg, err := engine.ParseAlgorithm(q.Get("algorithm"))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var duration time.Duration
-	if raw := q.Get("duration_ms"); raw != "" {
-		ms, err := strconv.ParseFloat(raw, 64)
-		if err != nil || ms < 0 {
-			WriteError(w, http.StatusBadRequest, "bad duration_ms %q", raw)
-			return
-		}
-		duration = time.Duration(ms * float64(time.Millisecond))
-	}
-	rel, epsilon, err := hcoc.ReadReleaseSparse(r.Body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			WriteError(w, http.StatusRequestEntityTooLarge,
-				"artifact exceeds the %d-byte limit", tooLarge.Limit)
-			return
-		}
-		WriteError(w, http.StatusBadRequest, "decoding artifact: %v", err)
-		return
-	}
-	// Client-input problems are 400s; only engine/store failures below
-	// are 500s (a 500 also counts against this backend's health at the
-	// gateway, which a caller mistake must not).
-	if key == "" {
-		WriteError(w, http.StatusBadRequest, "missing release key in path")
-		return
-	}
-	if len(rel) == 0 || epsilon <= 0 {
-		WriteError(w, http.StatusBadRequest,
-			"artifact has %d nodes and epsilon %g; nothing to admit", len(rel), epsilon)
-		return
-	}
-	admitted, err := s.eng.Admit(key, fp, alg, rel, epsilon, duration)
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "admitting release: %v", err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, importResponse{Release: "r-" + key, Imported: admitted})
-}
-
 // queryResponse is the JSON shape of a node query.
 type queryResponse struct {
 	Node       string           `json:"node"`
@@ -1356,7 +1284,6 @@ type tenantStatus struct {
 	CacheHits    uint64  `json:"cache_hits"`
 	Deduped      uint64  `json:"deduped"`
 	StoreHits    uint64  `json:"store_hits"`
-	PeerHits     uint64  `json:"peer_hits"`
 	Computed     uint64  `json:"computed"`
 	EpsilonSpent float64 `json:"epsilon_spent"`
 }
@@ -1405,7 +1332,6 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 			CacheHits:    ts.CacheHits,
 			Deduped:      ts.Deduped,
 			StoreHits:    ts.StoreHits,
-			PeerHits:     ts.PeerHits,
 			Computed:     ts.Computed,
 			EpsilonSpent: ts.EpsilonSpent,
 		})
@@ -1463,9 +1389,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	put("hcoc_store_puts_total", "Releases written through to the durable store.", m.StorePuts)
 	put("hcoc_store_errors_total", "Failed durable-store reads/writes (request still served).", m.StoreErrors)
 	put("hcoc_store_artifacts", "Releases held by the durable store.", m.StoreArtifacts)
-	put("hcoc_peer_fetch_attempts_total", "Cache+store misses that consulted the peer tier.", m.PeerFetchAttempts)
-	put("hcoc_peer_fetch_hits_total", "Peer fetches that returned an artifact, avoiding a recompute.", m.PeerFetchHits)
-	put("hcoc_peer_fetch_failures_total", "Peer fetches that failed in transport (clean misses excluded).", m.PeerFetchFailures)
 	backend, shared := "none", false
 	if s.st != nil {
 		backend, shared = s.st.Backend(), s.st.Shared()

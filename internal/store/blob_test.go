@@ -318,7 +318,7 @@ func TestStoreS3TornFinalChunk(t *testing.T) {
 
 	s2 := openStoreS3(t, srv)
 	defer s2.Close()
-	if s2.Len() != 1 || !s2.Has("k1") || s2.Has("k2") {
+	if s2.Len() != 1 || !indexed(t, s2, "k1") || indexed(t, s2, "k2") {
 		t.Fatalf("store after torn chunk: len=%d", s2.Len())
 	}
 }
@@ -343,7 +343,7 @@ func TestStoreSharedRefreshOnMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !reader.Has("k1") {
+	if !indexed(t, reader, "k1") {
 		t.Fatal("shared-store miss did not refresh the index")
 	}
 	got, m, err := reader.GetRelease("k1")

@@ -357,13 +357,6 @@ func (s *Store) OpenRelease(key string) (io.ReadSeekCloser, BlobInfo, Meta, erro
 	return f, info, m, nil
 }
 
-// Has reports whether the manifest indexes key (refreshing once on a
-// shared backend, like GetRelease).
-func (s *Store) Has(key string) bool {
-	_, ok := s.meta(key)
-	return ok
-}
-
 // Len returns the number of distinct releases indexed.
 func (s *Store) Len() int {
 	s.mu.Lock()
