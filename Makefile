@@ -3,7 +3,7 @@
 GO ?= go
 BASE ?= origin/main
 
-.PHONY: all build test bench bench-compare coverage lint staticcheck fuzz serve docs-check
+.PHONY: all build test bench bench-compare coverage lint staticcheck fuzz serve docs-check perfbench-check
 
 all: lint build test
 
@@ -77,3 +77,10 @@ serve:
 docs-check:
 	$(GO) test -run TestGodocConventions .
 	$(GO) test -run 'TestOpenAPI|TestRoutesStable|TestGatewayRoutesStable' ./internal/serve ./internal/gateway
+
+# The repository benchmark (perfbench/) is its own module, which
+# ./... in this one skips: build, vet and test it against the root
+# sources it replaces hcoc with, so an API change that breaks it fails
+# here rather than only when the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...

@@ -81,18 +81,56 @@ type Disk struct {
 	manifest *os.File // open for append; nil after Close
 }
 
-// NewDisk creates (if needed) a disk backend rooted at dir.
+// NewDisk creates (if needed) a disk backend rooted at dir. A torn
+// final manifest line is cut off before the first append, which would
+// otherwise be glued onto it.
 func NewDisk(dir string) (*Disk, error) {
 	for _, d := range []string{dir, filepath.Join(dir, "releases"), filepath.Join(dir, "hierarchies")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	f, err := os.OpenFile(filepath.Join(dir, "manifest.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, "manifest.jsonl"), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening manifest: %w", err)
 	}
+	if err := trimTornTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: trimming torn manifest tail: %w", err)
+	}
 	return &Disk{dir: dir, manifest: f}, nil
+}
+
+// trimTornTail truncates f after its last newline and fsyncs it, when
+// f does not already end in one. An unterminated final line is a crash
+// mid-append: the append never returned, so nothing acted on the
+// entry, and replay already ignores it.
+func trimTornTail(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	end := st.Size()
+	buf := make([]byte, 4096)
+	off := end
+	for off > 0 {
+		n := min(int64(len(buf)), off)
+		off -= n
+		if _, err := f.ReadAt(buf[:n], off); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			off += int64(i) + 1
+			break
+		}
+	}
+	if off == end {
+		return nil
+	}
+	if err := f.Truncate(off); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Name implements BlobStore.

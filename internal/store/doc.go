@@ -17,7 +17,9 @@
 //   - S3 (any S3-compatible endpoint, SigV4-signed): objects are keys
 //     under a bucket/prefix; since object stores cannot append, the
 //     manifest is a sequence of chunk objects under manifest/,
-//     replayed by listing, sorting, and concatenating them. An S3
+//     replayed by listing, sorting, and concatenating them; a handle
+//     keeps the chunks it has written or fetched, so a re-read fetches
+//     only chunks it has not seen. An S3
 //     backend is Shared: several serve nodes may point at one bucket,
 //     and a node with an empty local disk warm-starts directly from
 //     the shared manifest.
@@ -34,7 +36,8 @@
 //
 // All writes are crash-safe: an object lands completely or not at all,
 // manifest appends are durable before they are indexed, and a torn
-// final manifest line (a crash mid-append) is dropped on reopen. The
+// final manifest line (a crash mid-append) is dropped on reopen (the
+// disk backend cuts it off before its next append). The
 // manifest is the source of truth for what the store holds and for the
 // cumulative epsilon spent per hierarchy — charges are written ahead
 // of the noise draw, so a crash can only over-count spend, never

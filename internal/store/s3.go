@@ -52,12 +52,26 @@ type S3Options struct {
 // nanosecond timestamp, so lexicographic order is append order.
 //
 // An S3 backend reports Shared: several processes may write the same
-// bucket, and Store re-reads the manifest on index misses.
+// bucket, and Store re-reads the manifest on index misses. To keep
+// those re-reads cheap, the handle keeps the bytes of every complete
+// manifest chunk it has written or fetched, so a re-read costs one
+// LIST per page of chunks plus one GET per chunk it has never seen.
 type S3 struct {
 	opts   S3Options
 	base   string // endpoint/bucket, no trailing slash
 	client *http.Client
 	seq    atomic.Int64 // monotonic guard for manifest chunk names
+
+	chunksMu sync.Mutex
+	chunks   map[string]manifestChunk // complete manifest chunks by key
+}
+
+// manifestChunk is the body of one complete (newline-terminated)
+// manifest chunk and the ETag it was written or fetched with. A cached
+// chunk is reused only while a listing shows the same ETag and size.
+type manifestChunk struct {
+	etag string
+	data []byte
 }
 
 // NewS3 validates options and constructs the backend. It performs no
@@ -94,6 +108,7 @@ func NewS3(opts S3Options) (*S3, error) {
 		opts:   opts,
 		base:   strings.TrimSuffix(opts.Endpoint, "/") + "/" + opts.Bucket,
 		client: client,
+		chunks: make(map[string]manifestChunk),
 	}, nil
 }
 
@@ -147,15 +162,21 @@ func (s *S3) do(method, rawurl string, body []byte, hdr http.Header) (*http.Resp
 // Put implements BlobStore; S3 PUTs are atomic by contract (a GET sees
 // the old object or the complete new one, never a partial write).
 func (s *S3) Put(key string, data []byte) error {
+	_, err := s.put(key, data)
+	return err
+}
+
+// put is Put that also returns the ETag the endpoint gave the object.
+func (s *S3) put(key string, data []byte) (etag string, err error) {
 	resp, err := s.do(http.MethodPut, s.urlFor(key), data, nil)
 	if err != nil {
-		return err
+		return "", err
 	}
 	defer drain(resp)
 	if resp.StatusCode != http.StatusOK {
-		return s.apiError("PUT", key, resp)
+		return "", s.apiError("PUT", key, resp)
 	}
-	return nil
+	return resp.Header.Get("ETag"), nil
 }
 
 // Get implements BlobStore. The returned reader is lazy and ranged:
@@ -200,14 +221,35 @@ type listBucketResult struct {
 		Key          string `xml:"Key"`
 		Size         int64  `xml:"Size"`
 		LastModified string `xml:"LastModified"`
+		ETag         string `xml:"ETag"`
 	} `xml:"Contents"`
+}
+
+// listedObject is one listing entry: what List returns, plus the ETag
+// the manifest chunk cache checks.
+type listedObject struct {
+	BlobInfo
+	etag string
 }
 
 // List implements BlobStore with ListObjectsV2, following continuation
 // tokens until the listing is complete. Returned keys have the
 // configured prefix stripped back off.
 func (s *S3) List(prefix string) ([]BlobInfo, error) {
+	objs, err := s.list(prefix)
+	if err != nil {
+		return nil, err
+	}
 	var out []BlobInfo
+	for _, o := range objs {
+		out = append(out, o.BlobInfo)
+	}
+	return out, nil
+}
+
+// list is List with each object's ETag.
+func (s *S3) list(prefix string) ([]listedObject, error) {
+	var out []listedObject
 	token := ""
 	for {
 		q := url.Values{}
@@ -241,7 +283,7 @@ func (s *S3) List(prefix string) ([]BlobInfo, error) {
 			if t, err := time.Parse(time.RFC3339, obj.LastModified); err == nil {
 				info.ModTime = t
 			}
-			out = append(out, info)
+			out = append(out, listedObject{BlobInfo: info, etag: obj.ETag})
 		}
 		if !page.IsTruncated || page.NextContinuationToken == "" {
 			break
@@ -269,7 +311,8 @@ func (s *S3) Delete(key string) error {
 // writes one chunk object whose name sorts in append order: a
 // zero-padded nanosecond timestamp (monotonic within this process) plus
 // a random nonce to keep two processes' simultaneous appends from
-// colliding.
+// colliding. A complete chunk is cached, so this handle's next
+// manifest read does not fetch it back.
 func (s *S3) AppendManifest(line []byte) error {
 	now := time.Now().UnixNano()
 	for {
@@ -286,22 +329,90 @@ func (s *S3) AppendManifest(line []byte) error {
 		return fmt.Errorf("store: s3 manifest nonce: %w", err)
 	}
 	key := fmt.Sprintf("manifest/%020d-%s.jsonl", now, hex.EncodeToString(nonce[:]))
-	return s.Put(key, line)
+	etag, err := s.put(key, line)
+	if err != nil {
+		return err
+	}
+	if c, ok := cacheableChunk(etag, bytes.Clone(line)); ok {
+		s.chunksMu.Lock()
+		s.chunks[key] = c
+		s.chunksMu.Unlock()
+	}
+	return nil
 }
 
-// ManifestReader implements BlobStore: list the manifest chunks (List
-// sorts them into append order) and concatenate. Chunks are fetched
-// lazily as the reader advances.
+// ManifestReader implements BlobStore: list the manifest chunks (list
+// sorts them into append order) and concatenate their bodies. A chunk
+// cached with the ETag and size the listing shows is not fetched; any
+// other chunk costs one GET, and is cached if complete. Chunks the
+// listing no longer shows are forgotten.
 func (s *S3) ManifestReader() (io.ReadCloser, error) {
-	chunks, err := s.List("manifest/")
+	listed, err := s.list("manifest/")
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, len(chunks))
-	for i, c := range chunks {
-		keys[i] = c.Key
+	bodies := make([]io.Reader, len(listed))
+	live := make(map[string]manifestChunk, len(listed))
+	s.chunksMu.Lock()
+	for i, o := range listed {
+		if c, ok := s.chunks[o.Key]; ok && c.etag == o.etag && int64(len(c.data)) == o.Size {
+			bodies[i] = bytes.NewReader(c.data)
+			live[o.Key] = c
+		}
 	}
-	return &manifestCat{s: s, keys: keys}, nil
+	s.chunksMu.Unlock()
+	for i, o := range listed {
+		if bodies[i] != nil {
+			continue
+		}
+		data, etag, err := s.getChunk(o)
+		if err != nil {
+			return nil, err
+		}
+		bodies[i] = bytes.NewReader(data)
+		if c, ok := cacheableChunk(etag, data); ok {
+			live[o.Key] = c
+		}
+	}
+	// A chunk this handle appended after the listing drops out of the
+	// cache here; the next read fetches it once.
+	s.chunksMu.Lock()
+	s.chunks = live
+	s.chunksMu.Unlock()
+	return io.NopCloser(io.MultiReader(bodies...)), nil
+}
+
+// getChunk fetches one manifest chunk with a single GET, its buffer
+// sized from the listing, and returns the body with the ETag the
+// response carried.
+func (s *S3) getChunk(o listedObject) (data []byte, etag string, err error) {
+	resp, err := s.do(http.MethodGet, s.urlFor(o.Key), nil, nil)
+	if err != nil {
+		return nil, "", fmt.Errorf("store: s3 manifest chunk %s: %w", o.Key, err)
+	}
+	defer drain(resp)
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusNotFound:
+		return nil, "", fmt.Errorf("store: s3 manifest chunk %s: %w", o.Key, ErrNoBlob)
+	default:
+		return nil, "", s.apiError("GET", o.Key, resp)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, o.Size+bytes.MinRead))
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return nil, "", fmt.Errorf("store: s3 manifest chunk %s: %w", o.Key, err)
+	}
+	return buf.Bytes(), resp.Header.Get("ETag"), nil
+}
+
+// cacheableChunk reports whether a chunk body may be cached: it must
+// end in a newline (an unterminated chunk may be a torn write that is
+// completed later) and carry an ETag a later listing can check.
+func cacheableChunk(etag string, data []byte) (manifestChunk, bool) {
+	if etag == "" || !bytes.HasSuffix(data, []byte("\n")) {
+		return manifestChunk{}, false
+	}
+	return manifestChunk{etag: etag, data: data}, true
 }
 
 // Close implements BlobStore (the HTTP client holds no resources that
@@ -423,50 +534,6 @@ func (r *s3Reader) Close() error {
 	if r.stream != nil {
 		err := r.stream.Close()
 		r.stream = nil
-		return err
-	}
-	return nil
-}
-
-// manifestCat concatenates manifest chunk objects in key order,
-// fetching each lazily.
-type manifestCat struct {
-	s    *S3
-	keys []string
-	idx  int
-	cur  io.ReadCloser
-}
-
-func (c *manifestCat) Read(p []byte) (int, error) {
-	for {
-		if c.cur == nil {
-			if c.idx >= len(c.keys) {
-				return 0, io.EOF
-			}
-			rc, _, err := c.s.Get(c.keys[c.idx])
-			if err != nil {
-				return 0, fmt.Errorf("store: s3 manifest chunk %s: %w", c.keys[c.idx], err)
-			}
-			c.idx++
-			c.cur = rc
-		}
-		n, err := c.cur.Read(p)
-		if err == io.EOF {
-			c.cur.Close()
-			c.cur = nil
-			if n == 0 {
-				continue
-			}
-			err = nil
-		}
-		return n, err
-	}
-}
-
-func (c *manifestCat) Close() error {
-	if c.cur != nil {
-		err := c.cur.Close()
-		c.cur = nil
 		return err
 	}
 	return nil

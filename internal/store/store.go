@@ -103,6 +103,11 @@ func hierarchyKey(fp string) string { return "hierarchies/" + fp + ".json" }
 type Store struct {
 	b BlobStore
 
+	// appendMu orders manifest appends with Refresh's read-and-swap, so
+	// a refresh never swaps out an entry appended while it read. Index
+	// readers take only mu and never wait on backend I/O.
+	appendMu sync.Mutex
+
 	mu     sync.Mutex
 	metas  map[string]Meta // latest entry per key
 	order  []string        // keys in first-appearance manifest order
@@ -206,7 +211,11 @@ func (s *Store) loadManifest() (metas map[string]Meta, order []string, spent map
 // in-memory index. On a shared backend this picks up entries written by
 // other processes since boot; replaying from scratch (rather than
 // re-recording on top of the live index) keeps charge totals exact.
+// Local appends wait for a refresh in progress, so the swapped-in index
+// holds every entry this store has appended.
 func (s *Store) Refresh() error {
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
 	metas, order, spent, events, err := s.loadManifest()
 	if err != nil {
 		return err
@@ -244,12 +253,14 @@ func (s *Store) appendEntry(m Meta) error {
 	}
 	line = append(line, '\n')
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
 	if err := s.b.AppendManifest(line); err != nil {
 		return err
 	}
+	s.mu.Lock()
 	s.record(m)
+	s.mu.Unlock()
 	return nil
 }
 

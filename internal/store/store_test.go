@@ -3,8 +3,10 @@ package store
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -144,7 +146,7 @@ func TestReopenReplaysManifest(t *testing.T) {
 
 // TestTornManifestLine simulates a crash mid-append: the final,
 // incomplete manifest line is dropped on reopen, earlier entries
-// survive.
+// survive, and entries appended after recovery survive later reopens.
 func TestTornManifestLine(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -174,9 +176,124 @@ func TestTornManifestLine(t *testing.T) {
 	if s2.Len() != 1 || !indexed(t, s2, "k1") || indexed(t, s2, "k2") {
 		t.Fatalf("store after torn line: len=%d", s2.Len())
 	}
-	// A new put after recovery appends cleanly.
+	// A charge and a put after recovery append cleanly: they must not
+	// be glued onto the torn bytes and lost at the next reopen.
+	if err := s2.AppendCharge(meta("k3", "fp1", 1)); err != nil {
+		t.Fatal(err)
+	}
 	if err := s2.PutRelease(meta("k3", "fp1", 1), rel); err != nil {
 		t.Fatal(err)
+	}
+	s2.Close()
+
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen after recovery: %v", err)
+	}
+	if reopened.Len() != 2 || !indexed(t, reopened, "k1") || !indexed(t, reopened, "k3") {
+		t.Fatalf("store after recovery and reopen: len=%d", reopened.Len())
+	}
+	if spent := reopened.EpsilonByHierarchy(); spent["fp1"] != 1 {
+		t.Fatalf("spent = %v, want the charge made after recovery, fp1=1", spent)
+	}
+	if err := reopened.AppendCharge(meta("k4", "fp1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	reopened.Close()
+
+	last, err := Open(dir)
+	if err != nil {
+		t.Fatalf("third open after recovery: %v", err)
+	}
+	defer last.Close()
+	if spent := last.EpsilonByHierarchy(); spent["fp1"] != 2 {
+		t.Fatalf("spent = %v, want fp1=2", spent)
+	}
+}
+
+// gatedBlob is a BlobStore whose ManifestReader, once armed, takes its
+// snapshot of the manifest, reports it on snapped, and returns it only
+// after release is closed: a refresh held open mid-read.
+type gatedBlob struct {
+	BlobStore
+	armed   atomic.Bool
+	snapped chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedBlob) ManifestReader() (io.ReadCloser, error) {
+	r, err := g.BlobStore.ManifestReader()
+	if err != nil || !g.armed.Load() {
+		return r, err
+	}
+	data, err := io.ReadAll(r)
+	r.Close()
+	if err != nil {
+		return nil, err
+	}
+	close(g.snapped)
+	<-g.release
+	return io.NopCloser(bytes.NewReader(data)), nil
+}
+
+// TestRefreshKeepsConcurrentAppend: an entry appended while a Refresh
+// reads the manifest must still be indexed after the refresh swaps its
+// result in.
+func TestRefreshKeepsConcurrentAppend(t *testing.T) {
+	disk, err := NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &gatedBlob{BlobStore: disk, snapped: make(chan struct{}), release: make(chan struct{})}
+	s, err := OpenBackend(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rel, _ := testRelease(t, 1)
+
+	g.armed.Store(true)
+	refreshed := make(chan error, 1)
+	go func() { refreshed <- s.Refresh() }()
+	select {
+	case <-g.snapped:
+	case err := <-refreshed:
+		t.Fatalf("refresh returned before taking its snapshot: %v", err)
+	}
+
+	appended := make(chan error, 1)
+	go func() {
+		err := s.AppendCharge(meta("k1", "fp1", 1))
+		if err == nil {
+			err = s.PutRelease(meta("k1", "fp1", 1), rel)
+		}
+		appended <- err
+	}()
+	// Give the append time to land inside the refresh's window. A store
+	// that orders appends after the refresh blocks it instead; either
+	// way the refresh is released next.
+	var appendErr error
+	landed := false
+	select {
+	case appendErr = <-appended:
+		landed = true
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(g.release)
+	if err := <-refreshed; err != nil {
+		t.Fatal(err)
+	}
+	if !landed {
+		appendErr = <-appended
+	}
+	if appendErr != nil {
+		t.Fatal(appendErr)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d after a refresh raced an append, want 1", s.Len())
+	}
+	if spent := s.EpsilonByHierarchy(); spent["fp1"] != 1 {
+		t.Fatalf("spent = %v after a refresh raced an append, want fp1=1", spent)
 	}
 }
 
