@@ -357,9 +357,8 @@ func (c *Client) DownloadRelease(ctx context.Context, id string) (hcoc.SparseHis
 
 // DownloadReleaseBytes fetches a release artifact verbatim, without
 // decoding it: format "" or "sparse" selects the run-length v2 shape,
-// "dense" the v1 array shape. The gateway tier uses it to proxy
-// artifacts without a redundant decode/re-encode round trip; most
-// callers want DownloadRelease.
+// "dense" the v1 array shape. It suits callers that store or compare
+// artifact bytes; most callers want DownloadRelease.
 func (c *Client) DownloadReleaseBytes(ctx context.Context, id, format string) ([]byte, error) {
 	path := "/v1/release/" + url.PathEscape(id)
 	if format != "" {

@@ -330,6 +330,44 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	return nil
 }
 
+// Do sends one request to the daemon and returns its answer unread.
+// target is a path with its raw query, joined to the base URL
+// verbatim; method, header and body go out as given, through the
+// configured HTTP client under ctx. Do makes exactly one attempt and
+// neither compresses the body nor decodes the answer, so every HTTP
+// status is a response and only a failure below HTTP is an error. A
+// header without Accept-Encoding asks for identity, which keeps the
+// transport from decoding the answer: the body is always the bytes the
+// daemon sent. User-Agent defaults to the client's. The caller closes
+// the body. The gateway tier forwards requests with Do.
+func (c *Client) Do(ctx context.Context, method, target string, header http.Header, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimSuffix(c.base.String(), "/")+target, rd)
+	if err != nil {
+		return nil, fmt.Errorf("client: building request: %w", err)
+	}
+	for k, vs := range header {
+		req.Header[k] = vs
+	}
+	if req.Header.Get("User-Agent") == "" {
+		req.Header.Set("User-Agent", c.userAgent)
+	}
+	if req.Header.Get("Accept-Encoding") == "" {
+		req.Header.Set("Accept-Encoding", "identity")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, fmt.Errorf("client: %w", ctxErr)
+		}
+		return nil, fmt.Errorf("client: %s %s: %w", method, target, &transportError{err})
+	}
+	return resp, nil
+}
+
 // responseError converts a non-2xx response into the matching typed
 // error: *BudgetError for a budget refusal, *VersionConflictError for a
 // failed If-Match append, *APIError otherwise. The server's

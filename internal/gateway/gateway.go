@@ -1,11 +1,9 @@
 package gateway
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -35,9 +33,13 @@ type Options struct {
 	ProbeInterval time.Duration
 	// Probe overrides the health probe (tests).
 	Probe cluster.ProbeFunc
-	// ClientOptions configures the per-backend SDK clients. The default
-	// is a single retry per backend: the gateway's own replica failover
-	// is the real retry mechanism.
+	// ClientOptions configures the per-backend SDK clients the gateway
+	// forwards through. Every forward is one attempt through
+	// client.Client.Do, so only the HTTP client (client.WithHTTPClient)
+	// and the User-Agent of requests that carry none reach the wire.
+	// The retry and backoff settings govern no gateway call: a 503 or a
+	// dead backend fails over to the next replica at once, and replica
+	// failover is the gateway's only retry.
 	ClientOptions []client.Option
 
 	// RepairInterval is ignored: the backends share one store, and
@@ -62,8 +64,9 @@ type backendStats struct {
 
 // tenantTraffic counts one tenant's (hierarchy's) release traffic
 // through the gateway, guarded by Gateway.mu. Throttled is the subset
-// of errors that were compute-queue 429s — the signal that a tenant is
-// being shaped by backend QoS, visible fleet-wide in one place.
+// of errors that were compute-queue 429s (the ones carrying
+// Retry-After) — the signal that a tenant is being shaped by backend
+// QoS, visible fleet-wide in one place.
 type tenantTraffic struct {
 	requests  uint64
 	errors    uint64
@@ -114,9 +117,6 @@ func New(opts Options) (*Gateway, error) {
 		tenants:      make(map[string]*tenantTraffic),
 	}
 	g.copts = opts.ClientOptions
-	if g.copts == nil {
-		g.copts = []client.Option{client.WithMaxRetries(1)}
-	}
 	for _, u := range cl.Backends() {
 		c, err := client.New(u, g.copts...)
 		if err != nil {
@@ -137,8 +137,8 @@ func (g *Gateway) Start() { g.cluster.Start() }
 // Stop ends the loop started by Start.
 func (g *Gateway) Stop() { g.cluster.Stop() }
 
-// client resolves a backend URL to its SDK client; nil after the
-// backend left the cluster.
+// client resolves a backend URL to the SDK client the gateway forwards
+// through; nil after the backend left the cluster.
 func (g *Gateway) client(u string) *client.Client {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -202,24 +202,27 @@ type routeEntry struct {
 	handler http.HandlerFunc
 }
 
+// routeTable lists the gateway surface. The /v1 data routes relay
+// backend answers verbatim; the routes wrapped in compressed are the
+// ones whose bodies the gateway writes itself.
 func (g *Gateway) routeTable() []routeEntry {
 	return []routeEntry{
 		{serve.Route{Method: "POST", Pattern: "/v1/hierarchy"}, g.handleHierarchy},
 		{serve.Route{Method: "GET", Pattern: "/v1/hierarchy"}, g.handleListHierarchies},
 		{serve.Route{Method: "POST", Pattern: "/v1/hierarchy/{id}/events"}, g.handleAppendEvents},
-		{serve.Route{Method: "GET", Pattern: "/v1/hierarchy/{id}/versions"}, g.handleVersions},
+		{serve.Route{Method: "GET", Pattern: "/v1/hierarchy/{id}/versions"}, g.handleOwned},
 		{serve.Route{Method: "POST", Pattern: "/v1/release"}, g.handleRelease},
 		{serve.Route{Method: "GET", Pattern: "/v1/release"}, g.handleListReleases},
 		{serve.Route{Method: "GET", Pattern: "/v1/release/{id}"}, g.handleGetRelease},
 		{serve.Route{Method: "GET", Pattern: "/v1/jobs/{id}"}, g.handleGetJob},
 		{serve.Route{Method: "POST", Pattern: "/v1/query/batch"}, g.handleBatchQuery},
 		{serve.Route{Method: "GET", Pattern: "/v1/query/{node...}"}, g.handleQuery},
-		{serve.Route{Method: "GET", Pattern: "/v1/budget/{id}"}, g.handleBudget},
-		{serve.Route{Method: "GET", Pattern: "/v1/cluster"}, g.handleCluster},
-		{serve.Route{Method: "POST", Pattern: "/v1/cluster/nodes"}, g.handleAddNode},
-		{serve.Route{Method: "DELETE", Pattern: "/v1/cluster/nodes"}, g.handleRemoveNode},
-		{serve.Route{Method: "GET", Pattern: "/healthz"}, g.handleHealthz},
-		{serve.Route{Method: "GET", Pattern: "/metrics"}, g.handleMetrics},
+		{serve.Route{Method: "GET", Pattern: "/v1/budget/{id}"}, g.handleOwned},
+		{serve.Route{Method: "GET", Pattern: "/v1/cluster"}, compressed(g.handleCluster)},
+		{serve.Route{Method: "POST", Pattern: "/v1/cluster/nodes"}, compressed(g.handleAddNode)},
+		{serve.Route{Method: "DELETE", Pattern: "/v1/cluster/nodes"}, compressed(g.handleRemoveNode)},
+		{serve.Route{Method: "GET", Pattern: "/healthz"}, compressed(g.handleHealthz)},
+		{serve.Route{Method: "GET", Pattern: "/metrics"}, compressed(g.handleMetrics)},
 	}
 }
 
@@ -235,168 +238,36 @@ func (g *Gateway) Routes() []serve.Route {
 	return out
 }
 
-// ServeHTTP implements http.Handler under the shared transport
-// conventions (bounded, gzip-aware in both directions).
+// ServeHTTP implements http.Handler under the request side of the
+// shared transport conventions: a bounded body, gzip request bodies,
+// and 415 for any other encoding. Responses are not compressed here: a
+// forwarded answer crosses in the encoding its backend chose.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w, r, finish, ok := serve.WrapTransport(w, r, maxBodyBytes)
+	r, ok := serve.WrapRequest(w, r, maxBodyBytes)
 	if !ok {
 		return
 	}
-	defer finish()
 	g.mux.ServeHTTP(w, r)
 }
 
-// writeClientError translates an SDK error from a backend into the
-// gateway's response: budget refusals, version conflicts and API
-// errors pass through with their status, machine-readable code and
-// body, a dead cluster is 503, and anything else (transport failures
-// after exhausting every replica) is 502.
-func writeClientError(w http.ResponseWriter, err error) {
-	var be *client.BudgetError
-	if errors.As(err, &be) {
-		code := be.Code
-		if code == "" {
-			code = "budget"
-		}
-		serve.WriteJSON(w, http.StatusTooManyRequests, map[string]any{
-			"error":                     be.Message,
-			"code":                      code,
-			"hierarchy":                 be.Hierarchy,
-			"requested_epsilon":         be.RequestedEpsilon,
-			"remaining_epsilon":         be.RemainingEpsilon,
-			"max_epsilon_per_hierarchy": be.MaxEpsilonPerHierarchy,
-		})
-		return
+// compressed gives a route whose body the gateway writes itself the
+// response side of the transport conventions.
+func compressed(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w, finish := serve.CompressResponse(w, r)
+		defer finish()
+		h(w, r)
 	}
-	var vce *client.VersionConflictError
-	if errors.As(err, &vce) {
-		serve.WriteJSON(w, http.StatusConflict, map[string]any{
-			"error":            vce.Message,
-			"code":             "version_conflict",
-			"hierarchy":        vce.Hierarchy,
-			"head_version":     vce.HeadVersion,
-			"head_fingerprint": vce.HeadFingerprint,
-			"given":            vce.Given,
-		})
-		return
-	}
-	var ae *client.APIError
-	if errors.As(err, &ae) {
-		if ae.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int(ae.RetryAfter.Seconds())))
-		}
-		code := ae.Code
-		if code == "" {
-			code = serve.ErrorCode(ae.StatusCode)
-		}
-		serve.WriteErrorCode(w, ae.StatusCode, code, "%s", ae.Message)
-		return
-	}
-	if errors.Is(err, cluster.ErrNoBackends) {
-		serve.WriteError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	serve.WriteError(w, http.StatusBadGateway, "no replica could serve the request: %v", err)
-}
-
-// record books one forwarded attempt into the backend's counters.
-func (g *Gateway) record(url string, d time.Duration, err error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	st := g.stats[url]
-	if st == nil {
-		return
-	}
-	st.requests++
-	st.latency += d
-	if err != nil {
-		st.errors++
-	}
-}
-
-// reportHealth feeds one attempt's outcome to the ejection tracker.
-// Only signals that mean "this backend is broken" count against it:
-// transport failures and 5xx other than backpressure. A 404 means a
-// replica is missing data (try the next one) and 4xx are the caller's
-// fault — neither ejects.
-func (g *Gateway) reportHealth(url string, err error) {
-	if err == nil {
-		g.cluster.ReportSuccess(url)
-		return
-	}
-	var be *client.BudgetError
-	if errors.As(err, &be) {
-		g.cluster.ReportSuccess(url) // an authoritative answer: the backend is fine
-		return
-	}
-	var ae *client.APIError
-	if errors.As(err, &ae) {
-		if ae.StatusCode >= 500 && ae.StatusCode != http.StatusServiceUnavailable {
-			g.cluster.ReportFailure(url, err)
-		}
-		return
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return // the caller hung up; says nothing about the backend
-	}
-	g.cluster.ReportFailure(url, err)
-}
-
-// terminal reports errors that must not fail over to the next replica:
-// the answer would be the same (or more wrong) anywhere else.
-func terminal(err error) bool {
-	var be *client.BudgetError
-	if errors.As(err, &be) {
-		return true
-	}
-	var ae *client.APIError
-	if errors.As(err, &ae) {
-		// 404 (a replica missing data) and 5xx/backpressure fall
-		// through to the next replica; other 4xx are deterministic.
-		return ae.StatusCode != http.StatusNotFound && ae.StatusCode < 500
-	}
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// forward runs op against each backend in order until one succeeds,
-// feeding stats and health per attempt. The zero-length order and
-// all-attempts-failed cases both return an error for writeClientError.
-func (g *Gateway) forward(order []string, op func(c *client.Client, url string) error) error {
-	var lastErr error
-	for i, u := range order {
-		c := g.client(u)
-		if c == nil {
-			continue
-		}
-		if i > 0 {
-			g.mu.Lock()
-			g.failovers++
-			g.mu.Unlock()
-		}
-		start := time.Now()
-		err := op(c, u)
-		g.record(u, time.Since(start), err)
-		g.reportHealth(u, err)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if terminal(err) {
-			return err
-		}
-	}
-	if lastErr == nil {
-		lastErr = cluster.ErrNoBackends
-	}
-	return lastErr
 }
 
 // recordTenant books one release request against its tenant
-// (hierarchy fingerprint): every attempt counts, err != nil counts as
-// an error, and a compute-queue 429 (an APIError carrying Retry-After)
-// additionally counts as throttled. The map is bounded like the
-// routing hints: an evicted tenant loses history, not correctness.
-func (g *Gateway) recordTenant(fp string, err error) {
+// (hierarchy fingerprint) from the status the gateway relayed (0 when
+// no backend answered): every request counts, anything but a 2xx
+// counts as an error, and a compute-queue 429 (one carrying
+// Retry-After) additionally counts as throttled. The map is bounded
+// like the routing hints: an evicted tenant loses history, not
+// correctness.
+func (g *Gateway) recordTenant(fp string, status int, hdr http.Header) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	tt := g.tenants[fp]
@@ -411,12 +282,11 @@ func (g *Gateway) recordTenant(fp string, err error) {
 		g.tenants[fp] = tt
 	}
 	tt.requests++
-	if err == nil {
+	if status/100 == 2 {
 		return
 	}
 	tt.errors++
-	var ae *client.APIError
-	if errors.As(err, &ae) && ae.StatusCode == http.StatusTooManyRequests && ae.RetryAfter > 0 {
+	if status == http.StatusTooManyRequests && hdr.Get("Retry-After") != "" {
 		tt.throttled++
 	}
 }
@@ -466,34 +336,32 @@ func (g *Gateway) routeHierarchy(fp string) []string {
 // orderForRelease resolves a release id to its failover order: the
 // owning hierarchy's route when learned — extended with the remaining
 // live backends, since every backend reads the shared store and a read
-// should outlive all R owners — every live backend when the hint is
-// forgotten (a gateway restart forgets the hints, not the data), and,
-// with the whole fleet ejected, every configured backend as a last
-// resort.
-func (g *Gateway) orderForRelease(releaseID string) ([]string, error) {
+// should outlive all R owners — and anyOrder when the hint is
+// forgotten (a gateway restart forgets the hints, not the data).
+func (g *Gateway) orderForRelease(releaseID string) []string {
 	g.mu.Lock()
 	fp, ok := g.releaseOwner[releaseID]
 	g.mu.Unlock()
-	if ok {
-		order := g.routeHierarchy(fp)
-		seen := make(map[string]bool, len(order))
-		for _, u := range order {
-			seen[u] = true
-		}
-		for _, u := range g.cluster.Live() {
-			if !seen[u] {
-				order = append(order, u)
-			}
-		}
-		return order, nil
+	if !ok {
+		return g.anyOrder()
 	}
+	order := g.routeHierarchy(fp)
+	for _, u := range g.cluster.Live() {
+		if !slices.Contains(order, u) {
+			order = append(order, u)
+		}
+	}
+	return order
+}
+
+// anyOrder is the failover order of a request any backend can answer:
+// every live backend, or, with the whole fleet ejected, every
+// configured backend as a last resort.
+func (g *Gateway) anyOrder() []string {
 	if live := g.cluster.Live(); len(live) > 0 {
-		return live, nil
+		return live
 	}
-	if all := g.cluster.Backends(); len(all) > 0 {
-		return all, nil
-	}
-	return nil, cluster.ErrNoBackends
+	return g.cluster.Backends()
 }
 
 // hierarchyFP extracts the ring key from a hierarchy id ("h-<fp>" or a

@@ -26,7 +26,7 @@ type backendFixture struct {
 	c   *client.Client
 }
 
-func newBackend(t *testing.T, opts engine.Options) *backendFixture {
+func newBackend(t testing.TB, opts engine.Options) *backendFixture {
 	t.Helper()
 	eng := engine.New(opts)
 	srv, err := serve.NewServer(eng, opts.Store)
@@ -45,7 +45,7 @@ func newBackend(t *testing.T, opts engine.Options) *backendFixture {
 // newGateway wires a gateway over the fixtures, with fast-fail client
 // settings and no background probing (tests drive health explicitly
 // through the request path or ProbeNow).
-func newGateway(t *testing.T, repl, thresh int, backends ...*backendFixture) (*Gateway, *client.Client, string) {
+func newGateway(t testing.TB, repl, thresh int, backends ...*backendFixture) (*Gateway, *client.Client, string) {
 	t.Helper()
 	urls := make([]string, len(backends))
 	for i, b := range backends {
@@ -79,7 +79,7 @@ func testGroups() []hcoc.Group {
 }
 
 // byURL maps a backend URL back to its fixture.
-func byURL(t *testing.T, backends []*backendFixture, url string) *backendFixture {
+func byURL(t testing.TB, backends []*backendFixture, url string) *backendFixture {
 	t.Helper()
 	for _, b := range backends {
 		if b.ts.URL == url {

@@ -2,498 +2,171 @@ package gateway
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"hcoc"
-	"hcoc/client"
 	"hcoc/internal/cluster"
 	"hcoc/internal/engine"
 	"hcoc/internal/serve"
 )
 
-// groupRecord and hierarchyRequest mirror the backend upload shape —
-// the gateway must parse uploads itself to fingerprint the tree, which
-// is the ring key.
-type groupRecord struct {
-	Path []string `json:"path"`
-	Size int64    `json:"size"`
-}
-
-type hierarchyRequest struct {
-	Root   string        `json:"root"`
-	Groups []groupRecord `json:"groups"`
-}
-
-// handleHierarchy fingerprints the upload locally and fans it out to
-// all R ring owners in parallel, so replicas already hold the tree
-// when a failover read or release arrives. One success is enough to
-// answer (uploads are content-addressed and idempotent, so stragglers
-// converge on retry); zero successes surface the last failure.
+// handleHierarchy fingerprints the upload — the tree's content
+// fingerprint is its ring key — and fans it out to all R ring owners
+// in parallel, so replicas already hold the tree when a failover read
+// or release arrives. One success answers (uploads are
+// content-addressed and idempotent, so stragglers converge on retry).
+// An upload the gateway cannot fingerprint goes to any one backend,
+// which refuses it as it would directly.
 func (g *Gateway) handleHierarchy(w http.ResponseWriter, r *http.Request) {
-	var req hierarchyRequest
-	if !serve.DecodeJSON(w, r, &req) {
+	body, ok := bufferBody(w, r)
+	if !ok {
 		return
 	}
-	if req.Root == "" {
-		req.Root = "root"
-	}
-	if len(req.Groups) == 0 {
-		serve.WriteError(w, http.StatusBadRequest, "no groups in upload")
+	fp, ok := uploadKey(body)
+	if !ok {
+		g.forward(w, r, g.anyOrder(), body, nil)
 		return
 	}
-	groups := make([]hcoc.Group, len(req.Groups))
-	for i, gr := range req.Groups {
-		if gr.Size < 0 {
-			serve.WriteError(w, http.StatusBadRequest, "group %d has negative size %d", i, gr.Size)
-			return
-		}
-		groups[i] = hcoc.Group{Path: gr.Path, Size: gr.Size}
-	}
-	tree, err := hcoc.BuildHierarchy(req.Root, groups)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "building hierarchy: %v", err)
-		return
-	}
-	fp := engine.FingerprintTree(tree)
-	owners := g.cluster.Owners(fp)
-	if len(owners) == 0 {
-		writeClientError(w, cluster.ErrNoBackends)
-		return
-	}
-	g.mu.Lock()
-	g.fanouts++
-	g.mu.Unlock()
-
-	var wg sync.WaitGroup
-	results := make([]client.Hierarchy, len(owners))
-	errs := make([]error, len(owners))
-	for i, u := range owners {
-		wg.Add(1)
-		go func(i int, u string) {
-			defer wg.Done()
-			c := g.client(u)
-			if c == nil {
-				errs[i] = fmt.Errorf("backend %s left the cluster", u)
-				return
-			}
-			start := time.Now()
-			h, err := c.UploadHierarchy(r.Context(), req.Root, groups)
-			g.record(u, time.Since(start), err)
-			g.reportHealth(u, err)
-			results[i], errs[i] = h, err
-		}(i, u)
-	}
-	wg.Wait()
-	for i := range owners {
-		if errs[i] == nil {
-			serve.WriteJSON(w, http.StatusOK, results[i])
-			return
-		}
-	}
-	// All owners failed. Prefer an authoritative refusal (a terminal
-	// APIError such as 507 store-full) over whichever transport error
-	// happened to come last — it names what the caller can actually fix.
-	for _, err := range errs {
-		if terminal(err) {
-			writeClientError(w, err)
-			return
-		}
-	}
-	writeClientError(w, errs[len(errs)-1])
+	g.fanOut(w, r, g.cluster.Owners(fp), body)
 }
 
-// appendEventsRequest mirrors the backend event-append body.
-type appendEventsRequest struct {
-	Events []client.Event `json:"events"`
+// uploadKey fingerprints the tree of an upload body, as its backend
+// will; ok is false for a body no backend would accept.
+func uploadKey(body []byte) (fp string, ok bool) {
+	var up struct {
+		Root   string       `json:"root"`
+		Groups []hcoc.Group `json:"groups"`
+	}
+	if json.Unmarshal(body, &up) != nil || len(up.Groups) == 0 {
+		return "", false
+	}
+	if up.Root == "" {
+		up.Root = "root"
+	}
+	tree, err := hcoc.BuildHierarchy(up.Root, up.Groups)
+	if err != nil {
+		return "", false
+	}
+	return engine.FingerprintTree(tree), true
 }
 
 // handleAppendEvents fans an event append out to all R ring owners of
 // the hierarchy in parallel, so every replica's event log advances to
-// the same head. The caller's If-Match precondition forwards verbatim
-// to each owner: a stale fingerprint conflicts identically everywhere,
-// and against divergent replicas the first success answers while the
-// conflicting owners surface in the next append. One success is enough
-// to answer; zero successes prefer an authoritative refusal (conflict,
-// validation) over whichever transport error came last.
+// the same head. The caller's If-Match precondition crosses verbatim
+// to each owner: a stale fingerprint conflicts identically everywhere.
 func (g *Gateway) handleAppendEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var req appendEventsRequest
-	if !serve.DecodeJSON(w, r, &req) {
-		return
-	}
-	if len(req.Events) == 0 {
-		serve.WriteError(w, http.StatusBadRequest, "no events in request")
-		return
-	}
-	ifMatch := strings.Trim(r.Header.Get("If-Match"), `"`)
-	owners := g.cluster.Owners(hierarchyFP(id))
-	if len(owners) == 0 {
-		writeClientError(w, cluster.ErrNoBackends)
-		return
-	}
-	g.mu.Lock()
-	g.fanouts++
-	g.mu.Unlock()
-
-	var wg sync.WaitGroup
-	results := make([]client.AppendResult, len(owners))
-	errs := make([]error, len(owners))
-	for i, u := range owners {
-		wg.Add(1)
-		go func(i int, u string) {
-			defer wg.Done()
-			c := g.client(u)
-			if c == nil {
-				errs[i] = fmt.Errorf("backend %s left the cluster", u)
-				return
-			}
-			start := time.Now()
-			res, err := c.AppendEvents(r.Context(), id, req.Events, ifMatch)
-			g.record(u, time.Since(start), err)
-			g.reportHealth(u, err)
-			results[i], errs[i] = res, err
-		}(i, u)
-	}
-	wg.Wait()
-	for i := range owners {
-		if errs[i] == nil {
-			serve.WriteJSON(w, http.StatusOK, results[i])
-			return
-		}
-	}
-	for _, err := range errs {
-		if terminal(err) {
-			writeClientError(w, err)
-			return
-		}
-	}
-	writeClientError(w, errs[len(errs)-1])
-}
-
-// versionsResponse mirrors the backend version-listing body.
-type versionsResponse struct {
-	Hierarchy string                    `json:"hierarchy"`
-	Root      string                    `json:"root,omitempty"`
-	Head      int64                     `json:"head"`
-	Versions  []client.HierarchyVersion `json:"versions"`
-}
-
-// handleVersions reads the version history from the hierarchy's
-// primary, failing over down the replica order.
-func (g *Gateway) handleVersions(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	order := g.routeHierarchy(hierarchyFP(id))
-	var versions []client.HierarchyVersion
-	err := g.forward(order, func(c *client.Client, u string) error {
-		vs, err := c.HierarchyVersions(r.Context(), id)
-		if err != nil {
-			return err
-		}
-		versions = vs
-		return nil
-	})
-	if err != nil {
-		writeClientError(w, err)
-		return
-	}
-	resp := versionsResponse{Hierarchy: id, Versions: versions}
-	if n := len(versions); n > 0 {
-		resp.Head = versions[n-1].Version
-	}
-	serve.WriteJSON(w, http.StatusOK, resp)
-}
-
-// scatter fans op across every live backend in parallel and
-// concatenates the successful results (op closures carry their own
-// request context). All-failed returns the last error; a dead cluster
-// the typed ErrNoBackends.
-func scatter[T any](g *Gateway, op func(c *client.Client) ([]T, error)) ([]T, error) {
-	backends := g.cluster.Live()
-	if len(backends) == 0 {
-		return nil, cluster.ErrNoBackends
-	}
-	var wg sync.WaitGroup
-	results := make([][]T, len(backends))
-	errs := make([]error, len(backends))
-	for i, u := range backends {
-		wg.Add(1)
-		go func(i int, u string) {
-			defer wg.Done()
-			c := g.client(u)
-			if c == nil {
-				errs[i] = fmt.Errorf("backend %s left the cluster", u)
-				return
-			}
-			start := time.Now()
-			out, err := op(c)
-			g.record(u, time.Since(start), err)
-			g.reportHealth(u, err)
-			results[i], errs[i] = out, err
-		}(i, u)
-	}
-	wg.Wait()
-	var out []T
-	ok := false
-	var lastErr error
-	for i := range backends {
-		if errs[i] != nil {
-			lastErr = errs[i]
-			continue
-		}
-		ok = true
-		out = append(out, results[i]...)
-	}
+	body, ok := bufferBody(w, r)
 	if !ok {
-		return nil, lastErr
+		return
 	}
-	return out, nil
+	g.fanOut(w, r, g.cluster.Owners(hierarchyFP(r.PathValue("id"))), body)
+}
+
+// handleOwned forwards a read of one hierarchy's state — its version
+// history or its budget position — to the hierarchy's primary, failing
+// over down the replica order. The primary is the node that spends.
+func (g *Gateway) handleOwned(w http.ResponseWriter, r *http.Request) {
+	g.forward(w, r, g.routeHierarchy(hierarchyFP(r.PathValue("id"))), nil, nil)
 }
 
 // handleListHierarchies merges the hierarchy listings of every live
 // backend, deduplicated by id (uploads fan out to R owners).
 func (g *Gateway) handleListHierarchies(w http.ResponseWriter, r *http.Request) {
-	all, err := scatter(g, func(c *client.Client) ([]client.Hierarchy, error) {
-		return c.Hierarchies(r.Context())
-	})
-	if err != nil {
-		writeClientError(w, err)
-		return
-	}
-	seen := make(map[string]bool, len(all))
-	out := make([]client.Hierarchy, 0, len(all))
-	for _, h := range all {
-		if seen[h.ID] {
-			continue
-		}
-		seen[h.ID] = true
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	serve.WriteJSON(w, http.StatusOK, out)
+	g.scatter(w, r, func(e listEntry) string { return e.ID })
 }
 
 // handleListReleases merges the durable-artifact listings across the
-// cluster, deduplicated by release id — and opportunistically learns
-// release→hierarchy ownership from the merged metadata.
+// cluster, deduplicated by release id. Each backend gets the caller's
+// query, so ?hierarchy= and ?version= filter as they do directly. The
+// gateway learns release→hierarchy ownership from the merged entries.
 func (g *Gateway) handleListReleases(w http.ResponseWriter, r *http.Request) {
-	all, err := scatter(g, func(c *client.Client) ([]client.ReleaseArtifact, error) {
-		return c.Releases(r.Context())
+	g.scatter(w, r, func(e listEntry) string {
+		g.learnRelease(e.Release, hierarchyFP(e.Hierarchy))
+		return e.Release
 	})
-	if err != nil {
-		writeClientError(w, err)
-		return
-	}
-	seen := make(map[string]bool, len(all))
-	out := make([]client.ReleaseArtifact, 0, len(all))
-	for _, a := range all {
-		if seen[a.Release] {
-			continue
-		}
-		seen[a.Release] = true
-		out = append(out, a)
-		g.learnRelease(a.Release, hierarchyFP(a.Hierarchy))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Release < out[j].Release })
-	serve.WriteJSON(w, http.StatusOK, out)
-}
-
-// releaseRequest mirrors the backend body, async flag included.
-type releaseRequest struct {
-	Hierarchy string   `json:"hierarchy"`
-	Algorithm string   `json:"algorithm"`
-	Epsilon   float64  `json:"epsilon"`
-	K         int      `json:"k"`
-	Methods   []string `json:"methods"`
-	Merge     string   `json:"merge"`
-	Seed      int64    `json:"seed"`
-	Workers   int      `json:"workers"`
-	Version   int64    `json:"version"`
-	Async     bool     `json:"async"`
 }
 
 // handleRelease routes a release to the hierarchy's primary, failing
 // over down the replica order. The computing backend writes the
 // artifact to the shared store, where every other backend reads the
-// same bytes. Async jobs stay backend-local (the job table is not
-// shared) — the gateway records which backend runs each job.
+// same bytes. The gateway reads the answer only for routing hints: the
+// release id of a 2xx answer, and, for an async submission, the job id
+// in the 202's Location (the job table is not shared, so polls go to
+// the backend that runs the job). A body naming no hierarchy goes to
+// any backend, which refuses it as it would directly.
 func (g *Gateway) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req releaseRequest
-	if !serve.DecodeJSON(w, r, &req) {
-		return
-	}
-	if req.Hierarchy == "" {
-		serve.WriteError(w, http.StatusBadRequest, "missing hierarchy; POST /v1/hierarchy first")
-		return
-	}
-	fp := hierarchyFP(req.Hierarchy)
-	order := g.routeHierarchy(fp)
-	creq := client.ReleaseRequest{
-		Hierarchy: req.Hierarchy,
-		Algorithm: req.Algorithm,
-		Epsilon:   req.Epsilon,
-		K:         req.K,
-		Methods:   req.Methods,
-		Merge:     req.Merge,
-		Seed:      req.Seed,
-		Workers:   req.Workers,
-		Version:   req.Version,
-	}
-
-	if req.Async {
-		var job client.Job
-		err := g.forward(order, func(c *client.Client, u string) error {
-			j, err := c.ReleaseAsync(r.Context(), creq)
-			if err != nil {
-				return err
-			}
-			job = j
-			g.learnJob(j.Job, u)
-			return nil
-		})
-		g.recordTenant(fp, err)
-		if err != nil {
-			writeClientError(w, err)
-			return
-		}
-		w.Header().Set("Location", "/v1/jobs/"+job.Job)
-		serve.WriteJSON(w, http.StatusAccepted, job)
-		return
-	}
-
-	var rel client.Release
-	err := g.forward(order, func(c *client.Client, u string) error {
-		res, err := c.Release(r.Context(), creq)
-		if err != nil {
-			return err
-		}
-		rel = res
-		return nil
-	})
-	g.recordTenant(fp, err)
-	if err != nil {
-		writeClientError(w, err)
-		return
-	}
-	g.learnRelease(rel.Release, fp)
-	serve.WriteJSON(w, http.StatusOK, rel)
-}
-
-// handleGetRelease proxies an artifact from the first replica that
-// holds it, verbatim — the backend already renders both formats, so
-// decoding and re-encoding here would only burn gateway CPU and
-// memory. The body is buffered (not streamed) so a mid-transfer
-// backend death can still fail over to the next replica cleanly.
-func (g *Gateway) handleGetRelease(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	format := r.URL.Query().Get("format")
-	if format != "" && format != "sparse" && format != "dense" {
-		serve.WriteError(w, http.StatusBadRequest, "unknown artifact format %q (want sparse|dense)", format)
-		return
-	}
-	order, err := g.orderForRelease(id)
-	if err != nil {
-		writeClientError(w, err)
-		return
-	}
-	var body []byte
-	err = g.forward(order, func(c *client.Client, u string) error {
-		b, err := c.DownloadReleaseBytes(r.Context(), id, format)
-		if err != nil {
-			return err
-		}
-		body = b
-		return nil
-	})
-	if err != nil {
-		writeClientError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
-}
-
-// handleGetJob polls the backend that runs the job when known, every
-// live backend otherwise (a restarted gateway forgets the hint).
-func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	g.mu.Lock()
-	owner, ok := g.jobOwner[id]
-	g.mu.Unlock()
-	var order []string
-	if ok {
-		order = []string{owner}
-	} else if order = g.cluster.Live(); len(order) == 0 {
-		writeClientError(w, cluster.ErrNoBackends)
-		return
-	}
-	var job client.Job
-	err := g.forward(order, func(c *client.Client, u string) error {
-		j, err := c.Job(r.Context(), id)
-		if err != nil {
-			return err
-		}
-		job = j
-		return nil
-	})
-	if err != nil {
-		writeClientError(w, err)
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, job)
-}
-
-// handleQuery forwards a node query down the owning release's replica
-// order.
-func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
-	node := r.PathValue("node")
-	q := r.URL.Query()
-	release := q.Get("release")
-	if release == "" {
-		serve.WriteError(w, http.StatusBadRequest, "missing release query parameter")
-		return
-	}
-	quantiles, kth, topCode, ok := serve.ParseQueryParams(w, q)
+	body, ok := bufferBody(w, r)
 	if !ok {
 		return
 	}
-	params := client.QueryParams{Quantiles: quantiles, KthLargest: kth, TopCode: topCode}
-	order, err := g.orderForRelease(release)
-	if err != nil {
-		writeClientError(w, err)
+	var key struct {
+		Hierarchy string `json:"hierarchy"`
+	}
+	_ = json.Unmarshal(body, &key) // a body that does not parse names no hierarchy
+	fp := hierarchyFP(key.Hierarchy)
+	if fp == "" {
+		g.forward(w, r, g.anyOrder(), body, nil)
 		return
 	}
-	var report client.NodeReport
-	err = g.forward(order, func(c *client.Client, u string) error {
-		rep, err := c.Query(r.Context(), release, node, params)
-		if err != nil {
-			return err
+	status, hdr := g.forward(w, r, g.routeHierarchy(fp), body, func(u string, resp *http.Response) {
+		switch {
+		case resp.StatusCode == http.StatusAccepted:
+			if id, ok := strings.CutPrefix(resp.Header.Get("Location"), "/v1/jobs/"); ok {
+				g.learnJob(id, u)
+			}
+		case resp.StatusCode/100 == 2:
+			var rel struct {
+				Release string `json:"release"`
+			}
+			if peek(resp, &rel) == nil && rel.Release != "" {
+				g.learnRelease(rel.Release, fp)
+			}
 		}
-		report = rep
-		return nil
 	})
-	if err != nil {
-		writeClientError(w, err)
-		return
+	g.recordTenant(fp, status, hdr)
+}
+
+// handleGetRelease relays an artifact download from the first backend
+// in the release's failover order that holds it. Range, If-None-Match
+// and the other conditional headers cross verbatim, so a download
+// through the gateway keeps the backend's ETag, 304, 206 and
+// Content-Length.
+func (g *Gateway) handleGetRelease(w http.ResponseWriter, r *http.Request) {
+	g.forward(w, r, g.orderForRelease(r.PathValue("id")), nil, nil)
+}
+
+// handleGetJob polls the backend that runs the job when known, any
+// backend otherwise (a restarted gateway forgets the hint).
+func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {
+	g.mu.Lock()
+	owner, ok := g.jobOwner[r.PathValue("id")]
+	g.mu.Unlock()
+	order := []string{owner}
+	if !ok {
+		order = g.anyOrder()
 	}
-	serve.WriteJSON(w, http.StatusOK, report)
+	g.forward(w, r, order, nil, nil)
 }
 
-// batchQueryRequest mirrors the backend batch body.
-type batchQueryRequest struct {
-	Release string             `json:"release"`
-	Queries []client.NodeQuery `json:"queries"`
-}
-
-// batchQueryResponse mirrors the backend batch response.
-type batchQueryResponse struct {
-	Release string              `json:"release"`
-	Results []client.NodeResult `json:"results"`
+// handleQuery forwards a node query down the owning release's failover
+// order. A version-pinned query (?hierarchy=&version=, no release)
+// resolves on a node holding the hierarchy's event log, so it goes to
+// the hierarchy's owners.
+func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	var order []string
+	if id, h := q.Get("release"), q.Get("hierarchy"); id == "" && h != "" {
+		order = g.routeHierarchy(hierarchyFP(h))
+	} else {
+		order = g.orderForRelease(id)
+	}
+	g.forward(w, r, order, nil, nil)
 }
 
 // handleBatchQuery forwards the whole batch down the failover order of
@@ -501,45 +174,30 @@ type batchQueryResponse struct {
 // an entry names. Every backend reads every release from the shared
 // store, so one backend answers even a batch spanning releases owned by
 // different hierarchies, in one engine pass; the backend also enforces
-// the batch-size bound and answers per-query errors.
+// the batch-size bound and answers per-query errors. A batch naming no
+// release goes to any backend, which answers it as it would directly.
 func (g *Gateway) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
-	var req batchQueryRequest
-	if !serve.DecodeJSON(w, r, &req) {
+	body, ok := bufferBody(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Queries) == 0 {
-		serve.WriteError(w, http.StatusBadRequest, "no queries in batch")
-		return
-	}
-	order, err := g.orderForRelease(firstRelease(req))
-	if err != nil {
-		writeClientError(w, err)
-		return
-	}
-	var results []client.NodeResult
-	err = g.forward(order, func(c *client.Client, u string) error {
-		out, err := c.BatchQuery(r.Context(), req.Release, req.Queries)
-		if err != nil {
-			return err
-		}
-		results = out
-		return nil
-	})
-	if err != nil {
-		writeClientError(w, err)
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, batchQueryResponse{Release: req.Release, Results: results})
+	g.forward(w, r, g.orderForRelease(firstRelease(body)), body, nil)
 }
 
-// firstRelease names the release a batch routes by: the default
-// release, else the first one any entry lists ("" when none does,
-// which routes to any live backend; it answers the batch's errors).
-func firstRelease(req batchQueryRequest) string {
-	if req.Release != "" {
-		return req.Release
+// firstRelease names the release a batch body routes by: the default
+// release, else the first one any entry lists ("" when none does).
+func firstRelease(body []byte) string {
+	var key struct {
+		Release string `json:"release"`
+		Queries []struct {
+			Releases []string `json:"releases"`
+		} `json:"queries"`
 	}
-	for _, q := range req.Queries {
+	_ = json.Unmarshal(body, &key) // a body that does not parse names no release
+	if key.Release != "" {
+		return key.Release
+	}
+	for _, q := range key.Queries {
 		for _, id := range q.Releases {
 			if id != "" {
 				return id
@@ -547,27 +205,6 @@ func firstRelease(req batchQueryRequest) string {
 		}
 	}
 	return ""
-}
-
-// handleBudget reads the budget position from the hierarchy's primary
-// (the authoritative spender), failing over in replica order.
-func (g *Gateway) handleBudget(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	order := g.routeHierarchy(hierarchyFP(id))
-	var budget client.Budget
-	err := g.forward(order, func(c *client.Client, u string) error {
-		b, err := c.Budget(r.Context(), id)
-		if err != nil {
-			return err
-		}
-		budget = b
-		return nil
-	})
-	if err != nil {
-		writeClientError(w, err)
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, budget)
 }
 
 // clusterResponse is the JSON shape of GET /v1/cluster.

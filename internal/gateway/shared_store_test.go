@@ -18,7 +18,7 @@ import (
 
 // newStub starts an in-process S3 stub serving the "hcoc" bucket and
 // returns its endpoint.
-func newStub(t *testing.T) string {
+func newStub(t testing.TB) string {
 	t.Helper()
 	stub := httptest.NewServer(s3stub.New("hcoc"))
 	t.Cleanup(stub.Close)
@@ -27,7 +27,7 @@ func newStub(t *testing.T) string {
 
 // sharedStoreFixture opens one node's *store.Store over the shared
 // bucket behind endpoint.
-func sharedStoreFixture(t *testing.T, endpoint string) *store.Store {
+func sharedStoreFixture(t testing.TB, endpoint string) *store.Store {
 	t.Helper()
 	b, err := store.NewS3(store.S3Options{Endpoint: endpoint, Bucket: "hcoc", Prefix: "fleet"})
 	if err != nil {
@@ -43,7 +43,7 @@ func sharedStoreFixture(t *testing.T, endpoint string) *store.Store {
 
 // newSharedBackend starts one backend whose store is the shared bucket
 // behind endpoint — the multi-node deployment.
-func newSharedBackend(t *testing.T, endpoint string) *backendFixture {
+func newSharedBackend(t testing.TB, endpoint string) *backendFixture {
 	t.Helper()
 	return newBackend(t, engine.Options{Store: sharedStoreFixture(t, endpoint)})
 }

@@ -238,22 +238,37 @@ func (s *Server) continualStatus(l *eventlog.Log) (spent, remaining float64, enf
 // same bound); responses are gzip-compressed when the client accepts
 // it.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w, r, finish, ok := WrapTransport(w, r, s.maxBody)
+	r, ok := WrapRequest(w, r, s.maxBody)
 	if !ok {
 		return
 	}
+	w, finish := CompressResponse(w, r)
 	defer finish()
 	s.mux.ServeHTTP(w, r)
 }
 
-// WrapTransport applies the HTTP transport conventions shared by every
-// hcoc serving tier (this server and hcoc-gateway): the request body is
-// bounded at maxBody and, with Content-Encoding: gzip, transparently
-// decompressed under the same bound; the response is gzip-compressed
-// when the client accepts it. The returned finish func must be deferred
-// around the handler (it flushes the compressor); ok reports whether to
-// proceed — false means an error response was already written (an
-// unsupported Content-Encoding).
+// WrapRequest applies the request side of the HTTP transport
+// conventions shared by every hcoc serving tier (this server and
+// hcoc-gateway): the body is bounded at maxBody and, with
+// Content-Encoding: gzip, transparently decompressed under the same
+// bound. ok reports whether to proceed; false means an error response
+// was already written (an unsupported Content-Encoding, 415).
+func WrapRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (*http.Request, bool) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+	if ce := r.Header.Get("Content-Encoding"); strings.EqualFold(ce, "gzip") {
+		r.Body = &gzipBody{src: r.Body, limit: maxBody}
+		r.Header.Del("Content-Encoding")
+	} else if ce != "" && !strings.EqualFold(ce, "identity") {
+		WriteError(w, http.StatusUnsupportedMediaType, "unsupported Content-Encoding %q; send gzip or identity", ce)
+		return nil, false
+	}
+	return r, true
+}
+
+// CompressResponse applies the response side of the transport
+// conventions: the response is gzip-compressed when the client accepts
+// it. The returned finish func must be deferred around the handler (it
+// flushes the compressor).
 //
 // Artifact downloads (GET /v1/release/{id}) are always served identity:
 // they go through http.ServeContent for zero-copy streaming with exact
@@ -261,28 +276,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // on-the-fly compression would break (a gzip body has no predictable
 // length, and a range into compressed bytes is not a range into the
 // artifact).
-func WrapTransport(w http.ResponseWriter, r *http.Request, maxBody int64) (http.ResponseWriter, *http.Request, func(), bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	if ce := r.Header.Get("Content-Encoding"); strings.EqualFold(ce, "gzip") {
-		r.Body = &gzipBody{src: r.Body, limit: maxBody}
-		r.Header.Del("Content-Encoding")
-	} else if ce != "" && !strings.EqualFold(ce, "identity") {
-		WriteError(w, http.StatusUnsupportedMediaType, "unsupported Content-Encoding %q; send gzip or identity", ce)
-		return nil, nil, nil, false
+func CompressResponse(w http.ResponseWriter, r *http.Request) (http.ResponseWriter, func()) {
+	if !acceptsGzip(r) || isArtifactDownload(r) {
+		return w, func() {}
 	}
-	finish := func() {}
-	if acceptsGzip(r) && !isArtifactDownload(r) {
-		zw := gzipWriters.Get().(*gzip.Writer)
-		zw.Reset(w)
-		w.Header().Set("Content-Encoding", "gzip")
-		w.Header().Add("Vary", "Accept-Encoding")
-		w = &gzipResponseWriter{ResponseWriter: w, zw: zw}
-		finish = func() {
-			_ = zw.Close()
-			gzipWriters.Put(zw)
-		}
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(w)
+	w.Header().Set("Content-Encoding", "gzip")
+	w.Header().Add("Vary", "Accept-Encoding")
+	return &gzipResponseWriter{ResponseWriter: w, zw: zw}, func() {
+		_ = zw.Close()
+		gzipWriters.Put(zw)
 	}
-	return w, r, finish, true
 }
 
 // isArtifactDownload reports whether the request reads a release
@@ -301,11 +306,10 @@ type errorResponse struct {
 	Code  string `json:"code"`
 }
 
-// ErrorCode maps an HTTP status to its default machine-readable error
+// errorCode maps an HTTP status to its default machine-readable error
 // code. Handlers with something more specific to say (budget,
-// overload, version_conflict) use WriteErrorCode or a typed body
-// instead. Exported for the gateway tier.
-func ErrorCode(status int) string {
+// overload, version_conflict) write a typed body instead.
+func errorCode(status int) string {
 	switch status {
 	case http.StatusBadRequest:
 		return "bad_request"
@@ -342,13 +346,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // response carries, deriving the code from the status. Exported for
 // the gateway tier.
 func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
-	WriteErrorCode(w, status, ErrorCode(status), format, args...)
-}
-
-// WriteErrorCode is WriteError with an explicit machine-readable code,
-// for handlers whose failure is more specific than the status implies.
-func WriteErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
-	WriteJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...), Code: code})
+	WriteJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...), Code: errorCode(status)})
 }
 
 // DecodeJSON parses a POST body into v, writing the precise failure
@@ -1159,11 +1157,10 @@ type orderStatValue struct {
 	Size int64 `json:"size"`
 }
 
-// ParseQueryParams parses the q/k/topcode statistics selectors of a
+// parseQueryParams parses the q/k/topcode statistics selectors of a
 // node query, writing the 400 itself on bad input; ok reports whether
-// the handler should proceed. Exported so the gateway tier parses (and
-// refuses) exactly what the backend does.
-func ParseQueryParams(w http.ResponseWriter, q url.Values) (quantiles []float64, kth []int64, topCode int, ok bool) {
+// the handler should proceed.
+func parseQueryParams(w http.ResponseWriter, q url.Values) (quantiles []float64, kth []int64, topCode int, ok bool) {
 	for _, raw := range q["q"] {
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
@@ -1251,7 +1248,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "missing release query parameter (or hierarchy+version)")
 		return
 	}
-	quantiles, kth, topCode, ok := ParseQueryParams(w, q)
+	quantiles, kth, topCode, ok := parseQueryParams(w, q)
 	if !ok {
 		return
 	}
