@@ -64,6 +64,14 @@ const (
 // used in the paper's experiments.
 const DefaultK = 100000
 
+// MaxGroupSize is the largest group size, and the largest public bound
+// K, that the service accepts: 40x DefaultK. Every dense histogram is
+// as long as the largest size it holds (a release allocates K cells per
+// node), so a request naming a larger size would make a few bytes of
+// input cost gigabytes. ReadReleaseSparse applies the same bound to the
+// sizes an artifact declares.
+const MaxGroupSize = 1 << 22
+
 // Options configures a hierarchical release.
 type Options struct {
 	// Epsilon is the total privacy-loss budget; it is split evenly

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"strings"
 
 	"hcoc"
@@ -17,16 +16,18 @@ import (
 // so uploads are idempotent and release keys are content-addressed.
 func FingerprintTree(tree *hcoc.Tree) string {
 	h := sha256.New()
-	var buf [8]byte
+	// Each node is encoded into one reused buffer and hashed with one
+	// Write; the digest is that of writing each field on its own. The
+	// root's histogram is the longest in a tree built from groups.
+	buf := make([]byte, 0, 64+len(tree.Root.Path)+8*(len(tree.Root.Hist)+1))
 	tree.Walk(func(n *hcoc.Node) {
-		io.WriteString(h, n.Path)
-		h.Write([]byte{0})
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(n.Hist)))
-		h.Write(buf[:])
+		buf = append(buf[:0], n.Path...)
+		buf = append(buf, 0)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(n.Hist)))
 		for _, count := range n.Hist {
-			binary.LittleEndian.PutUint64(buf[:], uint64(count))
-			h.Write(buf[:])
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(count))
 		}
+		h.Write(buf)
 	})
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }

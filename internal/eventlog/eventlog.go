@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"hcoc/internal/engine"
 	"hcoc/internal/hierarchy"
+	"hcoc/internal/histogram"
 	"hcoc/internal/store"
 )
 
@@ -100,63 +100,27 @@ func chunkKey(id string, seq int64) string {
 	return fmt.Sprintf("events/%s/%012d.json", id, seq)
 }
 
-// logState is the materialized fold of an event prefix: the root name
-// and, per leaf path (names joined by "/"), the count of groups at each
-// size. It is the single source the version tree is rebuilt from, in
-// deterministic order, so equal histories always produce equal trees
-// and equal fingerprints.
-type logState struct {
-	root   string
-	counts map[string]map[int64]int64
-}
-
-func (s *logState) clone() *logState {
-	out := &logState{root: s.root, counts: make(map[string]map[int64]int64, len(s.counts))}
-	for leaf, sizes := range s.counts {
-		m := make(map[int64]int64, len(sizes))
-		for sz, n := range sizes {
-			m[sz] = n
+// leafNames normalizes an event path into the region names of its
+// leaf: names are joined with "/" and split again, so ["a/b"] and
+// ["a", "b"] name the same leaf. The path is returned as is when no
+// name contains "/".
+func leafNames(path []string) []string {
+	for _, name := range path {
+		if strings.Contains(name, "/") {
+			return strings.Split(strings.Join(path, "/"), "/")
 		}
-		out.counts[leaf] = m
 	}
-	return out
-}
-
-func (s *logState) add(path []string, size int64, n int64) error {
 	if len(path) == 0 {
-		return errors.New("eventlog: group path is empty")
+		return []string{""}
 	}
-	if size < 0 {
-		return fmt.Errorf("eventlog: group size %d is negative", size)
-	}
-	leaf := strings.Join(path, "/")
-	if s.counts[leaf] == nil {
-		s.counts[leaf] = make(map[int64]int64)
-	}
-	s.counts[leaf][size] += n
-	return nil
+	return path
 }
 
-func (s *logState) remove(path []string, size int64, n int64) error {
-	leaf := strings.Join(path, "/")
-	sizes := s.counts[leaf]
-	if sizes == nil || sizes[size] < n {
-		return fmt.Errorf("eventlog: leaf %q has %d groups of size %d, cannot remove %d",
-			leaf, sizes[size], size, n)
-	}
-	sizes[size] -= n
-	if sizes[size] == 0 {
-		delete(sizes, size)
-	}
-	if len(sizes) == 0 {
-		delete(s.counts, leaf)
-	}
-	return nil
-}
-
-// apply folds one event into a copy of the state; the receiver is not
-// mutated, so a failed apply leaves the log untouched.
-func (s *logState) apply(ev Event) (*logState, error) {
+// apply folds one event into the tree it follows (nil before the first
+// snapshot) and returns the next version's tree. cur is never mutated,
+// so a failed apply leaves the log untouched. A snapshot builds a new
+// tree; a delta edits cur's leaves copy-on-write (see applyDelta).
+func apply(cur *hierarchy.Tree, ev Event) (*hierarchy.Tree, error) {
 	switch ev.Type {
 	case KindSnapshot:
 		if ev.Root == "" {
@@ -165,96 +129,231 @@ func (s *logState) apply(ev Event) (*logState, error) {
 		if len(ev.Groups) == 0 {
 			return nil, errors.New("eventlog: snapshot event needs at least one group")
 		}
-		next := &logState{root: ev.Root, counts: make(map[string]map[int64]int64)}
+		b := hierarchy.NewBuilder(ev.Root)
 		for _, g := range ev.Groups {
-			if err := next.add(g.Path, g.Size, 1); err != nil {
+			if err := checkAdd(g.Path, g.Size); err != nil {
 				return nil, err
 			}
+			b.AddGroups(leafNames(g.Path), g.Size, 1)
 		}
-		return next, nil
+		return b.Build()
 	case KindDelta:
 		if len(ev.Add)+len(ev.Remove)+len(ev.Drift) == 0 {
 			return nil, errors.New("eventlog: delta event is empty")
 		}
-		next := s.clone()
-		for _, g := range ev.Remove {
-			if err := next.remove(g.Path, g.Size, 1); err != nil {
-				return nil, err
-			}
-		}
-		for _, d := range ev.Drift {
-			if d.Count <= 0 {
-				return nil, fmt.Errorf("eventlog: drift count must be positive, got %d", d.Count)
-			}
-			if d.From == d.To {
-				return nil, fmt.Errorf("eventlog: drift from and to are both %d", d.From)
-			}
-			if err := next.remove(d.Path, d.From, d.Count); err != nil {
-				return nil, err
-			}
-			if err := next.add(d.Path, d.To, d.Count); err != nil {
-				return nil, err
-			}
-		}
-		for _, g := range ev.Add {
-			if err := next.add(g.Path, g.Size, 1); err != nil {
-				return nil, err
-			}
-		}
-		if len(next.counts) == 0 {
-			return nil, errors.New("eventlog: delta would leave the hierarchy empty")
-		}
-		return next, nil
+		return applyDelta(cur, ev)
 	default:
 		return nil, fmt.Errorf("eventlog: unknown event type %q", ev.Type)
 	}
 }
 
-// groups materializes the state back into group records, in sorted
-// (leaf path, size) order so BuildTree sees a canonical input.
-func (s *logState) groups() []hierarchy.Group {
-	leaves := make([]string, 0, len(s.counts))
-	for leaf := range s.counts {
-		leaves = append(leaves, leaf)
+func checkAdd(path []string, size int64) error {
+	if len(path) == 0 {
+		return errors.New("eventlog: group path is empty")
 	}
-	sort.Strings(leaves)
-	var out []hierarchy.Group
-	for _, leaf := range leaves {
-		path := strings.Split(leaf, "/")
-		sizes := make([]int64, 0, len(s.counts[leaf]))
-		for sz := range s.counts[leaf] {
-			sizes = append(sizes, sz)
+	if size < 0 {
+		return fmt.Errorf("eventlog: group size %d is negative", size)
+	}
+	return nil
+}
+
+// leafEdit is one leaf a delta touches: a private copy of its
+// histogram, with the edits so far applied.
+type leafEdit struct {
+	key   string          // the event path joined with "/"
+	names []string        // the leaf's region names below the root
+	node  *hierarchy.Node // the leaf in the current tree; nil if absent
+	hist  histogram.Hist
+}
+
+// cellEdit adds n groups (n < 0 removes) of one size at a leaf.
+type cellEdit struct {
+	leaf *leafEdit
+	size int64
+	n    int64
+}
+
+// delta folds one delta event's edits: removes, then drifts, then adds,
+// each checked against the leaf as the earlier edits left it.
+type delta struct {
+	cur    *hierarchy.Tree
+	leaves map[string]*leafEdit
+	cells  []cellEdit
+	groups int64 // net groups added
+}
+
+func (d *delta) leaf(path []string) *leafEdit {
+	key := strings.Join(path, "/")
+	if e, ok := d.leaves[key]; ok {
+		return e
+	}
+	e := &leafEdit{key: key, names: leafNames(path)}
+	n := d.cur.Root
+	for _, name := range e.names {
+		if n = n.Child(name); n == nil {
+			break
 		}
-		sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-		for _, sz := range sizes {
-			for n := s.counts[leaf][sz]; n > 0; n-- {
-				out = append(out, hierarchy.Group{Path: path, Size: sz})
+	}
+	if n != nil && n.IsLeaf() {
+		e.node, e.hist = n, n.Hist.Clone()
+	}
+	d.leaves[key] = e
+	return e
+}
+
+func (d *delta) edit(e *leafEdit, size, n int64) {
+	if grow := size + 1 - int64(len(e.hist)); grow > 0 {
+		e.hist = append(e.hist, make(histogram.Hist, grow)...)
+	}
+	e.hist[size] += n
+	d.cells = append(d.cells, cellEdit{leaf: e, size: size, n: n})
+	d.groups += n
+}
+
+func (d *delta) remove(path []string, size, n int64) error {
+	e := d.leaf(path)
+	var have int64
+	if size >= 0 && size < int64(len(e.hist)) {
+		have = e.hist[size]
+	}
+	if have < n {
+		return fmt.Errorf("eventlog: leaf %q has %d groups of size %d, cannot remove %d",
+			e.key, have, size, n)
+	}
+	d.edit(e, size, -n)
+	return nil
+}
+
+func (d *delta) add(path []string, size, n int64) error {
+	if err := checkAdd(path, size); err != nil {
+		return err
+	}
+	d.edit(d.leaf(path), size, n)
+	return nil
+}
+
+// applyDelta applies a delta to cur. When every touched leaf exists and
+// keeps at least one group, the tree keeps its shape: the result is
+// cur.WithHists, with new histograms only on the touched root-to-leaf
+// paths and every other node's histogram shared with cur. A delta that
+// adds or empties a leaf rebuilds the tree from its leaf histograms.
+func applyDelta(cur *hierarchy.Tree, ev Event) (*hierarchy.Tree, error) {
+	d := &delta{cur: cur, leaves: make(map[string]*leafEdit)}
+	for _, g := range ev.Remove {
+		if err := d.remove(g.Path, g.Size, 1); err != nil {
+			return nil, err
+		}
+	}
+	for _, dr := range ev.Drift {
+		if dr.Count <= 0 {
+			return nil, fmt.Errorf("eventlog: drift count must be positive, got %d", dr.Count)
+		}
+		if dr.From == dr.To {
+			return nil, fmt.Errorf("eventlog: drift from and to are both %d", dr.From)
+		}
+		if err := d.remove(dr.Path, dr.From, dr.Count); err != nil {
+			return nil, err
+		}
+		if err := d.add(dr.Path, dr.To, dr.Count); err != nil {
+			return nil, err
+		}
+	}
+	for _, g := range ev.Add {
+		if err := d.add(g.Path, g.Size, 1); err != nil {
+			return nil, err
+		}
+	}
+	if cur.Root.G()+d.groups == 0 {
+		return nil, errors.New("eventlog: delta would leave the hierarchy empty")
+	}
+	structural := false
+	for _, e := range d.leaves {
+		e.hist = e.hist.Trim()
+		if e.node == nil || len(e.hist) == 0 {
+			structural = true
+		}
+	}
+	if structural {
+		return d.rebuild()
+	}
+	hists := make(map[*hierarchy.Node]histogram.Hist)
+	for _, e := range d.leaves {
+		hists[e.node] = e.hist
+	}
+	for _, c := range d.cells {
+		for n := c.leaf.node.Parent; n != nil; n = n.Parent {
+			h, ok := hists[n]
+			if !ok {
+				h = n.Hist.Clone()
+			}
+			if grow := c.size + 1 - int64(len(h)); grow > 0 {
+				h = append(h, make(histogram.Hist, grow)...)
+			}
+			h[c.size] += c.n
+			hists[n] = h
+		}
+	}
+	for n, h := range hists {
+		if !n.IsLeaf() {
+			hists[n] = h.Trim()
+		}
+	}
+	return cur.WithHists(hists), nil
+}
+
+// rebuild builds the edited tree from scratch: every untouched leaf's
+// histogram and every touched leaf's edited one, one count-aware add
+// per non-empty cell.
+func (d *delta) rebuild() (*hierarchy.Tree, error) {
+	b := hierarchy.NewBuilder(d.cur.Root.Name)
+	addHist := func(names []string, h histogram.Hist) {
+		for size, n := range h {
+			if n != 0 {
+				b.AddGroups(names, int64(size), n)
 			}
 		}
 	}
-	return out
-}
-
-// build rebuilds the version tree from the state.
-func (s *logState) build() (*hierarchy.Tree, error) {
-	return hierarchy.BuildTree(s.root, s.groups())
-}
-
-// totalGroups counts the groups the state holds.
-func (s *logState) totalGroups() int64 {
-	var n int64
-	for _, sizes := range s.counts {
-		for _, c := range sizes {
-			n += c
+	edited := make(map[*hierarchy.Node]bool, len(d.leaves))
+	for _, e := range d.leaves {
+		if e.node != nil {
+			edited[e.node] = true
 		}
+		addHist(e.names, e.hist)
 	}
-	return n
+	for _, n := range d.cur.Leaves() {
+		if edited[n] {
+			continue
+		}
+		names := make([]string, n.Level)
+		for p := n; p.Parent != nil; p = p.Parent {
+			names[p.Level-1] = p.Name
+		}
+		addHist(names, n.Hist)
+	}
+	return b.Build()
+}
+
+// step applies ev to head (nil before the first snapshot) and describes
+// the version it makes, numbered seq. CreatedAt is left to the caller.
+func step(head *hierarchy.Tree, seq int64, ev Event) (*hierarchy.Tree, Version, error) {
+	tree, err := apply(head, ev)
+	if err != nil {
+		return nil, Version{}, err
+	}
+	return tree, Version{
+		Seq:         seq,
+		Fingerprint: fingerprint(tree),
+		Type:        ev.Type,
+		Nodes:       len(tree.Nodes()),
+		Groups:      tree.Root.G(),
+	}, nil
 }
 
 // touched returns the node paths an event changes: for a delta, every
 // touched leaf plus all its ancestors up to and including the root —
-// exactly the changed-set contract of hcoc.ReleaseSparseFrom. For a
-// snapshot it returns nil, meaning "everything".
+// exactly the changed-set contract of hcoc.ReleaseSparseFrom. Paths are
+// split as apply splits them, so a name containing "/" marks every
+// level it spans. For a snapshot it returns nil, meaning "everything".
 func (ev Event) touched(root string) map[string]bool {
 	if ev.Type != KindDelta {
 		return nil
@@ -262,7 +361,7 @@ func (ev Event) touched(root string) map[string]bool {
 	out := map[string]bool{root: true}
 	mark := func(path []string) {
 		p := root
-		for _, name := range path {
+		for _, name := range leafNames(path) {
 			p += "/" + name
 			out[p] = true
 		}
@@ -282,13 +381,13 @@ func (ev Event) touched(root string) map[string]bool {
 // Log is one hierarchy's event history. Its id is the fingerprint of
 // the version-1 snapshot tree — the same content address the legacy
 // upload API handed out — so snapshot re-uploads stay idempotent and
-// existing hierarchy ids keep resolving. Safe for concurrent use.
+// existing hierarchy ids keep resolving. The head tree is the log's
+// state: each event is applied to it. Safe for concurrent use.
 type Log struct {
 	id string
 	st *store.Store // nil: in-memory only, nothing persists
 
 	mu       sync.Mutex
-	state    *logState
 	events   []Event
 	versions []Version
 	head     *hierarchy.Tree
@@ -301,7 +400,7 @@ func (l *Log) ID() string { return l.id }
 func (l *Log) Root() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.state.root
+	return l.head.Root.Name
 }
 
 // Head returns the latest version.
@@ -344,7 +443,7 @@ func (l *Log) Version(seq int64) (Version, bool) {
 // Tree rebuilds the tree of a historical version by replaying the
 // event prefix; seq 0 means head (returned without replay). The rebuild
 // is verified against the fingerprint recorded when the version was
-// created.
+// created. The tree is immutable — callers must not mutate it.
 func (l *Log) Tree(seq int64) (*hierarchy.Tree, Version, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -355,20 +454,16 @@ func (l *Log) Tree(seq int64) (*hierarchy.Tree, Version, error) {
 		return nil, Version{}, fmt.Errorf("eventlog: log %s has no version %d (head is %d)",
 			l.id, seq, len(l.versions))
 	}
-	st := &logState{}
+	var tree *hierarchy.Tree
 	for i := int64(0); i < seq; i++ {
-		next, err := st.apply(l.events[i])
+		next, err := apply(tree, l.events[i])
 		if err != nil {
 			return nil, Version{}, fmt.Errorf("eventlog: replaying %s event %d: %w", l.id, i+1, err)
 		}
-		st = next
-	}
-	tree, err := st.build()
-	if err != nil {
-		return nil, Version{}, fmt.Errorf("eventlog: rebuilding %s version %d: %w", l.id, seq, err)
+		tree = next
 	}
 	v := l.versions[seq-1]
-	if fp := engine.FingerprintTree(tree); fp != v.Fingerprint {
+	if fp := fingerprint(tree); fp != v.Fingerprint {
 		return nil, Version{}, fmt.Errorf("eventlog: log %s version %d rebuilt to fingerprint %s, recorded %s",
 			l.id, seq, fp, v.Fingerprint)
 	}
@@ -386,7 +481,7 @@ func (l *Log) ChangedSince(from, to int64) (map[string]bool, bool) {
 	if from < 1 || to > int64(len(l.versions)) || from >= to {
 		return nil, false
 	}
-	root := l.state.root
+	root := l.head.Root.Name
 	out := map[string]bool{}
 	for i := from; i < to; i++ {
 		t := l.events[i].touched(root)
@@ -412,32 +507,26 @@ func (l *Log) Append(ev Event, ifMatch string) (Version, error) {
 	if ifMatch != "" && ifMatch != head.Fingerprint {
 		return Version{}, &ConflictError{Log: l.id, Head: head, Given: ifMatch}
 	}
-	next, err := l.state.apply(ev)
+	tree, v, err := step(l.head, head.Seq+1, ev)
 	if err != nil {
 		return Version{}, err
 	}
-	tree, err := next.build()
-	if err != nil {
-		return Version{}, fmt.Errorf("eventlog: log %s: %w", l.id, err)
-	}
-	v := Version{
-		Seq:         head.Seq + 1,
-		Fingerprint: engine.FingerprintTree(tree),
-		CreatedAt:   time.Now().UTC(),
-		Type:        ev.Type,
-		Nodes:       len(tree.Nodes()),
-		Groups:      next.totalGroups(),
-	}
+	v.CreatedAt = time.Now().UTC()
 	if l.st != nil {
 		if err := l.persist(v, ev); err != nil {
 			return Version{}, err
 		}
 	}
-	l.state = next
+	l.commit(ev, tree, v)
+	return v, nil
+}
+
+// commit makes tree, built by ev, the head version v. Caller holds mu
+// (or owns the log before publishing it).
+func (l *Log) commit(ev Event, tree *hierarchy.Tree, v Version) {
 	l.events = append(l.events, ev)
 	l.versions = append(l.versions, v)
 	l.head = tree
-	return v, nil
 }
 
 // persist writes the chunk object (atomic) and then its manifest entry.
@@ -470,26 +559,16 @@ func (l *Log) catchUp() error {
 		if !ok {
 			return nil
 		}
-		next, err := l.state.apply(c.Event)
+		tree, v, err := step(l.head, seq, c.Event)
 		if err != nil {
 			return fmt.Errorf("eventlog: replaying %s event %d: %w", l.id, seq, err)
 		}
-		tree, err := next.build()
-		if err != nil {
-			return fmt.Errorf("eventlog: replaying %s event %d: %w", l.id, seq, err)
-		}
-		fp := engine.FingerprintTree(tree)
-		if fp != c.Fingerprint {
+		if v.Fingerprint != c.Fingerprint {
 			return fmt.Errorf("eventlog: log %s event %d replayed to fingerprint %s, chunk says %s",
-				l.id, seq, fp, c.Fingerprint)
+				l.id, seq, v.Fingerprint, c.Fingerprint)
 		}
-		l.state = next
-		l.events = append(l.events, c.Event)
-		l.versions = append(l.versions, Version{
-			Seq: seq, Fingerprint: fp, CreatedAt: c.CreatedAt, Type: c.Event.Type,
-			Nodes: len(tree.Nodes()), Groups: next.totalGroups(),
-		})
-		l.head = tree
+		v.CreatedAt = c.CreatedAt
+		l.commit(c.Event, tree, v)
 	}
 }
 
@@ -530,42 +609,24 @@ func checkNoSuccessor(b store.BlobStore, id string, seq int64) error {
 	return nil
 }
 
-// newLog builds a fresh log from a snapshot event, persisting chunk 1
-// when a store is attached.
-func newLog(st *store.Store, ev Event) (*Log, error) {
-	base := &logState{}
-	next, err := base.apply(ev)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := next.build()
-	if err != nil {
-		return nil, err
-	}
-	v := Version{
-		Seq:         1,
-		Fingerprint: engine.FingerprintTree(tree),
-		CreatedAt:   time.Now().UTC(),
-		Type:        KindSnapshot,
-		Nodes:       len(tree.Nodes()),
-		Groups:      next.totalGroups(),
-	}
+// newLog establishes a log whose version 1 is the snapshot ev, already
+// applied into tree and described by v, persisting chunk 1 when a store
+// is attached.
+func newLog(st *store.Store, ev Event, tree *hierarchy.Tree, v Version) (*Log, error) {
+	v.CreatedAt = time.Now().UTC()
 	l := &Log{id: v.Fingerprint, st: st}
 	if st != nil {
 		if err := l.persist(v, ev); err != nil {
 			return nil, err
 		}
 	}
-	l.state = next
-	l.events = []Event{ev}
-	l.versions = []Version{v}
-	l.head = tree
+	l.commit(ev, tree, v)
 	return l, nil
 }
 
 // openLog replays a persisted log from chunk 1.
 func openLog(st *store.Store, id string) (*Log, error) {
-	l := &Log{id: id, st: st, state: &logState{}}
+	l := &Log{id: id, st: st}
 	c, ok, err := readChunk(st.Blob(), id, 1)
 	if err != nil {
 		return nil, err
@@ -576,26 +637,16 @@ func openLog(st *store.Store, id string) (*Log, error) {
 	if c.Event.Type != KindSnapshot {
 		return nil, fmt.Errorf("eventlog: log %s starts with a %q event, want snapshot", id, c.Event.Type)
 	}
-	next, err := l.state.apply(c.Event)
+	tree, v, err := step(nil, 1, c.Event)
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: replaying %s event 1: %w", id, err)
 	}
-	tree, err := next.build()
-	if err != nil {
-		return nil, fmt.Errorf("eventlog: replaying %s event 1: %w", id, err)
-	}
-	fp := engine.FingerprintTree(tree)
-	if fp != c.Fingerprint || fp != id {
+	if v.Fingerprint != c.Fingerprint || v.Fingerprint != id {
 		return nil, fmt.Errorf("eventlog: log %s first chunk rebuilt to fingerprint %s (chunk says %s)",
-			id, fp, c.Fingerprint)
+			id, v.Fingerprint, c.Fingerprint)
 	}
-	l.state = next
-	l.events = []Event{c.Event}
-	l.versions = []Version{{
-		Seq: 1, Fingerprint: fp, CreatedAt: c.CreatedAt, Type: KindSnapshot,
-		Nodes: len(tree.Nodes()), Groups: next.totalGroups(),
-	}}
-	l.head = tree
+	v.CreatedAt = c.CreatedAt
+	l.commit(c.Event, tree, v)
 	if err := l.catchUp(); err != nil {
 		return nil, err
 	}

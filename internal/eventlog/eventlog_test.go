@@ -158,9 +158,9 @@ func pickGroup(r *rand.Rand, s *shadow) (string, int64, bool) {
 // TestDifferentialTraces is the randomized differential suite the
 // redesign hangs on: over 200 random event traces, the delta-applied
 // hierarchy is identical to one freshly built from the equivalent group
-// list (content fingerprint), and an incremental release carried across
-// versions — fed by ChangedSince — is bit-identical per node to a
-// from-scratch release of the same version.
+// list (node by node, and by content fingerprint), and an incremental
+// release carried across versions — fed by ChangedSince — is
+// bit-identical per node to a from-scratch release of the same version.
 func TestDifferentialTraces(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trace := 0; trace < 200; trace++ {
@@ -194,6 +194,9 @@ func TestDifferentialTraces(t *testing.T) {
 			}
 			if fp := engine.FingerprintTree(fresh); fp != head.Fingerprint {
 				t.Fatalf("%s: log fingerprint %s, freshly built %s", label, head.Fingerprint, fp)
+			}
+			if err := sameTree(l.HeadTree(), fresh); err != nil {
+				t.Fatalf("%s: head tree differs from the freshly built one: %v", label, err)
 			}
 			var changed map[string]bool
 			state := prev
@@ -515,5 +518,107 @@ func TestLegacyMigration(t *testing.T) {
 	l2, _ := mgr2.Get(fp)
 	if l2.Head().Fingerprint != fp {
 		t.Fatalf("migration drifted: %+v", l2.Head())
+	}
+}
+
+// TestConcurrentReadersDuringAppends: versions share histogram slices,
+// so readers walking the head and historical trees while a writer
+// appends must see each version exactly as recorded. Run under -race
+// it also proves no apply writes to a slice a published tree holds.
+func TestConcurrentReadersDuringAppends(t *testing.T) {
+	mgr, _ := eventlog.OpenManager(nil)
+	l, _, err := mgr.Create("root", []hcoc.Group{
+		{Path: []string{"a", "x"}, Size: 3},
+		{Path: []string{"a", "y"}, Size: 5},
+		{Path: []string{"b", "x"}, Size: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appends, readers = 60, 3
+	done := make(chan struct{})
+	errs := make(chan error, readers)
+	for reader := 0; reader < readers; reader++ {
+		go func(reader int) {
+			r := rand.New(rand.NewSource(int64(reader)))
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				head, hv, err := l.Tree(0)
+				if err == nil && engine.FingerprintTree(head) != hv.Fingerprint {
+					err = fmt.Errorf("head version %d read back with another fingerprint", hv.Seq)
+				}
+				if err == nil {
+					tree, v, e := l.Tree(1 + r.Int63n(hv.Seq))
+					if err = e; err == nil && engine.FingerprintTree(tree) != v.Fingerprint {
+						err = fmt.Errorf("version %d read back with another fingerprint", v.Seq)
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(reader)
+	}
+	r := rand.New(rand.NewSource(7))
+	leaves := [][]string{{"a", "x"}, {"a", "y"}, {"b", "x"}, {"b", "z"}, {"c", "w"}}
+	for i := 0; i < appends; i++ {
+		ev := eventlog.Event{Type: eventlog.KindDelta,
+			Add: []eventlog.Group{{Path: leaves[r.Intn(len(leaves))], Size: int64(r.Intn(30))}}}
+		if i%5 == 4 {
+			// Empty a leaf now and then, so structural rebuilds
+			// interleave with copy-on-write appends.
+			tree := l.HeadTree()
+			leaf := tree.Leaves()[r.Intn(len(tree.Leaves()))]
+			path := strings.Split(leaf.Path, "/")[1:]
+			ev = eventlog.Event{Type: eventlog.KindDelta, Add: ev.Add}
+			for size, n := range leaf.Hist {
+				for ; n > 0; n-- {
+					ev.Remove = append(ev.Remove, eventlog.Group{Path: path, Size: int64(size)})
+				}
+			}
+		}
+		if _, err := l.Append(ev, ""); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	close(done)
+	for reader := 0; reader < readers; reader++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestChangedSinceSplitsSlashNames: a persisted delta may name a region
+// "a/x", which applies as the two levels "a" and "x"; the changed set
+// must then carry both, or an incremental release would reuse the stale
+// estimate of "root/a".
+func TestChangedSinceSplitsSlashNames(t *testing.T) {
+	mgr, _ := eventlog.OpenManager(nil)
+	l, _, err := mgr.Create("root", []hcoc.Group{
+		{Path: []string{"a", "x"}, Size: 3},
+		{Path: []string{"b", "y"}, Size: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(eventlog.Event{Type: eventlog.KindDelta,
+		Add: []eventlog.Group{{Path: []string{"a/x"}, Size: 4}}}, ""); err != nil {
+		t.Fatal(err)
+	}
+	changed, ok := l.ChangedSince(1, 2)
+	if !ok {
+		t.Fatal("delta-only span must produce a changed set")
+	}
+	for _, want := range []string{"root", "root/a", "root/a/x"} {
+		if !changed[want] {
+			t.Errorf("changed set %v misses %q", changed, want)
+		}
 	}
 }

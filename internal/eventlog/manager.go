@@ -1,6 +1,7 @@
 package eventlog
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -8,6 +9,10 @@ import (
 	"hcoc"
 	"hcoc/internal/store"
 )
+
+// ErrFull reports that CreateWithin would establish a log beyond its
+// bound.
+var ErrFull = errors.New("eventlog: too many logs")
 
 // Manager owns every event log the server knows about. With a store it
 // discovers persisted logs through KindEvent manifest entries and
@@ -47,12 +52,17 @@ func OpenManager(st *store.Store) (*Manager, error) {
 		if _, ok := m.logs[rec.Fingerprint]; ok {
 			continue
 		}
-		l, err := newLog(st, snapshotEvent(rec.Root, rec.Groups))
+		ev := snapshotEvent(rec.Root, rec.Groups)
+		tree, v, err := step(nil, 1, ev)
 		if err != nil {
 			return nil, fmt.Errorf("eventlog: migrating legacy hierarchy %s: %w", rec.Fingerprint, err)
 		}
-		if l.ID() != rec.Fingerprint {
-			return nil, fmt.Errorf("eventlog: legacy hierarchy %s rebuilt to fingerprint %s", rec.Fingerprint, l.ID())
+		if v.Fingerprint != rec.Fingerprint {
+			return nil, fmt.Errorf("eventlog: legacy hierarchy %s rebuilt to fingerprint %s", rec.Fingerprint, v.Fingerprint)
+		}
+		l, err := newLog(st, ev, tree, v)
+		if err != nil {
+			return nil, fmt.Errorf("eventlog: migrating legacy hierarchy %s: %w", rec.Fingerprint, err)
 		}
 		m.logs[l.ID()] = l
 	}
@@ -74,24 +84,29 @@ func snapshotEvent(root string, groups []hcoc.Group) Event {
 // snapshot returns the existing log (created=false) — idempotent, and
 // the existing log keeps any deltas already appended.
 func (m *Manager) Create(root string, groups []hcoc.Group) (l *Log, created bool, err error) {
+	return m.CreateWithin(root, groups, 0)
+}
+
+// CreateWithin is Create with a bound: when max is positive and the
+// manager already holds max logs, establishing a new one fails with
+// ErrFull. An existing log is returned whatever the bound. The snapshot
+// is built and fingerprinted once, before the manager is locked.
+func (m *Manager) CreateWithin(root string, groups []hcoc.Group, max int) (l *Log, created bool, err error) {
 	ev := snapshotEvent(root, groups)
-	// Build once up front to learn the id without persisting.
-	st, err := (&logState{}).apply(ev)
+	tree, v, err := step(nil, 1, ev)
 	if err != nil {
 		return nil, false, err
 	}
-	tree, err := st.build()
-	if err != nil {
-		return nil, false, err
-	}
-	id := fingerprint(tree)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if l, ok := m.logs[id]; ok {
+	if l, ok := m.logs[v.Fingerprint]; ok {
 		return l, false, nil
 	}
-	l, err = newLog(m.st, ev)
+	if max > 0 && len(m.logs) >= max {
+		return nil, false, ErrFull
+	}
+	l, err = newLog(m.st, ev, tree, v)
 	if err != nil {
 		return nil, false, err
 	}

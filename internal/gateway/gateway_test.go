@@ -446,6 +446,16 @@ func TestGatewayBadRequests(t *testing.T) {
 			_, err := c.BatchQuery(ctx, "", []client.NodeQuery{{Node: "US"}})
 			return err
 		}, http.StatusBadRequest},
+		{"group above the size bound", func() error {
+			_, err := c.UploadHierarchy(ctx, "US", []hcoc.Group{{Path: []string{"CA"}, Size: hcoc.MaxGroupSize + 1}})
+			return err
+		}, http.StatusBadRequest},
+		{"region name with a slash", func() error {
+			_, err := c.UploadHierarchy(ctx, "US", []hcoc.Group{
+				{Path: []string{"a/b"}, Size: 1}, {Path: []string{"c"}, Size: 2},
+			})
+			return err
+		}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		err := tc.do()
@@ -462,6 +472,25 @@ func TestGatewayBadRequests(t *testing.T) {
 	}
 	if live := gw.Cluster().Live(); len(live) != 1 {
 		t.Fatalf("4xx traffic ejected the backend: live = %v", live)
+	}
+}
+
+// TestUploadKeyRefusesUncheckedBodies: an upload the backends refuse
+// is unroutable. In particular a region name containing "/" would build
+// a tree here that no backend's event log builds, so routing by its
+// fingerprint would pick owners the hierarchy id does not name.
+func TestUploadKeyRefusesUncheckedBodies(t *testing.T) {
+	for body, ok := range map[string]bool{
+		`{"root":"US","groups":[{"path":["a","x"],"size":1},{"path":["c","y"],"size":2}]}`: true,
+		`{"root":"US","groups":[{"path":["a/b"],"size":1},{"path":["c"],"size":2}]}`:       false,
+		`{"root":"US","groups":[{"path":["a"],"size":4194305}]}`:                           false,
+		`{"root":"US","groups":[{"path":["a"],"size":-1}]}`:                                false,
+		`{"root":"US","groups":[{"path":["a","x"],"size":1},{"path":["c"],"size":2}]}`:     false,
+		`{"root":"US","groups":[]}`:                                                        false,
+	} {
+		if _, got := uploadKey([]byte(body)); got != ok {
+			t.Errorf("uploadKey(%s) ok = %v, want %v", body, got, ok)
+		}
 	}
 }
 

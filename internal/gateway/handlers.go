@@ -37,13 +37,14 @@ func (g *Gateway) handleHierarchy(w http.ResponseWriter, r *http.Request) {
 }
 
 // uploadKey fingerprints the tree of an upload body, as its backend
-// will; ok is false for a body no backend would accept.
+// will; ok is false for a body no backend would accept, which
+// serve.CheckUpload decides before any tree is built.
 func uploadKey(body []byte) (fp string, ok bool) {
 	var up struct {
 		Root   string       `json:"root"`
 		Groups []hcoc.Group `json:"groups"`
 	}
-	if json.Unmarshal(body, &up) != nil || len(up.Groups) == 0 {
+	if json.Unmarshal(body, &up) != nil || serve.CheckUpload(up.Groups) != nil {
 		return "", false
 	}
 	if up.Root == "" {

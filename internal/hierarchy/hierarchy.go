@@ -31,6 +31,15 @@ func (n *Node) G() int64 { return n.Hist.Groups() }
 // IsLeaf reports whether the node has no children.
 func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
 
+// Child returns the child with the given name, or nil.
+func (n *Node) Child(name string) *Node {
+	i := sort.Search(len(n.Children), func(i int) bool { return n.Children[i].Name >= name })
+	if i < len(n.Children) && n.Children[i].Name == name {
+		return n.Children[i]
+	}
+	return nil
+}
+
 // Tree is a region hierarchy with per-level node indexes.
 type Tree struct {
 	Root *Node
@@ -61,6 +70,55 @@ func (t *Tree) Walk(fn func(*Node)) {
 			fn(n)
 		}
 	}
+}
+
+// WithHists returns a copy of t with the same shape, in which every
+// node in hists carries the given histogram and every other node shares
+// its Hist slice with t. The copy has its own Node structs, so Parent
+// and Children pointers stay inside it and t is left untouched; only
+// the histogram slices are shared, and they must not be mutated. The
+// caller keeps the tree additive: a changed leaf's ancestors must be in
+// hists too.
+func (t *Tree) WithHists(hists map[*Node]histogram.Hist) *Tree {
+	count := 0
+	for _, level := range t.ByLevel {
+		count += len(level)
+	}
+	nodes := make([]Node, count)
+	copied := make(map[*Node]*Node, count)
+	out := &Tree{ByLevel: make([][]*Node, len(t.ByLevel))}
+	ptrs := make([]*Node, count)
+	i := 0
+	for l, level := range t.ByLevel {
+		out.ByLevel[l] = ptrs[i : i+len(level) : i+len(level)]
+		for j, old := range level {
+			n := &nodes[i]
+			*n = Node{Name: old.Name, Path: old.Path, Level: old.Level, Hist: old.Hist}
+			if h, ok := hists[old]; ok {
+				n.Hist = h
+			}
+			if old.Parent != nil {
+				n.Parent = copied[old.Parent]
+			}
+			copied[old] = n
+			out.ByLevel[l][j] = n
+			i++
+		}
+	}
+	for _, level := range t.ByLevel {
+		for _, old := range level {
+			if len(old.Children) == 0 {
+				continue
+			}
+			n := copied[old]
+			n.Children = make([]*Node, len(old.Children))
+			for j, c := range old.Children {
+				n.Children[j] = copied[c]
+			}
+		}
+	}
+	out.Root = copied[t.Root]
+	return out
 }
 
 // Validate checks the structural invariants: every internal node's
@@ -124,12 +182,20 @@ func NewBuilder(rootName string) *Builder {
 // AddGroup records one group of the given size located at the leaf
 // identified by path (region names below the root, one per level).
 // Size must be nonnegative.
-func (b *Builder) AddGroup(path []string, size int64) {
+func (b *Builder) AddGroup(path []string, size int64) { b.AddGroups(path, size, 1) }
+
+// AddGroups records count groups of the same size at one leaf: the
+// count-aware form of AddGroup, for input that is already a histogram.
+// Size must be nonnegative and count positive.
+func (b *Builder) AddGroups(path []string, size, count int64) {
 	if size < 0 {
 		panic(fmt.Sprintf("hierarchy: negative group size %d", size))
 	}
+	if count <= 0 {
+		panic(fmt.Sprintf("hierarchy: non-positive group count %d", count))
+	}
 	cur := b.root
-	cur.addSize(size)
+	cur.addSize(size, count)
 	for _, name := range path {
 		child, ok := cur.children[name]
 		if !ok {
@@ -137,15 +203,15 @@ func (b *Builder) AddGroup(path []string, size int64) {
 			cur.children[name] = child
 		}
 		cur = child
-		cur.addSize(size)
+		cur.addSize(size, count)
 	}
 }
 
-func (n *node) addSize(size int64) {
+func (n *node) addSize(size, count int64) {
 	for int64(len(n.hist)) <= size {
 		n.hist = append(n.hist, 0)
 	}
-	n.hist[size]++
+	n.hist[size] += count
 }
 
 // Build finalizes the tree. It returns an error if leaves are at mixed

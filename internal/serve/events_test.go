@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"hcoc"
 	"hcoc/internal/engine"
 )
 
@@ -182,6 +183,23 @@ func TestServeAppendEventsErrors(t *testing.T) {
 	}
 	if vr := getVersions(t, ts, hr.ID); vr.Head != 2 {
 		t.Fatalf("head after partial batch = %d, want 2 (event 0 kept)", vr.Head)
+	}
+
+	// Sizes above hcoc.MaxGroupSize and region names containing "/" are
+	// refused before the log sees them; the head does not move.
+	for name, ev := range map[string]eventRecord{
+		"add above the size bound":   {Type: "delta", Add: []groupRecord{{Path: []string{"OR"}, Size: hcoc.MaxGroupSize + 1}}},
+		"drift above the size bound": {Type: "delta", Drift: []driftRecord{{Path: []string{"OR"}, From: 1, To: hcoc.MaxGroupSize + 1, Count: 1}}},
+		"region name with a slash":   {Type: "delta", Add: []groupRecord{{Path: []string{"OR/Lane"}, Size: 1}}},
+		"snapshot name with a slash": {Type: "snapshot", Root: "US", Groups: []groupRecord{{Path: []string{"OR/Lane"}, Size: 1}}},
+	} {
+		status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []eventRecord{ev}}, "")
+		if status != http.StatusBadRequest || !strings.Contains(body, "event 0") {
+			t.Errorf("%s: status %d: %s", name, status, body)
+		}
+	}
+	if vr := getVersions(t, ts, hr.ID); vr.Head != 2 {
+		t.Fatalf("head after refused events = %d, want 2", vr.Head)
 	}
 }
 

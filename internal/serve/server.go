@@ -386,6 +386,65 @@ type groupRecord struct {
 	Size int64    `json:"size"`
 }
 
+// checkGroup reports why a group named in a request is refused, or
+// nil: its size must lie in [0, hcoc.MaxGroupSize], and no region name
+// may contain "/", the separator of node paths. Only request input is
+// checked; a persisted event log replays whatever it holds.
+func checkGroup(path []string, size int64) error {
+	if size < 0 || size > hcoc.MaxGroupSize {
+		return fmt.Errorf("size %d is outside [0, %d]", size, hcoc.MaxGroupSize)
+	}
+	for _, name := range path {
+		if strings.Contains(name, "/") {
+			return fmt.Errorf("region name %q contains \"/\"", name)
+		}
+	}
+	return nil
+}
+
+// CheckUpload reports why the groups of a hierarchy upload are refused,
+// or nil: there is at least one, each passes checkGroup, and every path
+// names a leaf at the same non-zero depth. Groups that pass always
+// build a hierarchy.
+func CheckUpload(groups []hcoc.Group) error {
+	if len(groups) == 0 {
+		return errors.New("no groups in upload")
+	}
+	depth := len(groups[0].Path)
+	for i, g := range groups {
+		if len(g.Path) == 0 {
+			return fmt.Errorf("group %d has an empty path", i)
+		}
+		if len(g.Path) != depth {
+			return fmt.Errorf("group %d has a path of %d regions, group 0 one of %d", i, len(g.Path), depth)
+		}
+		if err := checkGroup(g.Path, g.Size); err != nil {
+			return fmt.Errorf("group %d: %v", i, err)
+		}
+	}
+	return nil
+}
+
+// checkEvent applies checkGroup to every group an event names.
+func checkEvent(rec eventRecord) error {
+	for _, gs := range [][]groupRecord{rec.Groups, rec.Remove, rec.Add} {
+		for _, g := range gs {
+			if err := checkGroup(g.Path, g.Size); err != nil {
+				return err
+			}
+		}
+	}
+	for _, d := range rec.Drift {
+		if err := checkGroup(d.Path, d.From); err != nil {
+			return err
+		}
+		if err := checkGroup(d.Path, d.To); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // hierarchyRequest is the body of POST /v1/hierarchy.
 type hierarchyRequest struct {
 	Root   string        `json:"root"`
@@ -418,30 +477,20 @@ func (s *Server) handleHierarchy(w http.ResponseWriter, r *http.Request) {
 	if req.Root == "" {
 		req.Root = "root"
 	}
-	if len(req.Groups) == 0 {
-		WriteError(w, http.StatusBadRequest, "no groups in upload")
-		return
-	}
 	groups := make([]hcoc.Group, len(req.Groups))
 	for i, g := range req.Groups {
-		if g.Size < 0 {
-			WriteError(w, http.StatusBadRequest, "group %d has negative size %d", i, g.Size)
-			return
-		}
 		groups[i] = hcoc.Group{Path: g.Path, Size: g.Size}
 	}
-	tree, err := hcoc.BuildHierarchy(req.Root, groups)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "building hierarchy: %v", err)
+	if err := CheckUpload(groups); err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	fp := engine.FingerprintTree(tree)
-	if _, ok := s.logs.Get(fp); !ok && s.logs.Len() >= s.maxTrees {
+	l, _, err := s.logs.CreateWithin(req.Root, groups, s.maxTrees)
+	if errors.Is(err, eventlog.ErrFull) {
 		WriteError(w, http.StatusInsufficientStorage,
 			"hierarchy store is full (%d); re-use an uploaded hierarchy or restart the server", s.maxTrees)
 		return
 	}
-	l, _, err := s.logs.Create(req.Root, groups)
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, "establishing event log: %v", err)
 		return
@@ -592,6 +641,10 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) {
 	ifMatch := strings.Trim(r.Header.Get("If-Match"), `"`)
 	var head eventlog.Version
 	for i, rec := range req.Events {
+		if err := checkEvent(rec); err != nil {
+			WriteError(w, http.StatusBadRequest, "event %d (after %d applied): %v", i, i, err)
+			return
+		}
 		ev := eventFromRecord(rec)
 		match := ""
 		if i == 0 {
@@ -845,8 +898,8 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "epsilon must be positive, got %g", req.Epsilon)
 		return
 	}
-	if req.K < 0 {
-		WriteError(w, http.StatusBadRequest, "k must be nonnegative, got %d (0 selects the default)", req.K)
+	if req.K < 0 || req.K > hcoc.MaxGroupSize {
+		WriteError(w, http.StatusBadRequest, "k must lie in [0, %d], got %d (0 selects the default)", hcoc.MaxGroupSize, req.K)
 		return
 	}
 

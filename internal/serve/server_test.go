@@ -308,6 +308,24 @@ func TestServeErrors(t *testing.T) {
 				Root: "US", Groups: []groupRecord{{Path: []string{"CA"}, Size: -3}},
 			}, nil)
 		}, http.StatusBadRequest},
+		{"group above the size bound", func() (int, string) {
+			return postJSON(t, ts.URL+"/v1/hierarchy", hierarchyRequest{
+				Root: "US", Groups: []groupRecord{{Path: []string{"CA"}, Size: hcoc.MaxGroupSize + 1}},
+			}, nil)
+		}, http.StatusBadRequest},
+		{"region name with a slash", func() (int, string) {
+			return postJSON(t, ts.URL+"/v1/hierarchy", hierarchyRequest{
+				Root: "US", Groups: []groupRecord{{Path: []string{"a/b"}, Size: 1}, {Path: []string{"c"}, Size: 2}},
+			}, nil)
+		}, http.StatusBadRequest},
+		{"empty group path", func() (int, string) {
+			return postJSON(t, ts.URL+"/v1/hierarchy", hierarchyRequest{
+				Root: "US", Groups: []groupRecord{{Path: []string{}, Size: 1}},
+			}, nil)
+		}, http.StatusBadRequest},
+		{"k above the size bound", func() (int, string) {
+			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: hcoc.MaxGroupSize + 1}, nil)
+		}, http.StatusBadRequest},
 		{"query without release", func() (int, string) {
 			return getJSON(t, ts.URL+"/v1/query/US/CA", nil)
 		}, http.StatusBadRequest},

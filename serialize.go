@@ -23,10 +23,6 @@ const (
 	releaseFormat       = "hcoc-release/v1"
 	releaseFormatSparse = "hcoc-release/v2-sparse"
 
-	// maxArtifactSize bounds the group sizes a v2 artifact may declare
-	// (40x the paper's public bound K = 100000).
-	maxArtifactSize = 1 << 22
-
 	// maxDenseCells bounds the total cells ReadRelease will materialize
 	// across all nodes (512 MiB of int64): per-node size limits alone
 	// would let a kilobyte artifact with many near-limit nodes demand
@@ -138,8 +134,8 @@ func decodeRelease(r io.Reader) (SparseHistograms, float64, error) {
 			// declares, but densifying it is not; bound the declared
 			// sizes so a hostile artifact cannot make ReadRelease
 			// allocate a histogram the writer never paid for.
-			if max := s.MaxSize(); max > maxArtifactSize {
-				return nil, 0, fmt.Errorf("hcoc: node %q declares group size %d, above the artifact limit %d", path, max, int64(maxArtifactSize))
+			if max := s.MaxSize(); max > MaxGroupSize {
+				return nil, 0, fmt.Errorf("hcoc: node %q declares group size %d, above the artifact limit %d", path, max, int64(MaxGroupSize))
 			}
 			out[path] = s
 		}
