@@ -202,7 +202,7 @@ func main() {
 		cfg     storeConfig
 		qos     qosConfig
 	)
-	flag.IntVar(&qos.slots, "compute-slots", 0, "concurrent release computations across all tenants (0 = GOMAXPROCS); queries and artifact reads never consume a slot")
+	flag.IntVar(&qos.slots, "compute-slots", 0, "concurrent release computations across all tenants (0 = GOMAXPROCS, at least 2); queries and artifact reads never consume a slot")
 	flag.IntVar(&qos.queueDepth, "compute-queue-depth", 0, "queued release computations allowed per tenant before 429 (0 = default)")
 	flag.StringVar(&qos.weightsFile, "tenant-weights-file", "", "file of per-tenant scheduling weights, one \"h-<fingerprint> <weight>\" per line (# comments); re-read on SIGHUP")
 	flag.StringVar(&cfg.backend, "store-backend", "disk", "durable store backend: disk (local -data-dir) or s3 (S3-compatible object store, shareable across nodes)")

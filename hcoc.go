@@ -88,8 +88,9 @@ type Options struct {
 	// data and options are identical.
 	Seed int64
 	// Workers bounds the goroutines used for the parallel stages of a
-	// release (per-node estimation, per-parent matching). 0 means
-	// GOMAXPROCS. The released histograms do not depend on Workers.
+	// release (per-node estimation, top-down and bottom-up alike, and
+	// per-parent matching). 0 means GOMAXPROCS. The released histograms
+	// do not depend on Workers.
 	Workers int
 }
 
@@ -139,7 +140,8 @@ func Release(tree *Tree, opts Options) (Histograms, error) {
 // pipeline is differentially tested bit-for-bit against the dense one),
 // a fraction of the allocations, and a result sized by distinct group
 // sizes rather than K. Long-lived holders — caches, servers — should
-// prefer it.
+// prefer it. It is ReleaseSparseFrom with no prior state, the state
+// dropped: both run the one sparse pipeline.
 func ReleaseSparse(tree *Tree, opts Options) (SparseHistograms, error) {
 	return consistency.TopDownSparse(tree, opts.internal())
 }

@@ -58,14 +58,23 @@ func BenchmarkTopDownMatch(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("sparse/workers=%d", workers), func(b *testing.B) {
 			opts := benchOpts(workers)
-			states, err := estimateAllRuns(tree, opts, opts.Epsilon/float64(tree.Depth()))
+			nodes := tree.Nodes()
+			hg, err := estimateRuns(nodes, opts, opts.Epsilon/float64(tree.Depth()))
 			if err != nil {
 				b.Fatal(err)
+			}
+			// No prior state: every node is dirty and every parent
+			// re-matches, as in a fresh release.
+			states := make(map[string]*runState, len(nodes))
+			dirty := make(map[string]bool, len(nodes))
+			for i, n := range nodes {
+				states[n.Path] = &runState{hg: hg[i]}
+				dirty[n.Path] = true
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := matchLevelsRuns(tree, states, opts); err != nil {
+				if _, _, err := matchRuns(tree, states, nil, dirty, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -55,8 +55,9 @@ type Options struct {
 	// results do not depend on Workers.
 	Seed int64
 	// Workers bounds the number of goroutines used for the two
-	// expensive, embarrassingly parallel steps: per-node estimation and
-	// per-parent matching/merging. 0 means GOMAXPROCS.
+	// expensive, embarrassingly parallel steps: per-node estimation
+	// (top-down and bottom-up) and per-parent matching/merging. 0 means
+	// GOMAXPROCS.
 	Workers int
 }
 
@@ -226,7 +227,7 @@ func matchLevels(tree *hierarchy.Tree, states map[string]*nodeState, opts Option
 
 	for level := 0; level < tree.Depth()-1; level++ {
 		parents := tree.ByLevel[level]
-		err := forEachNode(parents, opts.workerCount(len(parents)), func(parent *hierarchy.Node) error {
+		err := forEachNode(parents, opts.workerCount(len(parents)), func(_ int, parent *hierarchy.Node) error {
 			return matchParent(states, parent, opts.Merge)
 		})
 		if err != nil {
@@ -272,13 +273,14 @@ func matchParent(states map[string]*nodeState, parent *hierarchy.Node, strategy 
 	return nil
 }
 
-// forEachNode applies fn to every node, fanning out across workers
-// goroutines; with a single worker it runs inline with no goroutine
-// overhead. The first error in node order is returned.
-func forEachNode(nodes []*hierarchy.Node, workers int, fn func(*hierarchy.Node) error) error {
+// forEachNode applies fn to every node and its index in nodes, fanning
+// out across workers goroutines; with a single worker it runs inline
+// with no goroutine overhead. The first error in node order is
+// returned.
+func forEachNode(nodes []*hierarchy.Node, workers int, fn func(int, *hierarchy.Node) error) error {
 	if workers <= 1 {
-		for _, n := range nodes {
-			if err := fn(n); err != nil {
+		for i, n := range nodes {
+			if err := fn(i, n); err != nil {
 				return err
 			}
 		}
@@ -292,7 +294,7 @@ func forEachNode(nodes []*hierarchy.Node, workers int, fn func(*hierarchy.Node) 
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				errs[i] = fn(nodes[i])
+				errs[i] = fn(i, nodes[i])
 			}
 		}()
 	}

@@ -3,7 +3,6 @@ package consistency
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
 
 	"hcoc/internal/estimator"
 	"hcoc/internal/hierarchy"
@@ -20,86 +19,51 @@ func nodeSeed(seed int64, path string) int64 {
 	return seed ^ int64(h.Sum64())
 }
 
-// estimateJob is one node's estimation work item.
-type estimateJob struct {
-	node   *hierarchy.Node
-	method estimator.Method
-}
-
-// estimateNodes runs one estimation function over every node of the
-// tree (lines 1-7 of Algorithm 1), fanning out across opts.Workers
-// goroutines. Each node's noise generator is seeded from (Seed, path),
-// so the result is independent of scheduling.
-func estimateNodes[T any](tree *hierarchy.Tree, opts Options, one func(estimateJob, *noise.Gen) (T, error)) (map[string]T, error) {
-	var jobs []estimateJob
-	for level, nodes := range tree.ByLevel {
-		m := opts.methodFor(level)
-		for _, n := range nodes {
-			jobs = append(jobs, estimateJob{node: n, method: m})
+// estimateRuns is the sparse pipeline's estimation pass (lines 1-7 of
+// Algorithm 1): one fan-out across opts.Workers goroutines over nodes,
+// each estimated as runs with its level's method under budget eps. Each
+// node's noise stream is derived from (Seed, path), so the result is
+// independent of scheduling. The runs come back in node order.
+func estimateRuns(nodes []*hierarchy.Node, opts Options, eps float64) ([][]estimator.SizeRun, error) {
+	out := make([][]estimator.SizeRun, len(nodes))
+	err := forEachNode(nodes, opts.workerCount(len(nodes)), func(i int, n *hierarchy.Node) error {
+		runs, err := estimator.EstimateRuns(opts.methodFor(n.Level), n.Hist,
+			estimator.Params{Epsilon: eps, K: opts.K},
+			noise.New(nodeSeed(opts.Seed, n.Path)))
+		if err != nil {
+			return fmt.Errorf("consistency: node %q: %w", n.Path, err)
 		}
-	}
-
-	workers := opts.workerCount(len(jobs))
-
-	states := make([]T, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				j := jobs[i]
-				gen := noise.New(nodeSeed(opts.Seed, j.node.Path))
-				res, err := one(j, gen)
-				if err != nil {
-					errs[i] = fmt.Errorf("consistency: node %q: %w", j.node.Path, err)
-					continue
-				}
-				states[i] = res
-			}
-		}()
-	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	out := make(map[string]T, len(jobs))
-	for i, j := range jobs {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		out[j.node.Path] = states[i]
+		out[i] = runs
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // estimateAll produces the dense per-group nodeState for every node —
-// the reference pipeline's estimation pass.
+// the reference pipeline's estimation pass, with the same noise draws
+// as estimateRuns.
 func estimateAll(tree *hierarchy.Tree, opts Options, epsLevel float64) (map[string]*nodeState, error) {
-	return estimateNodes(tree, opts, func(j estimateJob, gen *noise.Gen) (*nodeState, error) {
-		res, err := estimator.Estimate(j.method, j.node.Hist,
-			estimator.Params{Epsilon: epsLevel, K: opts.K}, gen)
+	nodes := tree.Nodes()
+	states := make([]*nodeState, len(nodes))
+	err := forEachNode(nodes, opts.workerCount(len(nodes)), func(i int, n *hierarchy.Node) error {
+		res, err := estimator.Estimate(opts.methodFor(n.Level), n.Hist,
+			estimator.Params{Epsilon: epsLevel, K: opts.K},
+			noise.New(nodeSeed(opts.Seed, n.Path)))
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("consistency: node %q: %w", n.Path, err)
 		}
-		return &nodeState{hg: res.Hist.GroupSizes(), vg: res.GroupVar}, nil
+		states[i] = &nodeState{hg: res.Hist.GroupSizes(), vg: res.GroupVar}
+		return nil
 	})
-}
-
-// estimateAllRuns produces the run-length runState for every node — the
-// sparse pipeline's estimation pass, identical noise draws, O(runs)
-// state per node.
-func estimateAllRuns(tree *hierarchy.Tree, opts Options, epsLevel float64) (map[string]*runState, error) {
-	return estimateNodes(tree, opts, func(j estimateJob, gen *noise.Gen) (*runState, error) {
-		runs, err := estimator.EstimateRuns(j.method, j.node.Hist,
-			estimator.Params{Epsilon: epsLevel, K: opts.K}, gen)
-		if err != nil {
-			return nil, err
-		}
-		return &runState{hg: runs}, nil
-	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]*nodeState, len(nodes))
+	for i, n := range nodes {
+		out[n.Path] = states[i]
+	}
+	return out, nil
 }

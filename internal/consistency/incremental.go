@@ -1,13 +1,6 @@
 package consistency
 
-import (
-	"fmt"
-
-	"hcoc/internal/estimator"
-	"hcoc/internal/hierarchy"
-	"hcoc/internal/histogram"
-	"hcoc/internal/noise"
-)
+import "hcoc/internal/hierarchy"
 
 // RecomputeState carries the per-node intermediate results of one
 // top-down sparse release — the original estimate runs and the
@@ -83,23 +76,29 @@ func updRunsEqual(a, b []updRun) bool {
 	return true
 }
 
-// TopDownSparseFrom is TopDownSparse with reuse: it releases the tree
-// under opts, reusing from prev the per-node work whose inputs the
-// caller certifies unchanged. changed must contain the path of every
-// node whose histogram or child set differs from the tree prev was
-// computed for (for a delta touching a set of leaves, that is the
-// leaves plus all their ancestors). Nodes absent from changed are
-// trusted to be identical; nodes absent from prev are recomputed
-// regardless.
+// TopDownSparseFrom is the sparse top-down pipeline — Algorithm 1 in
+// run-length form, which TopDownSparse runs with no prior state — with
+// reuse: it releases the tree under opts, reusing from prev the
+// per-node work whose inputs the caller certifies unchanged. changed
+// must contain the path of every node whose histogram or child set
+// differs from the tree prev was computed for (for a delta touching a
+// set of leaves, that is the leaves plus all their ancestors). Nodes
+// absent from changed are trusted to be identical; nodes absent from
+// prev are recomputed regardless.
 //
-// The result is bit-identical to TopDownSparse(tree, opts) — the
+// The pipeline makes three passes: one estimation fan-out across
+// opts.Workers goroutines over every node it cannot reuse, all levels
+// at once (estimateRuns); top-down matching and merging, in which each
+// level's parents whose inputs changed re-match in parallel and the
+// rest copy their children's updated runs forward (matchRuns); and
+// back-substitution (sumUp).
+//
+// The result is bit-identical to a release with no prior state — the
 // differential suite pins this — because every reused quantity is a
 // deterministic function of inputs proven unchanged: estimation
 // depends only on (seed, path, histogram, level budget, method), and a
 // parent's matching only on its own estimate and updated runs and its
-// children's estimate runs. Matching re-runs for a parent whenever any
-// of those inputs was recomputed or its updated runs differ from
-// prev's; otherwise its children's updated runs are copied forward.
+// children's estimate runs.
 //
 // A nil prev (or a depth change, which re-splits the per-level budget
 // and invalidates every estimate) degrades to a full recompute.
@@ -109,120 +108,114 @@ func TopDownSparseFrom(tree *hierarchy.Tree, opts Options, prev *RecomputeState,
 	if err := opts.validate(depth); err != nil {
 		return nil, nil, stats, err
 	}
-	epsLevel := opts.Epsilon / float64(depth)
-	usable := prev != nil && prev.depth == depth
+	if prev != nil && prev.depth != depth {
+		prev = nil
+	}
 
-	// Estimation pass: reuse hg runs for certified-unchanged nodes,
-	// re-estimate the rest level by level (the per-level method matters).
+	// Lines 1-7: reuse the estimate runs of certified-unchanged nodes;
+	// estimate every other node.
 	states := make(map[string]*runState)
-	estimated := make(map[string]bool)
-	for level, nodes := range tree.ByLevel {
-		stats.NodesTotal += len(nodes)
-		var todo []*hierarchy.Node
+	var todo []*hierarchy.Node
+	for _, nodes := range tree.ByLevel {
 		for _, n := range nodes {
-			if usable && !changed[n.Path] {
+			if prev != nil && !changed[n.Path] {
 				if ps, ok := prev.nodes[n.Path]; ok {
 					states[n.Path] = &runState{hg: ps.hg}
 					continue
 				}
 			}
-			states[n.Path] = &runState{}
-			estimated[n.Path] = true
 			todo = append(todo, n)
 		}
-		if len(todo) == 0 {
-			continue
-		}
-		m := opts.methodFor(level)
-		err := forEachNode(todo, opts.workerCount(len(todo)), func(n *hierarchy.Node) error {
-			runs, err := estimator.EstimateRuns(m, n.Hist,
-				estimator.Params{Epsilon: epsLevel, K: opts.K},
-				noise.New(nodeSeed(opts.Seed, n.Path)))
-			if err != nil {
-				return fmt.Errorf("consistency: node %q: %w", n.Path, err)
-			}
-			states[n.Path].hg = runs
-			return nil
-		})
-		if err != nil {
-			return nil, nil, stats, err
-		}
 	}
-	stats.NodesEstimated = len(estimated)
+	hg, err := estimateRuns(todo, opts, opts.Epsilon/float64(depth))
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	dirty := make(map[string]bool, len(todo))
+	for i, n := range todo {
+		states[n.Path] = &runState{hg: hg[i]}
+		dirty[n.Path] = true
+	}
+	stats.NodesEstimated, stats.NodesTotal = len(todo), len(states)
 
-	// Matching pass. updChanged tracks, per node, whether its updated
-	// runs differ from prev's — the induction variable that decides
-	// whether a parent further down must re-match.
-	updChanged := make(map[string]bool)
-	rootPath := tree.Root.Path
-	rs := states[rootPath]
-	rs.upd = make([]updRun, 0, len(rs.hg))
-	for _, r := range rs.hg {
-		rs.upd = append(rs.upd, updRun{val: r.Size, vr: r.Var, count: r.Count})
-	}
-	if usable {
-		ps, ok := prev.nodes[rootPath]
-		updChanged[rootPath] = !ok || !updRunsEqual(rs.upd, ps.upd)
-	} else {
-		updChanged[rootPath] = true
+	// Lines 8-12.
+	stats.ParentsMatched, stats.ParentsTotal, err = matchRuns(tree, states, prev, dirty, opts)
+	if err != nil {
+		return nil, nil, stats, err
 	}
 
-	for level := 0; level < depth-1; level++ {
-		for _, parent := range tree.ByLevel[level] {
-			if len(parent.Children) == 0 {
-				continue
-			}
-			stats.ParentsTotal++
-			rerun := !usable || estimated[parent.Path] || updChanged[parent.Path]
-			if !rerun {
-				for _, c := range parent.Children {
-					if estimated[c.Path] {
-						rerun = true
-						break
-					}
-					if _, ok := prev.nodes[c.Path]; !ok {
-						rerun = true
-						break
-					}
-				}
-			}
-			if rerun {
-				stats.ParentsMatched++
-				if err := matchParentRuns(states, parent, opts.Merge); err != nil {
-					return nil, nil, stats, err
-				}
-				for _, c := range parent.Children {
-					if !usable {
-						updChanged[c.Path] = true
-						continue
-					}
-					ps, ok := prev.nodes[c.Path]
-					updChanged[c.Path] = !ok || !updRunsEqual(states[c.Path].upd, ps.upd)
-				}
-			} else {
-				// Every input to this parent's matching is bit-identical
-				// to prev's; its outputs are too — copy them forward.
-				for _, c := range parent.Children {
-					states[c.Path].upd = prev.nodes[c.Path].upd
-					updChanged[c.Path] = false
-				}
-			}
-		}
-	}
-
-	// Leaves and back-substitution, exactly as TopDownSparse.
+	// Line 13: leaves' updated runs become their final histograms. Every
+	// leaf has upd set: matchRuns seeds the root (the only leaf of a
+	// single-level tree) and fills or copies forward every deeper node.
+	// Lines 14-15: back-substitution.
 	out := make(SparseRelease, len(states))
 	for _, leaf := range tree.Leaves() {
 		out[leaf.Path] = updSparse(states[leaf.Path].upd)
 	}
-	for level := depth - 2; level >= 0; level-- {
-		for _, n := range tree.ByLevel[level] {
-			sum := histogram.Sparse{}
-			for _, c := range n.Children {
-				sum = sum.Add(out[c.Path])
+	sumUp(tree, out)
+	return out, &RecomputeState{depth: depth, nodes: states}, stats, nil
+}
+
+// matchRuns is the sparse pipeline's matching pass: seed the root's
+// updated runs with its estimate, then walk the levels top down. A
+// parent re-matches when it or one of its children is dirty; otherwise
+// every input to its matching is bit-identical to prev's, and so are
+// its outputs, which are copied forward. The parents of a level that
+// re-match fan out across opts.Workers goroutines: each reads only its
+// own state (finalized at the previous level) and writes only its
+// children's, every node has exactly one parent, and no map is written
+// inside the fan-out.
+//
+// dirty starts as the set of re-estimated nodes (every node when prev
+// is nil); after each level above the leaves it gains the children
+// whose updated runs moved from prev's, the induction that decides
+// whether a parent one level down must re-match. matchRuns returns how
+// many parents re-matched and how many internal nodes there are.
+func matchRuns(tree *hierarchy.Tree, states map[string]*runState, prev *RecomputeState, dirty map[string]bool, opts Options) (matched, total int, err error) {
+	rs := states[tree.Root.Path]
+	rs.upd = make([]updRun, 0, len(rs.hg))
+	for _, r := range rs.hg {
+		rs.upd = append(rs.upd, updRun{val: r.Size, vr: r.Var, count: r.Count})
+	}
+
+	for level := 0; level < tree.Depth()-1; level++ {
+		var rerun []*hierarchy.Node
+		for _, parent := range tree.ByLevel[level] {
+			if len(parent.Children) == 0 {
+				continue
 			}
-			out[n.Path] = sum
+			total++
+			rematch := dirty[parent.Path]
+			for _, c := range parent.Children {
+				rematch = rematch || dirty[c.Path]
+			}
+			if rematch {
+				rerun = append(rerun, parent)
+				continue
+			}
+			// Nothing here is dirty, so prev is non-nil and holds
+			// every child.
+			for _, c := range parent.Children {
+				states[c.Path].upd = prev.nodes[c.Path].upd
+			}
+		}
+		matched += len(rerun)
+		err := forEachNode(rerun, opts.workerCount(len(rerun)), func(_ int, parent *hierarchy.Node) error {
+			return matchParentRuns(states, parent, opts.Merge)
+		})
+		if err != nil {
+			return matched, total, err
+		}
+		if level == tree.Depth()-2 {
+			break // the children are leaves, which never match
+		}
+		for _, parent := range rerun {
+			for _, c := range parent.Children {
+				if !dirty[c.Path] && !updRunsEqual(states[c.Path].upd, prev.nodes[c.Path].upd) {
+					dirty[c.Path] = true
+				}
+			}
 		}
 	}
-	return out, &RecomputeState{depth: depth, nodes: states}, stats, nil
+	return matched, total, nil
 }

@@ -79,7 +79,9 @@ func mutateGroups(r *rand.Rand, groups []hierarchy.Group) ([]hierarchy.Group, []
 // over randomized trees and single-leaf deltas, a release recomputed
 // from the prior version's state is bit-identical to a from-scratch
 // release of the mutated tree, while estimating strictly fewer nodes
-// whenever the tree has more than one leaf branch.
+// whenever the tree has more than one leaf branch. TopDownSparse runs
+// this same pipeline with no prior state, so every cold and
+// incremental release is also compared with the dense reference.
 func TestTopDownSparseFromDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
 	methods := [][]estimator.Method{
@@ -111,6 +113,7 @@ func TestTopDownSparseFromDifferential(t *testing.T) {
 			t.Fatalf("%s: full: %v", label, err)
 		}
 		assertSameSparse(t, label+" cold", full, base)
+		assertMatchesDense(t, label+" cold", tree, opts, base)
 
 		// Chain several deltas, carrying state forward each time.
 		groups := treeGroups(tree)
@@ -130,6 +133,7 @@ func TestTopDownSparseFromDifferential(t *testing.T) {
 				t.Fatalf("%s step %d: scratch: %v", label, step, err)
 			}
 			assertSameSparse(t, fmt.Sprintf("%s step %d", label, step), scratch, incr)
+			assertMatchesDense(t, fmt.Sprintf("%s step %d", label, step), next, opts, incr)
 
 			if st.NodesTotal != len(next.Nodes()) {
 				t.Fatalf("%s step %d: NodesTotal = %d, want %d", label, step, st.NodesTotal, len(next.Nodes()))
@@ -220,6 +224,17 @@ func assertSameSparse(t *testing.T, label string, want, got SparseRelease) {
 			t.Fatalf("%s: node %q differs\nwant = %v\ngot  = %v", label, path, w, g)
 		}
 	}
+}
+
+// assertMatchesDense fails unless got is bit-identical to the dense
+// reference release of tree.
+func assertMatchesDense(t *testing.T, label string, tree *hierarchy.Tree, opts Options, got SparseRelease) {
+	t.Helper()
+	dense, err := TopDownDense(tree, opts)
+	if err != nil {
+		t.Fatalf("%s: dense: %v", label, err)
+	}
+	assertSameRelease(t, label+" vs dense", dense, got)
 }
 
 // treeGroups flattens a tree back into its leaf group records.

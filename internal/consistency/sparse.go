@@ -8,7 +8,6 @@ import (
 	"hcoc/internal/hierarchy"
 	"hcoc/internal/histogram"
 	"hcoc/internal/matching"
-	"hcoc/internal/noise"
 )
 
 // SparseRelease maps node paths to released count-of-counts histograms
@@ -151,67 +150,11 @@ func updSparse(runs []updRun) histogram.Sparse {
 // the same histograms as TopDownDense — the noise draws and every merge
 // are identical; only the data layout differs — in time and space
 // O(runs) per node for every step after the (necessarily dense) noise
-// injection.
+// injection. It is TopDownSparseFrom with no prior state, the captured
+// state dropped.
 func TopDownSparse(tree *hierarchy.Tree, opts Options) (SparseRelease, error) {
-	depth := tree.Depth()
-	if err := opts.validate(depth); err != nil {
-		return nil, err
-	}
-	epsLevel := opts.Epsilon / float64(depth)
-
-	// Lines 1-7: per-node DP estimates and variances, as runs.
-	states, err := estimateAllRuns(tree, opts, epsLevel)
-	if err != nil {
-		return nil, err
-	}
-
-	// Lines 8-12: top-down matching and merging.
-	if err := matchLevelsRuns(tree, states, opts); err != nil {
-		return nil, err
-	}
-
-	// Line 13: leaves' updated runs become their final histograms.
-	// Every leaf has upd set: matchLevelsRuns seeds the root (the only
-	// leaf of a single-level tree) and matchParentRuns fills every
-	// deeper node.
-	out := make(SparseRelease, len(states))
-	for _, leaf := range tree.Leaves() {
-		out[leaf.Path] = updSparse(states[leaf.Path].upd)
-	}
-
-	// Lines 14-15: back-substitution.
-	for level := depth - 2; level >= 0; level-- {
-		for _, n := range tree.ByLevel[level] {
-			sum := histogram.Sparse{}
-			for _, c := range n.Children {
-				sum = sum.Add(out[c.Path])
-			}
-			out[n.Path] = sum
-		}
-	}
-	return out, nil
-}
-
-// matchLevelsRuns is matchLevels over run states: seed the root's
-// updated estimate with its own, then walk the levels top-down. The
-// per-level fan-out and its determinism argument are unchanged.
-func matchLevelsRuns(tree *hierarchy.Tree, states map[string]*runState, opts Options) error {
-	rootState := states[tree.Root.Path]
-	rootState.upd = make([]updRun, 0, len(rootState.hg))
-	for _, r := range rootState.hg {
-		rootState.upd = append(rootState.upd, updRun{val: r.Size, vr: r.Var, count: r.Count})
-	}
-
-	for level := 0; level < tree.Depth()-1; level++ {
-		parents := tree.ByLevel[level]
-		err := forEachNode(parents, opts.workerCount(len(parents)), func(parent *hierarchy.Node) error {
-			return matchParentRuns(states, parent, opts.Merge)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	out, _, _, err := TopDownSparseFrom(tree, opts, nil, nil)
+	return out, err
 }
 
 // matchParentRuns is matchParent over runs: Algorithm 2 as a run sweep,
@@ -221,9 +164,6 @@ func matchLevelsRuns(tree *hierarchy.Tree, states map[string]*runState, opts Opt
 // covers every group in the overlap — the per-parent cost is
 // O(segments + runs), not O(groups).
 func matchParentRuns(states map[string]*runState, parent *hierarchy.Node, strategy MergeStrategy) error {
-	if len(parent.Children) == 0 {
-		return nil
-	}
 	ps := states[parent.Path]
 	childHg := make([][]histogram.Run, len(parent.Children))
 	for i, c := range parent.Children {
@@ -281,24 +221,31 @@ func matchParentRuns(states map[string]*runState, parent *hierarchy.Node, strate
 }
 
 // BottomUpSparse is BottomUp in run-length form: the same leaf
-// estimates (identical noise draws via EstimateRuns), aggregated upward
-// as sparse sums.
+// estimates (identical noise draws via EstimateRuns), made in the
+// pipeline's one estimation fan-out across opts.Workers goroutines and
+// aggregated upward as sparse sums.
 func BottomUpSparse(tree *hierarchy.Tree, opts Options) (SparseRelease, error) {
-	depth := tree.Depth()
-	if err := opts.validate(depth); err != nil {
+	if err := opts.validate(tree.Depth()); err != nil {
 		return nil, err
 	}
-	m := opts.methodFor(depth - 1)
-	out := make(SparseRelease)
-	for _, leaf := range tree.Leaves() {
-		gen := noise.New(nodeSeed(opts.Seed, leaf.Path))
-		runs, err := estimator.EstimateRuns(m, leaf.Hist, estimator.Params{Epsilon: opts.Epsilon, K: opts.K}, gen)
-		if err != nil {
-			return nil, fmt.Errorf("consistency: leaf %q: %w", leaf.Path, err)
-		}
-		out[leaf.Path] = estimator.RunsSparse(runs)
+	leaves := tree.Leaves()
+	runs, err := estimateRuns(leaves, opts, opts.Epsilon)
+	if err != nil {
+		return nil, err
 	}
-	for level := depth - 2; level >= 0; level-- {
+	out := make(SparseRelease)
+	for i, leaf := range leaves {
+		out[leaf.Path] = estimator.RunsSparse(runs[i])
+	}
+	sumUp(tree, out)
+	return out, nil
+}
+
+// sumUp is back-substitution (lines 14-15 of Algorithm 1): given every
+// leaf's release in out, it sets each internal node, deepest level
+// first, to the sum of its children.
+func sumUp(tree *hierarchy.Tree, out SparseRelease) {
+	for level := tree.Depth() - 2; level >= 0; level-- {
 		for _, n := range tree.ByLevel[level] {
 			sum := histogram.Sparse{}
 			for _, c := range n.Children {
@@ -307,5 +254,4 @@ func BottomUpSparse(tree *hierarchy.Tree, opts Options) (SparseRelease, error) {
 			out[n.Path] = sum
 		}
 	}
-	return out, nil
 }

@@ -33,14 +33,11 @@ type Options struct {
 	// Workers is the default release parallelism applied when a request
 	// leaves hcoc.Options.Workers at 0; 0 means GOMAXPROCS.
 	Workers int
-	// MaxConcurrent is the deprecated name for ComputeSlots, honored
-	// when ComputeSlots is 0 so existing callers keep working.
-	MaxConcurrent int
 	// ComputeSlots bounds the number of release computations running at
 	// once; further distinct requests queue under the weighted-fair
 	// scheduler, keyed by hierarchy fingerprint (identical requests
-	// coalesce regardless and consume no queue slot). 0 falls back to
-	// MaxConcurrent, then GOMAXPROCS, minimum 2.
+	// coalesce regardless and consume no queue slot). 0 means
+	// GOMAXPROCS, minimum 2.
 	ComputeSlots int
 	// ComputeQueueDepth bounds each tenant's compute queue; a tenant at
 	// its bound is refused with an *OverloadError rather than growing
@@ -249,15 +246,11 @@ func New(opts Options) *Engine {
 	if size <= 0 {
 		size = DefaultCacheSize
 	}
-	slots := opts.ComputeSlots
-	if slots <= 0 {
-		slots = opts.MaxConcurrent // sched.New applies the final default
-	}
 	e := &Engine{
 		id:      newInstanceID(),
 		workers: opts.Workers,
 		qos: sched.New(sched.Options{
-			Slots:      slots,
+			Slots:      opts.ComputeSlots,
 			QueueDepth: opts.ComputeQueueDepth,
 			Weights:    opts.TenantWeights,
 		}),
@@ -265,7 +258,7 @@ func New(opts Options) *Engine {
 		epsLimit:   opts.MaxEpsilonPerHierarchy,
 		cache:      newLRU(size, opts.CacheBytes),
 		inflight:   make(map[string]*call),
-		states:     newStateCache(0),
+		states:     newStateCache(),
 		epsSpent:   make(map[string]float64),
 		accts:      make(map[string]*privacy.Accountant),
 		tenantReqs: make(map[string]*tenantCounters),
@@ -688,20 +681,6 @@ func (e *Engine) refund(fp string, eps float64) {
 	}
 }
 
-// BudgetRemaining reports the epsilon still spendable for a hierarchy
-// fingerprint, and whether a bound is enforced at all.
-func (e *Engine) BudgetRemaining(fp string) (float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.epsLimit <= 0 {
-		return 0, false
-	}
-	if a := e.accts[fp]; a != nil {
-		return a.Remaining(), true
-	}
-	return e.epsLimit, true
-}
-
 // BudgetStatus reports a hierarchy fingerprint's cumulative privacy
 // spend, the configured per-hierarchy bound, and — when that bound is
 // enforced — what is still spendable under it. Without enforcement
@@ -822,17 +801,6 @@ func (e *Engine) Sparse(key string) (hcoc.SparseHistograms, float64, error) {
 		return nil, 0, err
 	}
 	return v.release, v.epsilon, nil
-}
-
-// Histograms is Sparse densified — for callers that need the dense
-// artifact shape. The cache itself stays sparse; the expansion is
-// per-call.
-func (e *Engine) Histograms(key string) (hcoc.Histograms, float64, error) {
-	rel, epsilon, err := e.Sparse(key)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rel.Dense(), epsilon, nil
 }
 
 // QueryParams selects the optional statistics of a node query; the

@@ -271,7 +271,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Touch release 1 so release 2 is the LRU victim when 3 arrives.
-	if _, _, err := e.Histograms(r1.Key); err != nil {
+	if _, _, err := e.Sparse(r1.Key); err != nil {
 		t.Fatal(err)
 	}
 	r2key := releaseKey(FingerprintTree(tree), TopDown, testOpts(2))
@@ -283,10 +283,10 @@ func TestCacheEviction(t *testing.T) {
 	if m.Evictions != 1 || m.CacheEntries != 2 {
 		t.Fatalf("metrics = %+v, want 1 eviction and 2 entries", m)
 	}
-	if _, _, err := e.Histograms(r1.Key); err != nil {
+	if _, _, err := e.Sparse(r1.Key); err != nil {
 		t.Fatalf("recently-used release evicted: %v", err)
 	}
-	if _, _, err := e.Histograms(r2key); err != ErrNotCached {
+	if _, _, err := e.Sparse(r2key); err != ErrNotCached {
 		t.Fatalf("got %v, want ErrNotCached for the LRU victim", err)
 	}
 	// Re-releasing the victim is a miss, not a hit.
@@ -383,10 +383,10 @@ func TestFingerprintTree(t *testing.T) {
 }
 
 // TestComputeSlotBound verifies distinct release requests queue for a
-// compute slot when MaxConcurrent is saturated, and abandon the queue
+// compute slot when ComputeSlots is saturated, and abandon the queue
 // on context cancellation.
 func TestComputeSlotBound(t *testing.T) {
-	e := New(Options{MaxConcurrent: 1})
+	e := New(Options{ComputeSlots: 1})
 	tree := testTree(t)
 	// Saturate the only slot through the scheduler, as a foreign tenant.
 	hold, err := e.Scheduler().Acquire(context.Background(), "slot-hog")
@@ -502,7 +502,7 @@ func TestCacheByteBudget(t *testing.T) {
 // clients with live contexts got "release failed: context canceled".
 // The computation must survive as long as any waiter is live.
 func TestCancelingFirstClientDoesNotFailSecond(t *testing.T) {
-	e := New(Options{MaxConcurrent: 1})
+	e := New(Options{ComputeSlots: 1})
 	tree := testTree(t)
 	fp := FingerprintTree(tree)
 	// Saturate the only slot so the request queues.
@@ -730,7 +730,7 @@ func TestBudgetEnforcement(t *testing.T) {
 	if _, err := e.Release(ctx, tree, fp, TopDown, small); err != nil {
 		t.Fatalf("within-budget release refused: %v", err)
 	}
-	if rem, ok := e.BudgetRemaining(fp); !ok || rem > 1e-6 {
+	if _, rem, _, ok := e.BudgetStatus(fp); !ok || rem > 1e-6 {
 		t.Fatalf("remaining = %g enforced=%v, want ~0 and true", rem, ok)
 	}
 	st.Close()
@@ -755,7 +755,7 @@ func TestBudgetEnforcement(t *testing.T) {
 
 	// A lowered bound pins an overdrawn hierarchy to zero remaining.
 	e3 := New(Options{Store: st2, MaxEpsilonPerHierarchy: 1})
-	if rem, ok := e3.BudgetRemaining(fp); !ok || rem > 1e-6 {
+	if _, rem, _, ok := e3.BudgetStatus(fp); !ok || rem > 1e-6 {
 		t.Fatalf("lowered-bound remaining = %g enforced=%v, want ~0 and true", rem, ok)
 	}
 }
@@ -903,7 +903,7 @@ func TestEpsilonSpentLocalExcludesReplay(t *testing.T) {
 // must coalesce onto one queued runner — not reject — and the tenant's
 // share must advance by exactly one grant.
 func TestDedupBypassesAdmission(t *testing.T) {
-	e := New(Options{MaxConcurrent: 1, ComputeQueueDepth: 1})
+	e := New(Options{ComputeSlots: 1, ComputeQueueDepth: 1})
 	tree := testTree(t)
 	fp := FingerprintTree(tree)
 
@@ -995,7 +995,7 @@ func TestDedupBypassesAdmission(t *testing.T) {
 // usable Retry-After, and the engine's per-tenant ledger records the
 // refusal.
 func TestReleaseOverload(t *testing.T) {
-	e := New(Options{MaxConcurrent: 1, ComputeQueueDepth: 1})
+	e := New(Options{ComputeSlots: 1, ComputeQueueDepth: 1})
 	tree := testTree(t)
 	fp := FingerprintTree(tree)
 

@@ -29,25 +29,21 @@ func (e *Engine) ReleaseFrom(ctx context.Context, tree *hcoc.Tree, treeFP string
 	return e.release(ctx, tree, treeFP, alg, opts, prev)
 }
 
-// defaultStateCap bounds the retained release states. States are a few
+// stateCap bounds the retained release states. States are a few
 // times the size of the release artifact (they keep rank order and
 // variances the artifact discards), so the bound is deliberately
 // smaller than the release LRU's.
-const defaultStateCap = 32
+const stateCap = 32
 
 // stateCache is a small LRU of per-release recompute state, keyed by
 // release key. Guarded by Engine.mu.
 type stateCache struct {
-	cap   int
 	m     map[string]*hcoc.ReleaseState
 	order []string // least recently used first
 }
 
-func newStateCache(cap int) *stateCache {
-	if cap <= 0 {
-		cap = defaultStateCap
-	}
-	return &stateCache{cap: cap, m: make(map[string]*hcoc.ReleaseState)}
+func newStateCache() *stateCache {
+	return &stateCache{m: make(map[string]*hcoc.ReleaseState)}
 }
 
 func (s *stateCache) touch(key string) {
@@ -74,7 +70,7 @@ func (s *stateCache) add(key string, st *hcoc.ReleaseState) {
 	}
 	s.m[key] = st
 	s.touch(key)
-	for len(s.m) > s.cap {
+	for len(s.m) > stateCap {
 		oldest := s.order[0]
 		s.order = s.order[1:]
 		delete(s.m, oldest)

@@ -487,7 +487,8 @@ func TestLegacyMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := engine.FingerprintTree(tree)
-	if err := st.PutHierarchy(fp, "root", groups); err != nil {
+	legacy := `{"root":"root","groups":[{"path":["a","x"],"size":3},{"path":["b","y"],"size":5}]}` + "\n"
+	if err := st.Blob().Put("hierarchies/"+fp+".json", []byte(legacy)); err != nil {
 		t.Fatal(err)
 	}
 	mgr, err := eventlog.OpenManager(st)

@@ -100,9 +100,8 @@ func (q Query) validate() error {
 	return nil
 }
 
-// Source fetches one release by key. The engine is the usual Source
-// (LRU, then durable store); the gateway substitutes artifacts it
-// scatter-downloaded from ring owners.
+// Source fetches one release by key. The engine (LRU, then durable
+// store) is the only production Source; tests substitute fakes.
 type Source interface {
 	// Fetch returns the run-length release for key, or an error (such
 	// as engine.ErrNotCached) that becomes the per-query error of every

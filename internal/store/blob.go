@@ -32,7 +32,7 @@ type BlobInfo struct {
 // BlobStore is the pluggable persistence substrate under Store: a flat
 // namespace of immutable, content-addressed objects plus one
 // append-only manifest log. Keys are slash-separated paths
-// ("releases/...", "hierarchies/..."); the manifest log is addressed
+// ("releases/...", "events/..."); the manifest log is addressed
 // through its own two methods because its semantics (ordered append,
 // torn-tail tolerance) do not fit the object operations.
 //
@@ -140,7 +140,7 @@ func (d *Disk) Name() string { return "disk" }
 func (d *Disk) Shared() bool { return false }
 
 // objectPath maps a blob key to its file path. Keys are validated
-// against path traversal: they are internal (releases/, hierarchies/),
+// against path traversal: they are internal (releases/, events/),
 // but a cheap check keeps a future caller honest.
 func (d *Disk) objectPath(key string) (string, error) {
 	clean := path.Clean("/" + key)[1:]

@@ -30,9 +30,13 @@
 //	(manifest/<seq>.jsonl     privacy-ledger entries plus one "release"
 //	 chunks on S3)            entry per stored artifact (key, hierarchy
 //	                          fingerprint, algorithm, epsilon, cost,
-//	                          duration)
+//	                          duration) and one "event" entry per event
+//	                          chunk
 //	releases/<key>.json       v2-sparse release artifacts
-//	hierarchies/<fp>.json     uploaded group records, for warm starts
+//	events/<id>/<seq>.json    event-log chunks: a hierarchy's snapshot
+//	                          upload and every delta
+//	hierarchies/<fp>.json     uploaded group records from before the
+//	                          event log, read only to migrate them
 //
 // All writes are crash-safe: an object lands completely or not at all,
 // manifest appends are durable before they are indexed, and a torn

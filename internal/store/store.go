@@ -68,14 +68,16 @@ type Meta struct {
 	Seq int64 `json:"seq,omitempty"`
 }
 
-// storedGroup is the on-disk shape of one group in a hierarchy file,
-// matching the HTTP upload schema.
+// storedGroup is the on-disk shape of one group in a legacy hierarchy
+// file, matching the HTTP upload schema.
 type storedGroup struct {
 	Path []string `json:"path"`
 	Size int64    `json:"size"`
 }
 
-// hierarchyFile is the on-disk shape of a persisted hierarchy upload.
+// hierarchyFile is the on-disk shape of a hierarchy upload as stores
+// from before the event log persisted it, under
+// hierarchies/<fingerprint>.json.
 type hierarchyFile struct {
 	Root   string        `json:"root"`
 	Groups []storedGroup `json:"groups"`
@@ -91,9 +93,6 @@ type HierarchyRecord struct {
 
 // releaseKey maps a release key to its blob key.
 func releaseKey(key string) string { return "releases/" + key + ".json" }
-
-// hierarchyKey maps a hierarchy fingerprint to its blob key.
-func hierarchyKey(fp string) string { return "hierarchies/" + fp + ".json" }
 
 // Store is a durable release store over a pluggable BlobStore backend.
 // It keeps an in-memory index replayed from the backend's manifest log;
@@ -440,35 +439,10 @@ func (s *Store) EventLogs() map[string]int64 {
 // the store's manifest for discovery.
 func (s *Store) Blob() BlobStore { return s.b }
 
-// PutHierarchy persists an uploaded hierarchy's group records so a warm
-// start can rebuild the tree. The write is atomic and idempotent:
-// hierarchies are content-addressed by fingerprint, so an existing
-// object is already the same content and is left untouched.
-func (s *Store) PutHierarchy(fp, root string, groups []hcoc.Group) error {
-	if fp == "" {
-		return fmt.Errorf("store: empty hierarchy fingerprint")
-	}
-	key := hierarchyKey(fp)
-	if _, err := s.b.Stat(key); err == nil {
-		return nil
-	}
-	recs := make([]storedGroup, len(groups))
-	for i, g := range groups {
-		recs[i] = storedGroup{Path: g.Path, Size: g.Size}
-	}
-	data, err := json.Marshal(hierarchyFile{Root: root, Groups: recs})
-	if err != nil {
-		return fmt.Errorf("store: encoding hierarchy %s: %w", fp, err)
-	}
-	if err := s.b.Put(key, append(data, '\n')); err != nil {
-		return fmt.Errorf("store: writing hierarchy %s: %w", fp, err)
-	}
-	return nil
-}
-
-// Hierarchies loads every persisted hierarchy. Fingerprints come from
-// the object names; callers that rebuild trees should re-derive and
-// verify them.
+// Hierarchies loads every hierarchy persisted by a store from before
+// the event log; nothing writes them any more, and the event-log
+// manager migrates them at start-up. Fingerprints come from the object
+// names; callers that rebuild trees should re-derive and verify them.
 func (s *Store) Hierarchies() ([]HierarchyRecord, error) {
 	infos, err := s.b.List("hierarchies/")
 	if err != nil {

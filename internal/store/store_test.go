@@ -325,21 +325,17 @@ func TestCorruptManifestMidFile(t *testing.T) {
 	}
 }
 
+// TestHierarchyRoundtrip pins the read side of the legacy layout: a
+// hierarchies/<fp>.json object loads back as its root and groups.
 func TestHierarchyRoundtrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	groups := []hcoc.Group{
-		{Path: []string{"CA", "Alameda"}, Size: 3},
-		{Path: []string{"WA", "King"}, Size: 2},
-	}
-	if err := s.PutHierarchy("fp-abc", "US", groups); err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent re-put.
-	if err := s.PutHierarchy("fp-abc", "US", groups); err != nil {
+	// A hierarchy object as stores from before the event log wrote it.
+	legacy := `{"root":"US","groups":[{"path":["CA","Alameda"],"size":3},{"path":["WA","King"],"size":2}]}` + "\n"
+	if err := s.Blob().Put("hierarchies/fp-abc.json", []byte(legacy)); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := s.Hierarchies()
