@@ -1,69 +1,31 @@
 package engine
 
 import (
-	"fmt"
-
 	"hcoc"
-	"hcoc/internal/query"
 	"hcoc/internal/query/plan"
 )
 
-// NodeQuery names one node of a release together with the statistics to
-// evaluate for it — one entry of a batch query.
-type NodeQuery struct {
-	// Node is the hierarchy node path (Node.Path) to evaluate.
-	Node string
-	// Params selects the optional statistics, as for Query.
-	Params QueryParams
-}
-
-// BatchItem is the outcome of one NodeQuery in a BatchQuery: either a
-// report or a per-query error (unknown node, malformed parameter, empty
-// histogram). A batch fails as a whole only when the release itself is
-// unavailable.
-type BatchItem struct {
-	// Report is the node report when Err is nil.
-	Report NodeReport
-	// Err is this query's failure; other items are unaffected.
-	Err error
-}
-
-// BatchQuery evaluates every NodeQuery against one completed release in
-// a single engine pass: one cache/store read and one lock acquisition
-// for the whole batch, instead of one per query. It returns ErrNotCached
-// when the key is in neither tier; individual query failures are
-// reported per item and never fail the batch.
-func (e *Engine) BatchQuery(key string, qs []NodeQuery) ([]BatchItem, error) {
-	v, err := e.lookup(key)
+// Query answers one node query through the planner, over the same
+// cache tiers as EvalBatch; it counts one query and no batch. Failures,
+// an unknown release key (wrapping ErrNotCached) included, are reported
+// on the Result.
+func (e *Engine) Query(q plan.Query) plan.Result {
+	res := e.execute([]plan.Query{q})[0]
 	e.mu.Lock()
-	e.queries += uint64(len(qs))
-	e.batches++
+	e.queries++
 	e.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BatchItem, len(qs))
-	for i, q := range qs {
-		out[i].Report, out[i].Err = evalNode(v.release, q.Node, q.Params)
-	}
-	return out, nil
+	return res
 }
 
-// EvalBatch evaluates a planned cross-release batch against the
-// engine's two cache tiers: the scan-sharing planner groups the queries
-// by release key, each distinct key is looked up exactly once (LRU,
-// then durable store), and every query is answered with lazy run scans
-// over the shared artifacts. Per-query failures — including an
-// individual key missing from both tiers — are reported on the
-// corresponding plan.Result and never fail the batch.
+// EvalBatch evaluates a planned batch against the engine's two cache
+// tiers: the scan-sharing planner groups the queries by release key,
+// each distinct key is looked up exactly once (LRU, then durable
+// store), and every query is answered with lazy run scans over the
+// shared artifacts. Per-query failures — including an individual key
+// missing from both tiers, which wraps ErrNotCached — are reported on
+// the corresponding plan.Result and never fail the batch.
 func (e *Engine) EvalBatch(qs []plan.Query) []plan.Result {
-	out := plan.New(qs).Execute(plan.SourceFunc(func(key string) (hcoc.SparseHistograms, error) {
-		v, err := e.lookup(key)
-		if err != nil {
-			return nil, err
-		}
-		return v.release, nil
-	}))
+	out := e.execute(qs)
 	e.mu.Lock()
 	e.queries += uint64(len(qs))
 	e.batches++
@@ -71,42 +33,13 @@ func (e *Engine) EvalBatch(qs []plan.Query) []plan.Result {
 	return out
 }
 
-// evalNode answers one node's query against an already-fetched release:
-// the shared evaluation core of Query and BatchQuery. The statistics are
-// computed by query.ReportSparse in a single scan over the node's runs.
-func evalNode(rel hcoc.SparseHistograms, node string, p QueryParams) (NodeReport, error) {
-	s, ok := rel[node]
-	if !ok {
-		return NodeReport{}, fmt.Errorf("engine: release has no node %q", node)
-	}
-	r, err := query.ReportSparse(s, query.Params{
-		Quantiles:  p.Quantiles,
-		KthLargest: p.KthLargest,
-		TopCode:    p.TopCode,
-	})
-	if err != nil {
-		return NodeReport{}, err
-	}
-	rep := NodeReport{
-		Node:     node,
-		Groups:   r.Groups,
-		People:   r.People,
-		Mean:     r.Mean,
-		Median:   r.Median,
-		Gini:     r.Gini,
-		TopCoded: r.TopCoded,
-	}
-	if len(r.Quantiles) > 0 {
-		rep.Quantiles = make([]QuantileValue, len(r.Quantiles))
-		for i, size := range r.Quantiles {
-			rep.Quantiles[i] = QuantileValue{Q: p.Quantiles[i], Size: size}
+// execute plans qs and runs the plan over the LRU → store lookup.
+func (e *Engine) execute(qs []plan.Query) []plan.Result {
+	return plan.New(qs).Execute(plan.SourceFunc(func(key string) (hcoc.SparseHistograms, error) {
+		v, err := e.lookup(key)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if len(r.KthLargest) > 0 {
-		rep.KthLargest = make([]OrderStat, len(r.KthLargest))
-		for i, size := range r.KthLargest {
-			rep.KthLargest[i] = OrderStat{K: p.KthLargest[i], Size: size}
-		}
-	}
-	return rep, nil
+		return v.release, nil
+	}))
 }

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"hcoc/internal/query"
 	"hcoc/internal/query/plan"
 )
 
@@ -20,17 +22,14 @@ func TestBatchQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	qs := []NodeQuery{
-		{Node: "US", Params: QueryParams{Quantiles: []float64{0.5, 0.9}, TopCode: 4}},
-		{Node: "US/CA", Params: QueryParams{KthLargest: []int64{1, 2}}},
-		{Node: "US/NV"}, // unknown node
-		{Node: "US/WA", Params: QueryParams{Quantiles: []float64{2}}}, // bad quantile
-		{Node: "US/WA"},
+	qs := []plan.Query{
+		statsQuery(r.Key, "US", query.Params{Quantiles: []float64{0.5, 0.9}, TopCode: 4}),
+		statsQuery(r.Key, "US/CA", query.Params{KthLargest: []int64{1, 2}}),
+		statsQuery(r.Key, "US/NV", query.Params{}),                        // unknown node
+		statsQuery(r.Key, "US/WA", query.Params{Quantiles: []float64{2}}), // bad quantile
+		statsQuery(r.Key, "US/WA", query.Params{}),
 	}
-	items, err := e.BatchQuery(r.Key, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	items := e.EvalBatch(qs)
 	if len(items) != len(qs) {
 		t.Fatalf("got %d items for %d queries", len(items), len(qs))
 	}
@@ -41,17 +40,17 @@ func TestBatchQuery(t *testing.T) {
 		t.Fatal("bad quantile did not error")
 	}
 	for i, q := range qs {
-		want, wantErr := e.Query(r.Key, q.Node, q.Params)
-		if (items[i].Err == nil) != (wantErr == nil) {
-			t.Fatalf("item %d: err %v, Query err %v", i, items[i].Err, wantErr)
+		want := e.Query(q)
+		if (items[i].Err == nil) != (want.Err == nil) {
+			t.Fatalf("item %d: err %v, Query err %v", i, items[i].Err, want.Err)
 		}
-		if wantErr != nil {
-			if items[i].Err.Error() != wantErr.Error() {
-				t.Fatalf("item %d: err %q, Query err %q", i, items[i].Err, wantErr)
+		if want.Err != nil {
+			if items[i].Err.Error() != want.Err.Error() {
+				t.Fatalf("item %d: err %q, Query err %q", i, items[i].Err, want.Err)
 			}
 			continue
 		}
-		got, wantRep := items[i].Report, want
+		got, wantRep := items[i].Report, want.Report
 		if got.Groups != wantRep.Groups || got.People != wantRep.People ||
 			got.Mean != wantRep.Mean || got.Median != wantRep.Median || got.Gini != wantRep.Gini {
 			t.Fatalf("item %d: report %+v, Query %+v", i, got, wantRep)
@@ -73,8 +72,13 @@ func TestBatchQuery(t *testing.T) {
 		t.Fatalf("batches = %d, want 1", m.Batches)
 	}
 
-	if _, err := e.BatchQuery("no-such-key", qs); err != ErrNotCached {
-		t.Fatalf("missing release: err %v, want ErrNotCached", err)
+	for i := range qs {
+		qs[i].Releases = []string{"no-such-key"}
+	}
+	for i, res := range e.EvalBatch(qs) {
+		if !errors.Is(res.Err, ErrNotCached) {
+			t.Fatalf("missing release item %d: err %v, want ErrNotCached", i, res.Err)
+		}
 	}
 }
 
@@ -109,10 +113,11 @@ func TestEvalBatch(t *testing.T) {
 			t.Fatalf("query %d: %v", i, results[i].Err)
 		}
 	}
-	want, err := e.Query(r1.Key, "US", QueryParams{})
-	if err != nil {
-		t.Fatal(err)
+	single := e.Query(statsQuery(r1.Key, "US", query.Params{}))
+	if single.Err != nil {
+		t.Fatal(single.Err)
 	}
+	want := single.Report
 	if results[0].Report.Groups != want.Groups || results[0].Report.People != want.People {
 		t.Fatalf("stats = %+v, want %+v", results[0].Report, want)
 	}

@@ -803,64 +803,6 @@ func (e *Engine) Sparse(key string) (hcoc.SparseHistograms, float64, error) {
 	return v.release, v.epsilon, nil
 }
 
-// QueryParams selects the optional statistics of a node query; the
-// always-computed ones are group count, people count, mean, median and
-// Gini coefficient.
-type QueryParams struct {
-	// Quantiles lists quantiles in [0, 1] to evaluate.
-	Quantiles []float64
-	// KthLargest lists ranks for size-of-the-kth-largest-group queries.
-	KthLargest []int64
-	// TopCode, when positive, requests the census-style truncated table
-	// with a final "TopCode or more" bucket.
-	TopCode int
-}
-
-// QuantileValue is one evaluated quantile.
-type QuantileValue struct {
-	Q    float64
-	Size int64
-}
-
-// OrderStat is one evaluated k-th largest group size.
-type OrderStat struct {
-	K    int64
-	Size int64
-}
-
-// NodeReport summarizes one node of a cached release. All fields are
-// post-processing of the released histogram and incur no privacy cost.
-type NodeReport struct {
-	Node       string
-	Groups     int64
-	People     int64
-	Mean       float64
-	Median     int64
-	Gini       float64
-	Quantiles  []QuantileValue
-	KthLargest []OrderStat
-	TopCoded   hcoc.Histogram
-}
-
-// Query answers the post-processing queries for one node of a completed
-// release, as run scans against the sparse representation, reading from
-// the LRU or the durable store. It returns ErrNotCached if the key is
-// in neither tier and an error naming the node if the release has no
-// such node. The always-computed statistics are omitted (zero-valued)
-// for a zero-group node, which the Groups field makes unambiguous;
-// explicitly requested statistics on such a node surface
-// hcoc.ErrEmptyHistogram instead of silent zeros.
-func (e *Engine) Query(key, node string, p QueryParams) (NodeReport, error) {
-	v, err := e.lookup(key)
-	e.mu.Lock()
-	e.queries++
-	e.mu.Unlock()
-	if err != nil {
-		return NodeReport{}, err
-	}
-	return evalNode(v.release, node, p)
-}
-
 // Metrics is a point-in-time snapshot of the engine's counters.
 type Metrics struct {
 	// CacheHits counts release requests answered from the LRU.
@@ -889,7 +831,7 @@ type Metrics struct {
 	// Queries counts node-query reads (batch entries count
 	// individually).
 	Queries uint64
-	// Batches counts BatchQuery calls; each is one engine pass however
+	// Batches counts EvalBatch calls; each is one engine pass however
 	// many node queries it carried.
 	Batches uint64
 	// InFlight is the number of release computations running now.

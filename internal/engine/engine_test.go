@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"hcoc"
+	"hcoc/internal/query"
+	"hcoc/internal/query/plan"
 	"hcoc/internal/store"
 )
 
@@ -307,14 +309,15 @@ func TestQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := e.Query(r.Key, "US/CA", QueryParams{
+	res := e.Query(statsQuery(r.Key, "US/CA", query.Params{
 		Quantiles:  []float64{0.25, 0.5, 0.9},
 		KthLargest: []int64{1, 3},
 		TopCode:    3,
-	})
-	if err != nil {
-		t.Fatal(err)
+	}))
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
+	rep := res.Report
 	// The report is computed from the sparse cache; verify it against
 	// the dense query path over the densified release.
 	h := r.Release["US/CA"].Hist()
@@ -339,29 +342,34 @@ func TestQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Quantiles[2].Size != want {
-		t.Fatalf("q0.9 = %d, want %d", rep.Quantiles[2].Size, want)
+	if rep.Quantiles[2] != want {
+		t.Fatalf("q0.9 = %d, want %d", rep.Quantiles[2], want)
 	}
 	largest, err := hcoc.KthLargest(h, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.KthLargest[0].Size != largest {
-		t.Fatalf("1st largest = %d, want %d", rep.KthLargest[0].Size, largest)
+	if rep.KthLargest[0] != largest {
+		t.Fatalf("1st largest = %d, want %d", rep.KthLargest[0], largest)
 	}
 	if len(rep.TopCoded) != 4 { // sizes 0..2 plus the "3 or more" bucket
 		t.Fatalf("top-coded table has %d cells, want 4", len(rep.TopCoded))
 	}
 
-	if _, err := e.Query(r.Key, "US/NV", QueryParams{}); err == nil {
+	if res := e.Query(statsQuery(r.Key, "US/NV", query.Params{})); res.Err == nil {
 		t.Fatal("query for a missing node succeeded")
 	}
-	if _, err := e.Query(r.Key, "US/CA", QueryParams{Quantiles: []float64{1.5}}); err == nil {
+	if res := e.Query(statsQuery(r.Key, "US/CA", query.Params{Quantiles: []float64{1.5}})); res.Err == nil {
 		t.Fatal("query with an out-of-range quantile succeeded")
 	}
-	if _, err := e.Query("no-such-key", "US/CA", QueryParams{}); err != ErrNotCached {
-		t.Fatalf("got %v, want ErrNotCached", err)
+	if res := e.Query(statsQuery("no-such-key", "US/CA", query.Params{})); !errors.Is(res.Err, ErrNotCached) {
+		t.Fatalf("got %v, want ErrNotCached", res.Err)
 	}
+}
+
+// statsQuery is the planner query for one node of one release.
+func statsQuery(key, node string, p query.Params) plan.Query {
+	return plan.Query{Op: plan.OpStats, Releases: []string{key}, Node: node, Params: p}
 }
 
 func TestFingerprintTree(t *testing.T) {
@@ -669,11 +677,11 @@ func TestStoreServesQueriesAfterRestart(t *testing.T) {
 			t.Fatalf("store-served release differs at %q", path)
 		}
 	}
-	rep, err := e2.Query(first.Key, "US/CA", QueryParams{Quantiles: []float64{0.5}})
-	if err != nil {
-		t.Fatalf("Query after restart: %v", err)
+	res := e2.Query(statsQuery(first.Key, "US/CA", query.Params{Quantiles: []float64{0.5}}))
+	if res.Err != nil {
+		t.Fatalf("Query after restart: %v", res.Err)
 	}
-	if rep.Groups == 0 {
+	if res.Report.Groups == 0 {
 		t.Fatal("query served an empty node")
 	}
 	// An unknown key is still ErrNotCached, store or not.

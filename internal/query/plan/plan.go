@@ -208,23 +208,21 @@ func (p *Plan) Execute(src Source) []Result {
 func eval(q Query, rels map[string]hcoc.SparseHistograms, errs map[string]error) Result {
 	// A query whose releases did not all fetch fails with the first
 	// fetch error, in release order.
-	hists := make([]hcoc.SparseHistograms, len(q.Releases))
-	for i, key := range q.Releases {
+	for _, key := range q.Releases {
 		if err := errs[key]; err != nil {
 			return Result{Err: err}
 		}
-		hists[i] = rels[key]
 	}
 	switch q.Op {
 	case OpStats:
-		rep, err := report(hists[0], q.Releases[0], q.Node, q.Params)
+		rep, err := report(rels, q.Releases[0], q.Node, q.Params)
 		if err != nil {
 			return Result{Err: err}
 		}
 		return Result{Report: rep}
 	case OpEMD, OpDelta:
-		a, okA := hists[0][q.Node]
-		b, okB := hists[1][q.Node]
+		a, okA := rels[q.Releases[0]][q.Node]
+		b, okB := rels[q.Releases[1]][q.Node]
 		if !okA {
 			return Result{Err: nodeErr(q.Releases[0], q.Node)}
 		}
@@ -242,7 +240,7 @@ func eval(q Query, rels map[string]hcoc.SparseHistograms, errs map[string]error)
 	case OpSeries:
 		series := make([]Point, len(q.Releases))
 		for i, key := range q.Releases {
-			rep, err := report(hists[i], key, q.Node, q.Params)
+			rep, err := report(rels, key, q.Node, q.Params)
 			if err != nil {
 				return Result{Err: err}
 			}
@@ -250,11 +248,11 @@ func eval(q Query, rels map[string]hcoc.SparseHistograms, errs map[string]error)
 		}
 		return Result{Series: series}
 	case OpCompare:
-		left, err := report(hists[0], q.Releases[0], q.Node, q.Params)
+		left, err := report(rels, q.Releases[0], q.Node, q.Params)
 		if err != nil {
 			return Result{Err: err}
 		}
-		right, err := report(hists[1], q.Releases[1], q.Node, q.Params)
+		right, err := report(rels, q.Releases[1], q.Node, q.Params)
 		if err != nil {
 			return Result{Err: err}
 		}
@@ -263,10 +261,11 @@ func eval(q Query, rels map[string]hcoc.SparseHistograms, errs map[string]error)
 	return Result{Err: fmt.Errorf("plan: unknown op %q", string(q.Op))} // unreachable after validate
 }
 
-// report evaluates the single-scan node report on one release, naming
-// the release in node-missing errors (the mismatched-hierarchies case).
-func report(rel hcoc.SparseHistograms, key, node string, p query.Params) (*query.Report, error) {
-	s, ok := rel[node]
+// report evaluates the single-scan node report on the release fetched
+// for key, naming the release in node-missing errors (the
+// mismatched-hierarchies case).
+func report(rels map[string]hcoc.SparseHistograms, key, node string, p query.Params) (*query.Report, error) {
+	s, ok := rels[key][node]
 	if !ok {
 		return nil, nodeErr(key, node)
 	}

@@ -10,8 +10,8 @@ import (
 
 // Params selects the statistics a node report evaluates beyond the
 // always-computed ones (group count, people count, mean, median, Gini).
-// It is the query-layer twin of the serving engine's per-node query
-// parameters, shared by single-node and batch evaluation.
+// It is the one parameter set of every node query the serving engine
+// answers: plan.Query carries it, for GET and batch queries alike.
 type Params struct {
 	// Quantiles lists quantiles in [0, 1] to evaluate.
 	Quantiles []float64

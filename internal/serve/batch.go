@@ -2,8 +2,10 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 
+	"hcoc"
 	"hcoc/internal/engine"
 	"hcoc/internal/query"
 	"hcoc/internal/query/plan"
@@ -13,6 +15,16 @@ import (
 // size still costs only one engine pass, the bound just keeps a single
 // call from monopolizing the serving goroutine.
 const maxBatchQueries = 4096
+
+// maxTopCodedCells bounds the top-coded table cells one request may ask
+// for, summed over its queries and over every release a stats, series
+// or compare entry reports on. Each report allocates and encodes
+// topcode+1 cells, so without it a request of a few hundred bytes
+// could make the server allocate gigabytes.
+const maxTopCodedCells = hcoc.DefaultK
+
+// errTopCoded refuses a request over maxTopCodedCells.
+var errTopCoded = fmt.Errorf("request asks for more than %d top-coded cells (topcode+1 per report)", maxTopCodedCells)
 
 // batchQueryEntry is one query of a batch: a node plus the same
 // optional statistics the single-query endpoint accepts as URL
@@ -66,10 +78,11 @@ type batchQueryResponse struct {
 	Results []batchQueryItem `json:"results"`
 }
 
-// isLegacy reports whether every entry is a plain node query — the
-// pre-cross-release body shape, which keeps its exact semantics
-// (including whole-batch 400/404 on a missing or unknown release).
-func (req batchQueryRequest) isLegacy() bool {
+// isPlain reports whether every entry is a plain node query (no op,
+// no releases): the shape that keeps its whole-batch answers, a 400
+// when the batch names no release and a 404 when that release is
+// unknown.
+func (req batchQueryRequest) isPlain() bool {
 	for _, q := range req.Queries {
 		if q.Op != "" || len(q.Releases) > 0 {
 			return false
@@ -78,13 +91,11 @@ func (req batchQueryRequest) isLegacy() bool {
 	return true
 }
 
-// handleBatchQuery evaluates N queries in a single engine pass. Plain
-// single-release batches follow the original path: one cache/store read,
-// per-item errors, whole-batch 404 only when the release itself is
-// unavailable. Batches with cross-release entries go through the
-// scan-sharing planner: each distinct release key is fetched exactly
-// once, and every failure — including an unknown release key — is
-// per-query.
+// handleBatchQuery evaluates N queries in a single engine pass through
+// the scan-sharing planner: each distinct release key is fetched
+// exactly once, and every failure is reported on the query it belongs
+// to — except that a plain batch answers as a whole when it names no
+// release (400) or names one neither cache tier holds (404).
 func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	var req batchQueryRequest
 	if !DecodeJSON(w, r, &req) {
@@ -98,74 +109,65 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "batch of %d queries exceeds the %d-query limit", len(req.Queries), maxBatchQueries)
 		return
 	}
-	if req.isLegacy() {
-		s.legacyBatchQuery(w, req)
+	plain := req.isPlain()
+	if plain && releaseID(req.Release) == "" {
+		WriteError(w, http.StatusBadRequest, "missing release")
 		return
 	}
-	results := s.eng.EvalBatch(planQueries(req))
+	qs, err := lower(req.Release, req.Queries)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	results := s.eng.EvalBatch(qs)
 	resp := batchQueryResponse{Release: req.Release, Results: make([]batchQueryItem, len(results))}
 	for i, res := range results {
+		if plain && errors.Is(res.Err, engine.ErrNotCached) {
+			WriteError(w, http.StatusNotFound, "release not cached; POST /v1/release to (re)compute it")
+			return
+		}
 		resp.Results[i] = toBatchItem(req.Queries[i], res)
 	}
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// legacyBatchQuery answers a plain single-release batch with the
-// original single-lookup path and error semantics.
-func (s *Server) legacyBatchQuery(w http.ResponseWriter, req batchQueryRequest) {
-	key := releaseID(req.Release)
-	if key == "" {
-		WriteError(w, http.StatusBadRequest, "missing release")
-		return
+// lower turns wire entries into the planner IR; every node query, GET
+// and batch alike, goes through it. Ops parse with "" meaning stats
+// (unknown names stay put and fail per query), release ids lose their
+// wire "r-" prefix, and entries naming no releases read the request's
+// default release when it has one. Before any release is read, it
+// refuses a request whose top-coded tables would exceed
+// maxTopCodedCells.
+func lower(release string, entries []batchQueryEntry) ([]plan.Query, error) {
+	// Every entry naming no releases shares one key slice; the planner
+	// only reads it.
+	var def []string
+	if key := releaseID(release); key != "" {
+		def = []string{key}
 	}
-	qs := make([]engine.NodeQuery, len(req.Queries))
-	for i, q := range req.Queries {
-		qs[i] = engine.NodeQuery{Node: q.Node, Params: engine.QueryParams{
-			Quantiles:  q.Quantiles,
-			KthLargest: q.KthLargest,
-			TopCode:    q.TopCode,
-		}}
-	}
-	items, err := s.eng.BatchQuery(key, qs)
-	if errors.Is(err, engine.ErrNotCached) {
-		WriteError(w, http.StatusNotFound, "release not cached; POST /v1/release to (re)compute it")
-		return
-	}
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "batch query failed: %v", err)
-		return
-	}
-	resp := batchQueryResponse{Release: req.Release, Results: make([]batchQueryItem, len(items))}
-	for i, item := range items {
-		if item.Err != nil {
-			resp.Results[i] = batchQueryItem{
-				queryResponse: queryResponse{Node: req.Queries[i].Node},
-				Error:         item.Err.Error(),
-			}
-			continue
-		}
-		resp.Results[i] = batchQueryItem{queryResponse: toQueryResponse(item.Report)}
-	}
-	WriteJSON(w, http.StatusOK, resp)
-}
-
-// planQueries lowers the wire entries into the planner IR: ops parse
-// with "" meaning stats (unknown names stay put and fail per query),
-// release ids lose their wire "r-" prefix, and entries naming no
-// releases inherit the request's default release when it has one.
-func planQueries(req batchQueryRequest) []plan.Query {
-	qs := make([]plan.Query, len(req.Queries))
-	for i, q := range req.Queries {
+	qs := make([]plan.Query, len(entries))
+	cells := 0
+	for i, q := range entries {
 		op, err := plan.ParseOp(q.Op)
 		if err != nil {
 			op = plan.Op(q.Op)
 		}
-		keys := make([]string, 0, len(q.Releases))
-		for _, rel := range q.Releases {
-			keys = append(keys, releaseID(rel))
+		keys := def
+		if len(q.Releases) > 0 {
+			keys = make([]string, len(q.Releases))
+			for j, rel := range q.Releases {
+				keys[j] = releaseID(rel)
+			}
 		}
-		if len(keys) == 0 && releaseID(req.Release) != "" {
-			keys = []string{releaseID(req.Release)}
+		if q.TopCode > 0 && (op == plan.OpStats || op == plan.OpSeries || op == plan.OpCompare) && len(keys) > 0 {
+			// Each report holds topcode+1 cells. Checking the topcode
+			// alone first keeps the product from overflowing.
+			if q.TopCode >= maxTopCodedCells {
+				return nil, errTopCoded
+			}
+			if cells += (q.TopCode + 1) * len(keys); cells > maxTopCodedCells {
+				return nil, errTopCoded
+			}
 		}
 		qs[i] = plan.Query{Op: op, Releases: keys, Node: q.Node, Params: query.Params{
 			Quantiles:  q.Quantiles,
@@ -173,7 +175,7 @@ func planQueries(req batchQueryRequest) []plan.Query {
 			TopCode:    q.TopCode,
 		}}
 	}
-	return qs
+	return qs, nil
 }
 
 // toBatchItem renders one planner result in the wire shape, echoing the
@@ -231,27 +233,6 @@ func reportToQueryResponse(q batchQueryEntry, rep query.Report) queryResponse {
 	}
 	for i, size := range rep.KthLargest {
 		resp.KthLargest = append(resp.KthLargest, orderStatValue{K: q.KthLargest[i], Size: size})
-	}
-	return resp
-}
-
-// toQueryResponse converts an engine node report to the wire shape
-// shared by the single-query and batch endpoints.
-func toQueryResponse(rep engine.NodeReport) queryResponse {
-	resp := queryResponse{
-		Node:     rep.Node,
-		Groups:   rep.Groups,
-		People:   rep.People,
-		Mean:     rep.Mean,
-		Median:   rep.Median,
-		Gini:     rep.Gini,
-		TopCoded: rep.TopCoded,
-	}
-	for _, v := range rep.Quantiles {
-		resp.Quantiles = append(resp.Quantiles, quantileValue{Q: v.Q, Size: v.Size})
-	}
-	for _, v := range rep.KthLargest {
-		resp.KthLargest = append(resp.KthLargest, orderStatValue{K: v.K, Size: v.Size})
 	}
 	return resp
 }

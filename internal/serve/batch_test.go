@@ -34,16 +34,7 @@ func TestServeBatchQuery(t *testing.T) {
 	ts := newTestServer(t, engine.Options{})
 	_, release := releaseSmall(t, ts)
 
-	reqBody := batchQueryRequest{
-		Release: release,
-		Queries: []batchQueryEntry{
-			{Node: "US", Quantiles: []float64{0.5, 0.9}, TopCode: 4},
-			{Node: "US/CA", KthLargest: []int64{1}},
-			{Node: "US/XX"},                          // unknown node
-			{Node: "US/WA", Quantiles: []float64{7}}, // bad quantile
-			{Node: "US/WA", TopCode: -3},             // bad topcode
-		},
-	}
+	reqBody := plainBatch(release)
 	var resp batchQueryResponse
 	if status, body := postJSON(t, ts.URL+"/v1/query/batch", reqBody, &resp); status != http.StatusOK {
 		t.Fatalf("batch query: status %d: %s", status, body)
@@ -91,6 +82,21 @@ func TestServeBatchQuery(t *testing.T) {
 	if status, _ := postJSON(t, ts.URL+"/v1/query/batch", big, nil); status != http.StatusBadRequest {
 		t.Fatalf("oversized batch: status %d, want 400", status)
 	}
+	// Top-coded cells sum over the batch and over every release an entry
+	// reports on; a batch over the bound is refused before any lookup.
+	wide := batchQueryRequest{Release: release, Queries: make([]batchQueryEntry, 16)}
+	for i := range wide.Queries {
+		wide.Queries[i] = batchQueryEntry{Node: "US", TopCode: maxTopCodedCells / 16}
+	}
+	if status, body := postJSON(t, ts.URL+"/v1/query/batch", wide, nil); status != http.StatusBadRequest || !strings.Contains(body, "top-coded") {
+		t.Fatalf("16 wide top-coded tables: status %d (%s), want 400", status, body)
+	}
+	series := batchQueryRequest{Queries: []batchQueryEntry{
+		{Op: "series", Releases: []string{release, release}, Node: "US", TopCode: maxTopCodedCells / 2},
+	}}
+	if status, body := postJSON(t, ts.URL+"/v1/query/batch", series, nil); status != http.StatusBadRequest || !strings.Contains(body, "top-coded") {
+		t.Fatalf("series of two wide top-coded tables: status %d (%s), want 400", status, body)
+	}
 
 	// Batch attempts count once per call however many queries they
 	// carry: the successful 4-query batch plus the unknown-release one.
@@ -102,6 +108,96 @@ func TestServeBatchQuery(t *testing.T) {
 	metrics, _ := io.ReadAll(resp2.Body)
 	if !strings.Contains(string(metrics), "hcoc_batch_queries_total 2") {
 		t.Fatalf("metrics missing batch counter:\n%s", metrics)
+	}
+}
+
+// plainBatch is a plain single-release batch: two answerable entries
+// and three that fail on their own item.
+func plainBatch(release string) batchQueryRequest {
+	return batchQueryRequest{
+		Release: release,
+		Queries: []batchQueryEntry{
+			{Node: "US", Quantiles: []float64{0.5, 0.9}, TopCode: 4},
+			{Node: "US/CA", KthLargest: []int64{1}},
+			{Node: "US/XX"},                          // unknown node
+			{Node: "US/WA", Quantiles: []float64{7}}, // bad quantile
+			{Node: "US/WA", TopCode: -3},             // bad topcode
+		},
+	}
+}
+
+// TestServeQueryOnePath pins the wire contract of the one node-query
+// path: GET /v1/query/{node}, a plain batch entry and an extended
+// "stats" entry lower to the same planner query, so they answer alike.
+func TestServeQueryOnePath(t *testing.T) {
+	ts := newTestServer(t, engine.Options{})
+	_, release := releaseSmall(t, ts)
+	const params = "q=0.5&q=0.9&k=1&topcode=4"
+	entry := func(node string) batchQueryEntry {
+		return batchQueryEntry{Node: node, Quantiles: []float64{0.5, 0.9}, KthLargest: []int64{1}, TopCode: 4}
+	}
+	// ask sends the same node query to release down all three routes:
+	// GET, a plain batch and an extended batch.
+	ask := func(rel, node string) (getStatus int, get string, plainStatus int, plain, extended batchQueryResponse) {
+		getStatus, get = getJSON(t, fmt.Sprintf("%s/v1/query/%s?release=%s&%s", ts.URL, node, rel, params), nil)
+		plainStatus, _ = postJSON(t, ts.URL+"/v1/query/batch",
+			batchQueryRequest{Release: rel, Queries: []batchQueryEntry{entry(node)}}, &plain)
+		stats := entry(node)
+		stats.Op, stats.Releases = "stats", []string{rel}
+		if status, body := postJSON(t, ts.URL+"/v1/query/batch",
+			batchQueryRequest{Queries: []batchQueryEntry{stats}}, &extended); status != http.StatusOK || len(extended.Results) != 1 {
+			t.Fatalf("extended batch for %s on %s: status %d: %s", node, rel, status, body)
+		}
+		return getStatus, get, plainStatus, plain, extended
+	}
+
+	// A known node: three JSON-equal reports.
+	getStatus, get, plainStatus, plain, extended := ask(release, "US/CA")
+	if getStatus != http.StatusOK || plainStatus != http.StatusOK {
+		t.Fatalf("known node: GET %d (%s), plain batch %d", getStatus, get, plainStatus)
+	}
+	var single queryResponse
+	if err := json.Unmarshal([]byte(get), &single); err != nil {
+		t.Fatal(err)
+	}
+	want := mustJSON(t, single)
+	for name, item := range map[string]batchQueryItem{"plain": plain.Results[0], "extended": extended.Results[0]} {
+		if got := mustJSON(t, item.queryResponse); item.Error != "" || got != want {
+			t.Fatalf("%s batch item = %s (error %q)\nGET = %s", name, got, item.Error, want)
+		}
+	}
+
+	// An unknown node: the planner's error text on every route.
+	getStatus, get, plainStatus, plain, extended = ask(release, "US/XX")
+	var getErr errorResponse
+	if err := json.Unmarshal([]byte(get), &getErr); err != nil || getStatus != http.StatusBadRequest {
+		t.Fatalf("unknown node: GET %d: %s", getStatus, get)
+	}
+	wantErr := fmt.Sprintf("plan: release %q has no node %q", releaseID(release), "US/XX")
+	if plainStatus != http.StatusOK || getErr.Error != wantErr ||
+		plain.Results[0].Error != wantErr || extended.Results[0].Error != wantErr {
+		t.Fatalf("unknown node errors: GET %q, plain %d %q, extended %q; want %q",
+			getErr.Error, plainStatus, plain.Results[0].Error, extended.Results[0].Error, wantErr)
+	}
+
+	// An unknown release: 404 on GET and on the plain batch, a per-item
+	// error in the extended batch.
+	getStatus, _, plainStatus, _, extended = ask("r-nope", "US/CA")
+	if getStatus != http.StatusNotFound || plainStatus != http.StatusNotFound ||
+		!strings.Contains(extended.Results[0].Error, "not cached") {
+		t.Fatalf("unknown release: GET %d, plain batch %d, extended item %q", getStatus, plainStatus, extended.Results[0].Error)
+	}
+
+	// No node at all is malformed before any release is read: GET
+	// answers 400, a plain batch 200 with per-item errors.
+	if status, body := getJSON(t, ts.URL+"/v1/query/?release=r-nope", nil); status != http.StatusBadRequest {
+		t.Fatalf("empty node GET on an unknown release: status %d (%s), want 400", status, body)
+	}
+	var empty batchQueryResponse
+	status, body := postJSON(t, ts.URL+"/v1/query/batch",
+		batchQueryRequest{Release: "r-nope", Queries: []batchQueryEntry{{}, {Quantiles: []float64{0.5}}}}, &empty)
+	if status != http.StatusOK || len(empty.Results) != 2 || empty.Results[0].Error == "" || empty.Results[1].Error == "" {
+		t.Fatalf("empty-node plain batch on an unknown release: status %d: %s", status, body)
 	}
 }
 

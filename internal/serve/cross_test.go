@@ -38,18 +38,7 @@ func TestServeCrossReleaseBatch(t *testing.T) {
 	ts := newTestServer(t, engine.Options{})
 	rel1, rel2 := releasePair(t, ts)
 
-	reqBody := batchQueryRequest{
-		Release: rel1,
-		Queries: []batchQueryEntry{
-			{Op: "emd", Releases: []string{rel1, rel2}, Node: "US"},
-			{Op: "delta", Releases: []string{rel1, rel2}, Node: "US/CA"},
-			{Op: "series", Releases: []string{rel1, rel2}, Node: "US", Quantiles: []float64{0.9}},
-			{Op: "compare", Releases: []string{rel1, rel2}, Node: "US/WA"},
-			{Op: "stats", Node: "US"},                                   // default release
-			{Op: "emd", Releases: []string{rel1, "r-nope"}, Node: "US"}, // unknown release
-			{Op: "drift", Releases: []string{rel1, rel2}, Node: "US"},   // unknown op
-		},
-	}
+	reqBody := crossBatch(rel1, rel2)
 	var resp batchQueryResponse
 	if status, body := postJSON(t, ts.URL+"/v1/query/batch", reqBody, &resp); status != http.StatusOK {
 		t.Fatalf("cross batch: status %d: %s", status, body)
@@ -123,10 +112,7 @@ func TestServeCrossReleaseBatch(t *testing.T) {
 
 	// An extended batch with no release anywhere fails per query, not
 	// whole-batch: mixing one valid cross entry keeps the batch 200.
-	mixed := batchQueryRequest{Queries: []batchQueryEntry{
-		{Op: "stats", Node: "US"},
-		{Op: "emd", Releases: []string{rel1, rel2}, Node: "US"},
-	}}
+	mixed := mixedBatch(rel1, rel2)
 	var mixedResp batchQueryResponse
 	if status, body := postJSON(t, ts.URL+"/v1/query/batch", mixed, &mixedResp); status != http.StatusOK {
 		t.Fatalf("mixed batch: status %d: %s", status, body)
@@ -134,6 +120,33 @@ func TestServeCrossReleaseBatch(t *testing.T) {
 	if mixedResp.Results[0].Error == "" || mixedResp.Results[1].Error != "" {
 		t.Fatalf("mixed batch results: %+v", mixedResp.Results)
 	}
+}
+
+// crossBatch is an extended batch over two releases: every
+// cross-release op, a stats entry on the default release, and entries
+// failing on an unknown release and on an unknown op.
+func crossBatch(rel1, rel2 string) batchQueryRequest {
+	return batchQueryRequest{
+		Release: rel1,
+		Queries: []batchQueryEntry{
+			{Op: "emd", Releases: []string{rel1, rel2}, Node: "US"},
+			{Op: "delta", Releases: []string{rel1, rel2}, Node: "US/CA"},
+			{Op: "series", Releases: []string{rel1, rel2}, Node: "US", Quantiles: []float64{0.9}},
+			{Op: "compare", Releases: []string{rel1, rel2}, Node: "US/WA"},
+			{Op: "stats", Node: "US"},                                   // default release
+			{Op: "emd", Releases: []string{rel1, "r-nope"}, Node: "US"}, // unknown release
+			{Op: "drift", Releases: []string{rel1, rel2}, Node: "US"},   // unknown op
+		},
+	}
+}
+
+// mixedBatch is an extended batch naming no default release: its stats
+// entry fails on its own item, its emd entry answers.
+func mixedBatch(rel1, rel2 string) batchQueryRequest {
+	return batchQueryRequest{Queries: []batchQueryEntry{
+		{Op: "stats", Node: "US"},
+		{Op: "emd", Releases: []string{rel1, rel2}, Node: "US"},
+	}}
 }
 
 // benchServer stands up a server with two releases of smallGroups for

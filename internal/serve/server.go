@@ -1305,18 +1305,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	params := engine.QueryParams{Quantiles: quantiles, KthLargest: kth, TopCode: topCode}
-
-	rep, err := s.eng.Query(key, node, params)
-	switch {
-	case errors.Is(err, engine.ErrNotCached):
-		WriteError(w, http.StatusNotFound, "release not cached; POST /v1/release to (re)compute it")
-		return
-	case err != nil:
+	entry := batchQueryEntry{Node: node, Quantiles: quantiles, KthLargest: kth, TopCode: topCode}
+	qs, err := lower(key, []batchQueryEntry{entry})
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, toQueryResponse(rep))
+
+	res := s.eng.Query(qs[0])
+	switch {
+	case errors.Is(res.Err, engine.ErrNotCached):
+		WriteError(w, http.StatusNotFound, "release not cached; POST /v1/release to (re)compute it")
+		return
+	case res.Err != nil:
+		WriteError(w, http.StatusBadRequest, "%v", res.Err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, reportToQueryResponse(entry, *res.Report))
 }
 
 // tenantStatus is one tenant (hierarchy) in GET /v1/tenants: its QoS

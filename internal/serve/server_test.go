@@ -332,6 +332,12 @@ func TestServeErrors(t *testing.T) {
 		{"query unknown release", func() (int, string) {
 			return getJSON(t, ts.URL+"/v1/query/US/CA?release=r-beef", nil)
 		}, http.StatusNotFound},
+		{"query topcode at the cell bound", func() (int, string) {
+			return getJSON(t, fmt.Sprintf("%s/v1/query/US/CA?release=r-beef&topcode=%d", ts.URL, maxTopCodedCells-1), nil)
+		}, http.StatusNotFound},
+		{"query topcode over the cell bound, refused before the release lookup", func() (int, string) {
+			return getJSON(t, fmt.Sprintf("%s/v1/query/US/CA?release=r-beef&topcode=%d", ts.URL, maxTopCodedCells), nil)
+		}, http.StatusBadRequest},
 		{"artifact unknown release", func() (int, string) {
 			return getJSON(t, ts.URL+"/v1/release/r-beef", nil)
 		}, http.StatusNotFound},
