@@ -62,14 +62,15 @@ staticcheck:
 	else echo "staticcheck not installed (go install honnef.co/go/tools/cmd/staticcheck@latest)"; fi
 
 # Short fuzz budget over the CSV/dataset parser, the release-artifact
-# decoder, the isotonic fits, the event log's delta apply and the batch
-# query body, as in CI.
+# decoder, the isotonic fits, the event log's delta apply, the batch
+# query body and the events-append body, as in CI.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadGroups -fuzztime=10s ./internal/dataset
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRelease -fuzztime=10s .
 	$(GO) test -run=NONE -fuzz=FuzzFitMonotone -fuzztime=10s ./internal/isotonic
 	$(GO) test -run=NONE -fuzz=FuzzApplyEvents -fuzztime=10s ./internal/eventlog
 	$(GO) test -run=NONE -fuzz=FuzzBatchQuery -fuzztime=10s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzAppendEvents -fuzztime=10s ./internal/serve
 
 serve:
 	$(GO) run ./cmd/hcoc-serve

@@ -7,9 +7,7 @@ import "hcoc/internal/privacy"
 // Release under one total budget). Spend reserves budget under
 // sequential composition and fails before over-spending; SpendParallel
 // charges only the maximum epsilon for stages over disjoint data;
-// Refund returns a reservation whose mechanism never drew noise. The
-// serving engine uses the same ledger to enforce a per-hierarchy
-// epsilon bound across restarts (see cmd/hcoc-serve).
+// Refund returns a reservation whose mechanism never drew noise.
 type Accountant = privacy.Accountant
 
 // BudgetEntry is one stage recorded by an Accountant.

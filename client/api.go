@@ -582,8 +582,8 @@ type Budget struct {
 	// (empty against pre-event-log daemons).
 	Versions []VersionBudget `json:"versions,omitempty"`
 	// ContinualSpentEpsilon and ContinualRemainingEpsilon describe the
-	// continual-observation account, which sums spend across every
-	// version of the hierarchy's event log.
+	// continual-observation account, which sums spend over the distinct
+	// version fingerprints of the hierarchy's event log.
 	ContinualSpentEpsilon     float64 `json:"continual_spent_epsilon"`
 	ContinualRemainingEpsilon float64 `json:"continual_remaining_epsilon"`
 	// MaxEpsilonContinual is the daemon's continual bound (zero when

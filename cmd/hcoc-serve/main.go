@@ -198,7 +198,7 @@ func main() {
 		cache   = flag.Int("cache", engine.DefaultCacheSize, "completed releases kept in the LRU cache")
 		cacheMB = flag.Int64("cache-mb", 0, "byte budget for the release cache in MiB, accounted by runs actually held (0 = count bound only); see the README memory-footprint section for sizing")
 		maxEps  = flag.Float64("max-epsilon-per-hierarchy", 0, "cumulative epsilon bound per hierarchy across all computed releases (0 = unenforced); cache/store hits are free, and with a durable store the spend survives restarts")
-		maxCont = flag.Float64("max-epsilon-continual", 0, "continual-observation epsilon bound per hierarchy, summed across every version of its event log (0 = unenforced); bounds the total privacy loss of continually re-releasing an evolving hierarchy")
+		maxCont = flag.Float64("max-epsilon-continual", 0, "continual-observation epsilon bound per hierarchy: the spend of every distinct tree among its event log's versions, checked by the same ledger as -max-epsilon-per-hierarchy (0 = unenforced); cache/store hits are free, and with a durable store the account survives restarts")
 		cfg     storeConfig
 		qos     qosConfig
 	)
@@ -295,11 +295,12 @@ func run(addr string, workers, cache int, cacheBytes int64, maxEps, maxCont floa
 		Workers:                workers,
 		Store:                  st,
 		MaxEpsilonPerHierarchy: maxEps,
+		MaxEpsilonContinual:    maxCont,
 		ComputeSlots:           qos.slots,
 		ComputeQueueDepth:      qos.queueDepth,
 		TenantWeights:          weights,
 	})
-	handler, err := serve.NewServer(eng, st, serve.WithContinualBudget(maxCont))
+	handler, err := serve.NewServer(eng, st)
 	if err != nil {
 		return err
 	}

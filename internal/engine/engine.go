@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hcoc"
-	"hcoc/internal/privacy"
 	"hcoc/internal/sched"
 	"hcoc/internal/store"
 )
@@ -48,14 +47,21 @@ type Options struct {
 	TenantWeights map[string]float64
 	// Store, when non-nil, is the durable tier under the LRU: completed
 	// releases are written through to it, cache misses consult it
-	// before recomputing, and its manifest seeds the per-hierarchy
-	// budget ledger on construction.
+	// before recomputing, and its manifest seeds the budget ledger on
+	// construction.
 	Store *store.Store
 	// MaxEpsilonPerHierarchy, when positive, bounds the cumulative
 	// epsilon of actual release computations per hierarchy fingerprint.
 	// A request that would exceed it fails with a *BudgetError. Cache
 	// hits, store hits and coalesced duplicates spend nothing.
 	MaxEpsilonPerHierarchy float64
+	// MaxEpsilonContinual, when positive, bounds the same spend summed
+	// over a release's lineage: the distinct fingerprints of every
+	// version of its hierarchy (see ReleaseFrom). It is the privacy loss
+	// of continually re-releasing an evolving hierarchy. A computation
+	// that would exceed it fails with a *BudgetError whose Continual is
+	// set; hits and duplicates stay free.
+	MaxEpsilonContinual float64
 }
 
 // DefaultCacheSize is the default LRU capacity in completed releases.
@@ -105,20 +111,28 @@ var ErrNotCached = errors.New("engine: release not cached")
 // hierarchy past its epsilon bound. The fields give a client everything
 // it needs to adapt: what it asked for, what is left, and the bound.
 type BudgetError struct {
-	// Hierarchy is the tree fingerprint whose budget is exhausted.
+	// Hierarchy is the tree fingerprint whose computation was refused.
 	Hierarchy string
 	// Requested is the epsilon the refused computation asked for.
 	Requested float64
-	// Remaining is the epsilon still spendable for this hierarchy.
+	// Remaining is the epsilon still spendable under the bound.
 	Remaining float64
-	// Limit is the configured per-hierarchy bound.
+	// Limit is the configured bound.
 	Limit float64
+	// Continual names the bound: false for the per-hierarchy bound on
+	// the fingerprint's own spend, true for the continual bound on its
+	// lineage's.
+	Continual bool
 }
 
 // Error implements error.
 func (e *BudgetError) Error() string {
-	return fmt.Sprintf("engine: hierarchy %s would exceed its privacy budget: requested epsilon %g, remaining %g of %g",
-		e.Hierarchy, e.Requested, e.Remaining, e.Limit)
+	budget := "privacy budget"
+	if e.Continual {
+		budget = "continual-observation budget"
+	}
+	return fmt.Sprintf("engine: hierarchy %s would exceed its %s: requested epsilon %g, remaining %g of %g",
+		e.Hierarchy, budget, e.Requested, e.Remaining, e.Limit)
 }
 
 // OverloadError reports a release refused at admission: the tenant's
@@ -195,8 +209,9 @@ type Engine struct {
 	// accounted on its priority lane and never wait on it.
 	qos *sched.Scheduler
 
-	store    *store.Store // nil = memory only
-	epsLimit float64      // 0 = unenforced
+	store     *store.Store // nil = memory only
+	epsLimit  float64      // per-hierarchy bound; 0 = unenforced
+	contLimit float64      // continual bound; 0 = unenforced
 
 	mu       sync.Mutex
 	cache    *lruCache
@@ -206,12 +221,11 @@ type Engine struct {
 	// same hierarchy can recompute only its changed subtrees.
 	states *stateCache
 
-	// Per-hierarchy privacy spend, guarded by mu. epsSpent is the true
-	// cumulative epsilon of every computation (including historical ones
-	// replayed from the store manifest); accts enforces epsLimit when
-	// one is set.
+	// epsSpent is the privacy ledger, guarded by mu: the cumulative
+	// epsilon of every computation per tree fingerprint, including
+	// historical ones replayed from the store manifest. Both bounds are
+	// checked against it.
 	epsSpent map[string]float64
-	accts    map[string]*privacy.Accountant
 
 	// epsReplayed is the spend replayed from the store manifest at
 	// construction: subtracting it from the live total gives the spend
@@ -240,7 +254,8 @@ type Engine struct {
 
 // New creates an engine with the given options. When Options.Store is
 // set, the manifest's historical spend is replayed into the budget
-// ledger so a restart resumes enforcement where it left off.
+// ledger so a restart resumes enforcement where it left off; a bound
+// lowered below that spend leaves nothing to spend.
 func New(opts Options) *Engine {
 	size := opts.CacheSize
 	if size <= 0 {
@@ -256,34 +271,18 @@ func New(opts Options) *Engine {
 		}),
 		store:      opts.Store,
 		epsLimit:   opts.MaxEpsilonPerHierarchy,
+		contLimit:  opts.MaxEpsilonContinual,
 		cache:      newLRU(size, opts.CacheBytes),
 		inflight:   make(map[string]*call),
 		states:     newStateCache(),
 		epsSpent:   make(map[string]float64),
-		accts:      make(map[string]*privacy.Accountant),
 		tenantReqs: make(map[string]*tenantCounters),
 	}
 	if e.store != nil {
 		for fp, spent := range e.store.EpsilonByHierarchy() {
-			if spent <= 0 {
-				continue
-			}
-			e.epsSpent[fp] = spent
-			e.epsReplayed += spent
-			if e.epsLimit > 0 {
-				a, err := privacy.NewAccountant(e.epsLimit)
-				if err != nil {
-					continue
-				}
-				if err := a.Spend("warm-start", spent); err != nil {
-					// Historical spend exceeds the (possibly lowered)
-					// bound: pin the ledger to zero remaining rather
-					// than failing the boot — the budget stays closed.
-					if rem := a.Remaining(); rem > 0 {
-						_ = a.Spend("warm-start", rem)
-					}
-				}
-				e.accts[fp] = a
+			if spent > 0 {
+				e.epsSpent[fp] = spent
+				e.epsReplayed += spent
 			}
 		}
 	}
@@ -356,11 +355,11 @@ type Result struct {
 // (and, once it holds a compute slot, runs to completion and populates
 // the cache regardless — the work is already paid for).
 func (e *Engine) Release(ctx context.Context, tree *hcoc.Tree, treeFP string, alg Algorithm, opts hcoc.Options) (Result, error) {
-	return e.release(ctx, tree, treeFP, alg, opts, nil)
+	return e.release(ctx, tree, treeFP, alg, opts, nil, nil)
 }
 
 // release is the shared body of Release and ReleaseFrom.
-func (e *Engine) release(ctx context.Context, tree *hcoc.Tree, treeFP string, alg Algorithm, opts hcoc.Options, prev []PrevVersion) (Result, error) {
+func (e *Engine) release(ctx context.Context, tree *hcoc.Tree, treeFP string, alg Algorithm, opts hcoc.Options, prev func() []PrevVersion, lineage func() []string) (Result, error) {
 	// Reject a methods list of the wrong length before keying:
 	// canonicalMethods collapses uniform lists to their broadcast
 	// spelling, which is only the same release when the list would have
@@ -396,7 +395,7 @@ func (e *Engine) release(ctx context.Context, tree *hcoc.Tree, treeFP string, al
 		c = &call{done: make(chan struct{}), abandoned: make(chan struct{}), waiters: 1}
 		e.inflight[key] = c
 		e.misses++
-		go e.run(key, treeFP, c, tree, alg, opts, prev)
+		go e.run(key, treeFP, c, tree, alg, opts, prev, lineage)
 	}
 	e.mu.Unlock()
 
@@ -444,7 +443,7 @@ func (e *Engine) leave(key string, c *call) {
 // run drives one detached release computation: durable-store lookup
 // first (free), then a compute slot, the budget charge, and the
 // computation itself, publishing the outcome to every waiter.
-func (e *Engine) run(key, treeFP string, c *call, tree *hcoc.Tree, alg Algorithm, opts hcoc.Options, prev []PrevVersion) {
+func (e *Engine) run(key, treeFP string, c *call, tree *hcoc.Tree, alg Algorithm, opts hcoc.Options, prev func() []PrevVersion, lineage func() []string) {
 	if e.store != nil {
 		if v, ok := e.loadFromStore(key); ok {
 			e.finish(key, treeFP, c, v, nil)
@@ -482,7 +481,7 @@ func (e *Engine) run(key, treeFP string, c *call, tree *hcoc.Tree, alg Algorithm
 	c.queueWait = grant.Wait
 	e.mu.Unlock()
 
-	v, err := e.computeThrough(key, treeFP, tree, alg, opts, prev)
+	v, err := e.computeThrough(key, treeFP, tree, alg, opts, prev, lineage)
 	grant.Release()
 	e.finish(key, treeFP, c, v, err)
 }
@@ -584,12 +583,12 @@ func isOverload(err error) bool {
 // artifact write after a successful computation does not fail the
 // request: the release is computed, charged, cached, and served; only
 // durability of the artifact is lost (and counted).
-func (e *Engine) computeThrough(key, treeFP string, tree *hcoc.Tree, alg Algorithm, opts hcoc.Options, prev []PrevVersion) (*cached, error) {
+func (e *Engine) computeThrough(key, treeFP string, tree *hcoc.Tree, alg Algorithm, opts hcoc.Options, prev func() []PrevVersion, lineage func() []string) (*cached, error) {
 	// Nonpositive epsilon never reaches the ledger; the release's own
 	// validation rejects it with the canonical error.
 	charged := opts.Epsilon > 0
 	if charged {
-		if err := e.charge(treeFP, opts.Epsilon); err != nil {
+		if err := e.charge(treeFP, opts.Epsilon, lineage); err != nil {
 			return nil, err
 		}
 		if e.store != nil {
@@ -647,35 +646,56 @@ func (e *Engine) computeThrough(key, treeFP string, tree *hcoc.Tree, alg Algorit
 	return v, nil
 }
 
-// charge reserves epsilon for one computation against the hierarchy's
-// ledger. With no configured bound it only records the spend.
-func (e *Engine) charge(fp string, eps float64) error {
+// budgetSlack is the float tolerance of both bounds, so that exact
+// splits of a bound sum cleanly.
+const budgetSlack = 1e-9
+
+// charge reserves epsilon for one computation of tree fp under both
+// bounds, in one critical section: fp's own spend against the
+// per-hierarchy bound, and the spend of its lineage (fp alone when
+// lineage is nil) against the continual bound. With neither bound set
+// it only records the spend. The lineage is read inside the critical
+// section because that is what makes the continual bound exact: a
+// version appended and charged concurrently is either in the lineage
+// read here, or its own charge comes later and sees this one.
+func (e *Engine) charge(fp string, eps float64, lineage func() []string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.epsLimit > 0 {
-		a := e.accts[fp]
-		if a == nil {
-			var err error
-			if a, err = privacy.NewAccountant(e.epsLimit); err != nil {
-				return err
-			}
-			e.accts[fp] = a
+	if spent := e.epsSpent[fp]; e.epsLimit > 0 && spent+eps > e.epsLimit+budgetSlack {
+		return &BudgetError{Hierarchy: fp, Requested: eps, Remaining: max(e.epsLimit-spent, 0), Limit: e.epsLimit}
+	}
+	if e.contLimit > 0 {
+		fps := []string{fp}
+		if lineage != nil {
+			fps = append(lineage(), fp)
 		}
-		if err := a.Spend("release", eps); err != nil {
-			return &BudgetError{Hierarchy: fp, Requested: eps, Remaining: a.Remaining(), Limit: e.epsLimit}
+		if spent := e.spentOver(fps); spent+eps > e.contLimit+budgetSlack {
+			return &BudgetError{Hierarchy: fp, Requested: eps, Remaining: max(e.contLimit-spent, 0), Limit: e.contLimit, Continual: true}
 		}
 	}
 	e.epsSpent[fp] += eps
 	return nil
 }
 
+// spentOver sums the ledger over the distinct fingerprints in fps: a
+// tree that several versions share was spent on once per computation,
+// not once per version. Caller holds e.mu.
+func (e *Engine) spentOver(fps []string) float64 {
+	var spent float64
+	seen := make(map[string]bool, len(fps))
+	for _, fp := range fps {
+		if !seen[fp] {
+			seen[fp] = true
+			spent += e.epsSpent[fp]
+		}
+	}
+	return spent
+}
+
 // refund returns a charge whose computation failed before drawing noise.
 func (e *Engine) refund(fp string, eps float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if a := e.accts[fp]; a != nil {
-		_ = a.Refund("release failed", eps)
-	}
 	if e.epsSpent[fp] -= eps; e.epsSpent[fp] <= 0 {
 		delete(e.epsSpent, fp)
 	}
@@ -689,15 +709,25 @@ func (e *Engine) refund(fp string, eps float64) {
 func (e *Engine) BudgetStatus(fp string) (spent, remaining, limit float64, enforced bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	spent = e.epsSpent[fp]
-	if e.epsLimit <= 0 {
+	return position(e.epsSpent[fp], e.epsLimit)
+}
+
+// ContinualStatus is BudgetStatus under the continual bound: the spend
+// of a lineage, summed over its distinct fingerprints, against
+// Options.MaxEpsilonContinual.
+func (e *Engine) ContinualStatus(lineage []string) (spent, remaining, limit float64, enforced bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return position(e.spentOver(lineage), e.contLimit)
+}
+
+// position reports spend against a bound; an unset bound leaves
+// remaining and limit zero.
+func position(spent, limit float64) (float64, float64, float64, bool) {
+	if limit <= 0 {
 		return spent, 0, 0, false
 	}
-	remaining = e.epsLimit
-	if a := e.accts[fp]; a != nil {
-		remaining = a.Remaining()
-	}
-	return spent, remaining, e.epsLimit, true
+	return spent, max(limit-spent, 0), limit, true
 }
 
 // loadFromStore reads a persisted release into cache shape. Store read
@@ -731,7 +761,7 @@ func (e *Engine) loadFromStore(key string) (*cached, bool) {
 // candidate resolves, from scratch otherwise — so every computation
 // leaves state behind for the hierarchy's next version. The returned
 // state is nil for BottomUp.
-func (e *Engine) compute(tree *hcoc.Tree, alg Algorithm, opts hcoc.Options, prev []PrevVersion) (*cached, *hcoc.ReleaseState, error) {
+func (e *Engine) compute(tree *hcoc.Tree, alg Algorithm, opts hcoc.Options, prev func() []PrevVersion) (*cached, *hcoc.ReleaseState, error) {
 	if opts.Workers == 0 {
 		opts.Workers = e.workers
 	}
@@ -845,13 +875,14 @@ type Metrics struct {
 	CacheCostBytes, CacheRuns, CacheBudgetBytes int64
 	// EpsilonSpent is the cumulative epsilon of actual computations
 	// across all hierarchies, including spend replayed from the store
-	// manifest; EpsilonLimit echoes Options.MaxEpsilonPerHierarchy
-	// (0 = unenforced). EpsilonSpentLocal excludes the replayed spend —
-	// it is the epsilon THIS process has drawn. On a shared backend a
+	// manifest; EpsilonLimit echoes Options.MaxEpsilonPerHierarchy and
+	// EpsilonLimitContinual Options.MaxEpsilonContinual (0 =
+	// unenforced). EpsilonSpentLocal excludes the replayed spend — it
+	// is the epsilon THIS process has drawn. On a shared backend a
 	// warm-started node replays the fleet's history, so EpsilonSpent is
 	// nonzero while EpsilonSpentLocal proves the node itself spent
 	// nothing.
-	EpsilonSpent, EpsilonSpentLocal, EpsilonLimit float64
+	EpsilonSpent, EpsilonSpentLocal, EpsilonLimit, EpsilonLimitContinual float64
 	// ReleaseTotal is the cumulative computation time across Releases;
 	// LastRelease is the duration of the most recent one.
 	ReleaseTotal, LastRelease time.Duration
@@ -928,6 +959,7 @@ func (e *Engine) Metrics() Metrics {
 		ReleaseTotal:      e.releaseTotal,
 		LastRelease:       e.lastDur,
 
+		EpsilonLimitContinual:   e.contLimit,
 		IncrementalReleases:     e.incrReleases,
 		RecomputeNodesEstimated: e.nodesEstimated,
 		RecomputeNodesTotal:     e.nodesTotal,

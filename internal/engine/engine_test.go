@@ -806,6 +806,64 @@ func TestBudgetRefundOnFailure(t *testing.T) {
 	}
 }
 
+// TestContinualBound: the continual bound sums the ledger over the
+// distinct fingerprints of a lineage and refuses with a *BudgetError
+// naming that bound. ReleaseFrom reads the history it is handed, the
+// lineage and the incremental candidates, only for a computation.
+func TestContinualBound(t *testing.T) {
+	e := New(Options{MaxEpsilonContinual: 2.5})
+	ctx := context.Background()
+	a := testTree(t)
+	b, err := hcoc.BuildHierarchy("US", []hcoc.Group{{Path: []string{"CA"}, Size: 2}, {Path: []string{"WA"}, Size: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpA, fpB := FingerprintTree(a), FingerprintTree(b)
+	reads, candidates := 0, 0
+	lineage := func() []string { reads++; return []string{fpA, fpB, fpA} }
+	prev := func() []PrevVersion { candidates++; return nil }
+
+	if _, err := e.ReleaseFrom(ctx, a, fpA, TopDown, testOpts(1), prev, lineage); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := e.ReleaseFrom(ctx, a, fpA, TopDown, testOpts(1), prev, lineage); err != nil || !r.CacheHit {
+		t.Fatalf("repeat: %v (hit=%v)", err, r.CacheHit)
+	}
+	if _, err := e.ReleaseFrom(ctx, b, fpB, TopDown, testOpts(1), prev, lineage); err != nil {
+		t.Fatal(err)
+	}
+	if reads != 2 || candidates != 2 {
+		t.Fatalf("lineage read %d times and candidates %d, want once per computation (2)", reads, candidates)
+	}
+	// fpA repeats in the lineage but was spent on once: 2 of 2.5.
+	_, err = e.ReleaseFrom(ctx, b, fpB, TopDown, testOpts(2), nil, lineage)
+	var be *BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("got %v, want *BudgetError", err)
+	}
+	if !be.Continual || be.Hierarchy != fpB || be.Requested != 1 || be.Limit != 2.5 || be.Remaining != 0.5 {
+		t.Fatalf("budget error = %+v", be)
+	}
+	if spent, rem, limit, ok := e.ContinualStatus([]string{fpA, fpB, fpA}); spent != 2 || rem != 0.5 || limit != 2.5 || !ok {
+		t.Fatalf("continual status = %g, %g, %g, %v", spent, rem, limit, ok)
+	}
+	// The per-hierarchy bound is unset: each tree reports its own spend.
+	if spent, _, _, ok := e.BudgetStatus(fpA); spent != 1 || ok {
+		t.Fatalf("per-hierarchy status of a = %g, enforced %v", spent, ok)
+	}
+	small := hcoc.Options{Epsilon: 0.5, K: 50, Seed: 3}
+	if _, err := e.ReleaseFrom(ctx, b, fpB, TopDown, small, nil, lineage); err != nil {
+		t.Fatalf("release within the remainder refused: %v", err)
+	}
+	// Without a lineage a tree is its own: b alone has spent 1.5.
+	if _, err := e.Release(ctx, b, fpB, TopDown, testOpts(4)); err != nil {
+		t.Fatalf("lineage-free release refused: %v", err)
+	}
+	if m := e.Metrics(); m.EpsilonLimitContinual != 2.5 || m.EpsilonSpent != 3.5 {
+		t.Fatalf("metrics: limit %g spent %g, want 2.5 and 3.5", m.EpsilonLimitContinual, m.EpsilonSpent)
+	}
+}
+
 // TestReleaseRejectsWrongMethodsLength: a methods list whose length
 // does not match the tree depth is rejected before keying, so it can
 // never share a cache entry (or a coalesced error) with the valid

@@ -18,15 +18,26 @@ type PrevVersion struct {
 	Changed map[string]bool
 }
 
-// ReleaseFrom is Release with incremental-recompute candidates: when
-// the computation actually runs (no cache or store hit), the
+// ReleaseFrom is Release for one version of an evolving hierarchy. It
+// takes the hierarchy's history as two functions, each called only when
+// a computation actually runs, so a cache hit, store hit or dedup never
+// walks the version history.
+//
+// prev, when non-nil, names incremental-recompute candidates: the
 // engine looks up retained per-node state for each candidate's release
 // key — same algorithm and options, the candidate's fingerprint — and
 // seeds hcoc.ReleaseSparseFrom with the first hit. The released
 // histograms are bit-identical to a from-scratch release either way;
 // only the work is smaller. Candidates apply to TopDown only.
-func (e *Engine) ReleaseFrom(ctx context.Context, tree *hcoc.Tree, treeFP string, alg Algorithm, opts hcoc.Options, prev []PrevVersion) (Result, error) {
-	return e.release(ctx, tree, treeFP, alg, opts, prev)
+//
+// lineage, when non-nil, returns the fingerprints of every version of
+// the hierarchy (repeats allowed): the spend Options.MaxEpsilonContinual
+// bounds. The engine calls it when it charges the computation, with its
+// lock held, so it must return promptly and must not call back into the
+// engine; eventlog.Log.Fingerprints, whose lock is never held across
+// I/O, qualifies.
+func (e *Engine) ReleaseFrom(ctx context.Context, tree *hcoc.Tree, treeFP string, alg Algorithm, opts hcoc.Options, prev func() []PrevVersion, lineage func() []string) (Result, error) {
+	return e.release(ctx, tree, treeFP, alg, opts, prev, lineage)
 }
 
 // stateCap bounds the retained release states. States are a few
@@ -90,13 +101,14 @@ func (s *stateCache) costBytes() int64 {
 
 // resolvePrev finds the first candidate with retained state, returning
 // the state and its changed set. Caller must NOT hold e.mu.
-func (e *Engine) resolvePrev(alg Algorithm, opts hcoc.Options, prev []PrevVersion) (*hcoc.ReleaseState, map[string]bool) {
-	if alg != TopDown || len(prev) == 0 {
+func (e *Engine) resolvePrev(alg Algorithm, opts hcoc.Options, prev func() []PrevVersion) (*hcoc.ReleaseState, map[string]bool) {
+	if alg != TopDown || prev == nil {
 		return nil, nil
 	}
+	cands := prev()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, p := range prev {
+	for _, p := range cands {
 		if p.TreeFP == "" || p.Changed == nil {
 			continue
 		}

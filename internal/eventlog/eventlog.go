@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -391,6 +392,13 @@ type Log struct {
 	events   []Event
 	versions []Version
 	head     *hierarchy.Tree
+
+	// fps lists the versions' fingerprints under a lock of its own:
+	// the engine calls Fingerprints under its lock, so it must not wait
+	// on mu, which an append holds across its persist and a refresh
+	// across its store reads.
+	fpMu sync.Mutex
+	fps  []string
 }
 
 // ID returns the log's stable identifier.
@@ -425,6 +433,14 @@ func (l *Log) Versions() []Version {
 	out := make([]Version, len(l.versions))
 	copy(out, l.versions)
 	return out
+}
+
+// Fingerprints lists every version's fingerprint, oldest first. A
+// version that reverts to an earlier tree repeats its fingerprint.
+func (l *Log) Fingerprints() []string {
+	l.fpMu.Lock()
+	defer l.fpMu.Unlock()
+	return slices.Clone(l.fps)
 }
 
 // Version returns one version's metadata; seq 0 means head.
@@ -527,6 +543,9 @@ func (l *Log) commit(ev Event, tree *hierarchy.Tree, v Version) {
 	l.events = append(l.events, ev)
 	l.versions = append(l.versions, v)
 	l.head = tree
+	l.fpMu.Lock()
+	l.fps = append(l.fps, v.Fingerprint)
+	l.fpMu.Unlock()
 }
 
 // persist writes the chunk object (atomic) and then its manifest entry.

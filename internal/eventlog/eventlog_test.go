@@ -524,8 +524,10 @@ func TestLegacyMigration(t *testing.T) {
 
 // TestConcurrentReadersDuringAppends: versions share histogram slices,
 // so readers walking the head and historical trees while a writer
-// appends must see each version exactly as recorded. Run under -race
-// it also proves no apply writes to a slice a published tree holds.
+// appends must see each version exactly as recorded, and the
+// fingerprint list, kept under its own lock, must agree with them. Run
+// under -race it also proves no apply writes to a slice a published
+// tree holds.
 func TestConcurrentReadersDuringAppends(t *testing.T) {
 	mgr, _ := eventlog.OpenManager(nil)
 	l, _, err := mgr.Create("root", []hcoc.Group{
@@ -557,6 +559,11 @@ func TestConcurrentReadersDuringAppends(t *testing.T) {
 					tree, v, e := l.Tree(1 + r.Int63n(hv.Seq))
 					if err = e; err == nil && engine.FingerprintTree(tree) != v.Fingerprint {
 						err = fmt.Errorf("version %d read back with another fingerprint", v.Seq)
+					}
+				}
+				if fps := l.Fingerprints(); err == nil {
+					if v, ok := l.Version(int64(len(fps))); !ok || v.Fingerprint != fps[len(fps)-1] {
+						err = fmt.Errorf("fingerprint list of %d versions ends in %q, version says %q", len(fps), fps[len(fps)-1], v.Fingerprint)
 					}
 				}
 				if err != nil {

@@ -26,6 +26,17 @@ const maxTopCodedCells = hcoc.DefaultK
 // errTopCoded refuses a request over maxTopCodedCells.
 var errTopCoded = fmt.Errorf("request asks for more than %d top-coded cells (topcode+1 per report)", maxTopCodedCells)
 
+// maxRankStats bounds the rank statistics (q and k values) one request
+// may ask for, counted like the top-coded cells: two per entry at the
+// batch bound, the shape the load generators send. Each one is a rank
+// search and an encoded value per report, so without it a request of a
+// few hundred kilobytes could make the server allocate tens of
+// megabytes.
+const maxRankStats = 2 * maxBatchQueries
+
+// errRankStats refuses a request over maxRankStats.
+var errRankStats = fmt.Errorf("request asks for more than %d rank statistics (q and k values per report)", maxRankStats)
+
 // batchQueryEntry is one query of a batch: a node plus the same
 // optional statistics the single-query endpoint accepts as URL
 // parameters. The cross-release fields select an aggregate beyond the
@@ -137,7 +148,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 // wire "r-" prefix, and entries naming no releases read the request's
 // default release when it has one. Before any release is read, it
 // refuses a request whose top-coded tables would exceed
-// maxTopCodedCells.
+// maxTopCodedCells or whose rank statistics would exceed maxRankStats.
 func lower(release string, entries []batchQueryEntry) ([]plan.Query, error) {
 	// Every entry naming no releases shares one key slice; the planner
 	// only reads it.
@@ -146,7 +157,7 @@ func lower(release string, entries []batchQueryEntry) ([]plan.Query, error) {
 		def = []string{key}
 	}
 	qs := make([]plan.Query, len(entries))
-	cells := 0
+	cells, ranks := 0, 0
 	for i, q := range entries {
 		op, err := plan.ParseOp(q.Op)
 		if err != nil {
@@ -159,14 +170,20 @@ func lower(release string, entries []batchQueryEntry) ([]plan.Query, error) {
 				keys[j] = releaseID(rel)
 			}
 		}
-		if q.TopCode > 0 && (op == plan.OpStats || op == plan.OpSeries || op == plan.OpCompare) && len(keys) > 0 {
+		if reports := len(keys); reports > 0 && (op == plan.OpStats || op == plan.OpSeries || op == plan.OpCompare) {
 			// Each report holds topcode+1 cells. Checking the topcode
-			// alone first keeps the product from overflowing.
-			if q.TopCode >= maxTopCodedCells {
-				return nil, errTopCoded
+			// alone first keeps the product from overflowing; the list
+			// lengths are bounded by the body, so their product is not.
+			if q.TopCode > 0 {
+				if q.TopCode >= maxTopCodedCells {
+					return nil, errTopCoded
+				}
+				if cells += (q.TopCode + 1) * reports; cells > maxTopCodedCells {
+					return nil, errTopCoded
+				}
 			}
-			if cells += (q.TopCode + 1) * len(keys); cells > maxTopCodedCells {
-				return nil, errTopCoded
+			if ranks += (len(q.Quantiles) + len(q.KthLargest)) * reports; ranks > maxRankStats {
+				return nil, errRankStats
 			}
 		}
 		qs[i] = plan.Query{Op: op, Releases: keys, Node: q.Node, Params: query.Params{
@@ -297,7 +314,7 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 			SpentEpsilon: vs,
 		})
 	}
-	resp.ContinualSpentEpsilon, resp.ContinualRemainingEpsilon, resp.ContinualEnforced = s.continualStatus(l)
-	resp.MaxEpsilonContinual = s.contLimit
+	resp.ContinualSpentEpsilon, resp.ContinualRemainingEpsilon, resp.MaxEpsilonContinual, resp.ContinualEnforced =
+		s.eng.ContinualStatus(l.Fingerprints())
 	WriteJSON(w, http.StatusOK, resp)
 }

@@ -97,6 +97,18 @@ func TestServeBatchQuery(t *testing.T) {
 	if status, body := postJSON(t, ts.URL+"/v1/query/batch", series, nil); status != http.StatusBadRequest || !strings.Contains(body, "top-coded") {
 		t.Fatalf("series of two wide top-coded tables: status %d (%s), want 400", status, body)
 	}
+	// Rank statistics (q and k values) sum the same way.
+	ranked := rankBatch(release, maxBatchQueries)
+	ranked.Queries[0].KthLargest = []int64{1}
+	if status, body := postJSON(t, ts.URL+"/v1/query/batch", ranked, nil); status != http.StatusBadRequest || !strings.Contains(body, "rank statistics") {
+		t.Fatalf("%d rank statistics: status %d (%s), want 400", 2*maxBatchQueries+1, status, body)
+	}
+	seriesRanks := batchQueryRequest{Queries: []batchQueryEntry{
+		{Op: "series", Releases: []string{release, release}, Node: "US", Quantiles: make([]float64, maxRankStats/2+1)},
+	}}
+	if status, body := postJSON(t, ts.URL+"/v1/query/batch", seriesRanks, nil); status != http.StatusBadRequest || !strings.Contains(body, "rank statistics") {
+		t.Fatalf("series of two reports over the rank bound: status %d (%s), want 400", status, body)
+	}
 
 	// Batch attempts count once per call however many queries they
 	// carry: the successful 4-query batch plus the unknown-release one.
@@ -109,6 +121,21 @@ func TestServeBatchQuery(t *testing.T) {
 	if !strings.Contains(string(metrics), "hcoc_batch_queries_total 2") {
 		t.Fatalf("metrics missing batch counter:\n%s", metrics)
 	}
+
+	// A full batch at the rank bound is answered.
+	var full batchQueryResponse
+	if status, body := postJSON(t, ts.URL+"/v1/query/batch", rankBatch(release, maxBatchQueries), &full); status != http.StatusOK || len(full.Results) != maxBatchQueries {
+		t.Fatalf("batch at the rank bound: status %d, %d results: %.200s", status, len(full.Results), body)
+	}
+}
+
+// rankBatch is n plain entries of two quantiles each.
+func rankBatch(release string, n int) batchQueryRequest {
+	req := batchQueryRequest{Release: release, Queries: make([]batchQueryEntry, n)}
+	for i := range req.Queries {
+		req.Queries[i] = batchQueryEntry{Node: "US", Quantiles: []float64{0.5, 0.9}}
+	}
+	return req
 }
 
 // plainBatch is a plain single-release batch: two answerable entries

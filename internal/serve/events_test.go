@@ -340,8 +340,8 @@ func TestServeVersionPinnedQuery(t *testing.T) {
 // cache hits do not, and exhaustion is a 429 with the continual_budget
 // code. The budget endpoint reports the account.
 func TestServeContinualBudget(t *testing.T) {
-	eng := engine.New(engine.Options{})
-	srv, err := NewServer(eng, nil, WithContinualBudget(2.5))
+	eng := engine.New(engine.Options{MaxEpsilonContinual: 2.5})
+	srv, err := NewServer(eng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +353,8 @@ func TestServeContinualBudget(t *testing.T) {
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, nil); status != http.StatusOK {
 		t.Fatalf("first release: status %d: %s", status, body)
 	}
-	// The identical release is a cache hit: charged up front, refunded
-	// once the engine reveals no noise was drawn — spend stays at 1.
+	// The identical release is a cache hit: no noise is drawn and
+	// nothing is charged — spend stays at 1.
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, nil); status != http.StatusOK {
 		t.Fatalf("cache-hit release: status %d: %s", status, body)
 	}

@@ -14,13 +14,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"hcoc"
 	"hcoc/internal/engine"
 	"hcoc/internal/eventlog"
-	"hcoc/internal/privacy"
 	"hcoc/internal/store"
 )
 
@@ -48,48 +46,22 @@ type Server struct {
 
 	logs     *eventlog.Manager
 	maxTrees int
-
-	// Continual-observation budget: one accountant per event log,
-	// bounding the cumulative epsilon spent across every version of the
-	// hierarchy — the privacy cost of watching it evolve. Zero limit
-	// means unenforced.
-	contLimit float64
-	contMu    sync.Mutex
-	continual map[string]*privacy.Accountant
-}
-
-// ServerOption configures optional server behavior.
-type ServerOption func(*Server)
-
-// WithContinualBudget bounds the cumulative epsilon spent across all
-// versions of each hierarchy (the continual-observation budget of an
-// evolving dataset), on top of the engine's per-version bound. Zero or
-// negative disables enforcement.
-func WithContinualBudget(epsilon float64) ServerOption {
-	return func(s *Server) {
-		if epsilon > 0 {
-			s.contLimit = epsilon
-		}
-	}
 }
 
 // NewServer wires the routes over an engine and an optional durable
 // store. With a store, persisted event logs are replayed immediately —
 // and pre-event-log hierarchy snapshots migrated into single-snapshot
 // logs — so releases and queries work across restarts without
-// re-uploading.
-func NewServer(eng *engine.Engine, st *store.Store, opts ...ServerOption) (*Server, error) {
+// re-uploading. The server keeps no budget state: both epsilon bounds
+// live in the engine.
+func NewServer(eng *engine.Engine, st *store.Store) (*Server, error) {
 	s := &Server{
-		eng:       eng,
-		st:        st,
-		jobs:      engine.NewJobs(0),
-		mux:       http.NewServeMux(),
-		maxBody:   maxBodyBytes,
-		maxTrees:  maxHierarchies,
-		continual: make(map[string]*privacy.Accountant),
-	}
-	for _, o := range opts {
-		o(s)
+		eng:      eng,
+		st:       st,
+		jobs:     engine.NewJobs(0),
+		mux:      http.NewServeMux(),
+		maxBody:  maxBodyBytes,
+		maxTrees: maxHierarchies,
 	}
 	for _, rt := range s.routeTable() {
 		s.mux.HandleFunc(rt.Method+" "+rt.Pattern, rt.handler)
@@ -152,85 +124,6 @@ func (s *Server) Routes() []Route {
 		out[i] = rt.Route
 	}
 	return out
-}
-
-// continualFor returns (lazily creating and warm-starting) the
-// continual-observation accountant of one event log. On first touch
-// the accountant is seeded with the epsilon already spent against every
-// version fingerprint of the log — spend recorded by this process or
-// replayed from the store manifest — so a restart cannot reset the
-// continual budget. Returns nil when the bound is unenforced. Caller
-// holds contMu (the Accountant itself is not concurrency-safe).
-func (s *Server) continualFor(l *eventlog.Log) *privacy.Accountant {
-	if s.contLimit <= 0 {
-		return nil
-	}
-	if acct, ok := s.continual[l.ID()]; ok {
-		return acct
-	}
-	acct, err := privacy.NewAccountant(s.contLimit)
-	if err != nil {
-		return nil
-	}
-	var spent float64
-	for _, v := range l.Versions() {
-		vs, _, _, _ := s.eng.BudgetStatus(v.Fingerprint)
-		spent += vs
-	}
-	if spent > 0 {
-		// Historical spend may already exceed a newly lowered limit;
-		// clamp so the accountant still refuses new work.
-		if spent > acct.Remaining() {
-			spent = acct.Remaining()
-		}
-		_ = acct.Spend("warm-start", spent)
-	}
-	s.continual[l.ID()] = acct
-	return acct
-}
-
-// chargeContinual debits a release's epsilon against the log's
-// continual budget before the engine runs. ok=false means the bound
-// would be exceeded; remaining reports what the log could still afford.
-// charged=false means the bound is unenforced (nothing to refund).
-func (s *Server) chargeContinual(l *eventlog.Log, epsilon float64) (charged, ok bool, remaining float64) {
-	s.contMu.Lock()
-	defer s.contMu.Unlock()
-	acct := s.continualFor(l)
-	if acct == nil {
-		return false, true, 0
-	}
-	if err := acct.Spend("release", epsilon); err != nil {
-		return false, false, acct.Remaining()
-	}
-	return true, true, acct.Remaining()
-}
-
-// refundContinual returns a charge for a request that drew no noise —
-// a cache/store hit, a dedup onto an in-flight computation (the
-// computing request carries the charge), or a failed release.
-func (s *Server) refundContinual(l *eventlog.Log, epsilon float64) {
-	s.contMu.Lock()
-	defer s.contMu.Unlock()
-	if acct, ok := s.continual[l.ID()]; ok {
-		_ = acct.Refund("release", epsilon)
-	}
-}
-
-// continualStatus reports a log's continual spend and remaining budget
-// without charging anything.
-func (s *Server) continualStatus(l *eventlog.Log) (spent, remaining float64, enforced bool) {
-	s.contMu.Lock()
-	defer s.contMu.Unlock()
-	acct := s.continualFor(l)
-	if acct == nil {
-		for _, v := range l.Versions() {
-			vs, _, _, _ := s.eng.BudgetStatus(v.Fingerprint)
-			spent += vs
-		}
-		return spent, 0, false
-	}
-	return acct.Spent(), acct.Remaining(), true
 }
 
 // ServeHTTP implements http.Handler. Request bodies are bounded (and,
@@ -743,11 +636,11 @@ type releaseResponse struct {
 	DurationMS     float64 `json:"duration_ms"`
 }
 
-// budgetResponse is the 429 body when a release would exceed the
-// per-hierarchy epsilon bound; remaining_epsilon tells the client what
-// it could still afford. Code distinguishes the per-version bound
-// ("budget") from the cross-version continual-observation bound
-// ("continual_budget").
+// budgetResponse is the 429 body when a release would exceed an
+// epsilon bound; remaining_epsilon tells the client what it could still
+// afford. Code distinguishes the per-version bound ("budget") from the
+// cross-version continual-observation bound ("continual_budget"), and
+// max_epsilon_per_hierarchy carries the bound that refused.
 type budgetResponse struct {
 	Error                  string  `json:"error"`
 	Code                   string  `json:"code"`
@@ -767,17 +660,22 @@ type overloadResponse struct {
 	RetryAfterSeconds int    `json:"retry_after_seconds"`
 }
 
-// writeReleaseError maps a failed release to its status: budget
-// exhaustion and compute-queue overload are both 429 (the latter with a
-// Retry-After header — it is transient backpressure, not a spent
-// budget), everything else 500.
-func (s *Server) writeReleaseError(w http.ResponseWriter, err error) {
+// writeReleaseError maps a failed release of log l to its status:
+// budget exhaustion and compute-queue overload are both 429 (the latter
+// with a Retry-After header — it is transient backpressure, not a spent
+// budget), everything else 500. A continual refusal names the log, whose
+// versions share the bound; a per-version one names the version's tree.
+func (s *Server) writeReleaseError(w http.ResponseWriter, l *eventlog.Log, err error) {
 	var be *engine.BudgetError
 	if errors.As(err, &be) {
+		code, hierarchy := "budget", be.Hierarchy
+		if be.Continual {
+			code, hierarchy = "continual_budget", l.ID()
+		}
 		WriteJSON(w, http.StatusTooManyRequests, budgetResponse{
 			Error:                  err.Error(),
-			Code:                   "budget",
-			Hierarchy:              "h-" + be.Hierarchy,
+			Code:                   code,
+			Hierarchy:              "h-" + hierarchy,
 			RequestedEpsilon:       be.Requested,
 			RemainingEpsilon:       be.Remaining,
 			MaxEpsilonPerHierarchy: be.Limit,
@@ -823,13 +721,6 @@ func prevCandidates(l *eventlog.Log, target int64) []engine.PrevVersion {
 		out = append(out, engine.PrevVersion{TreeFP: v.Fingerprint, Changed: changed})
 	}
 	return out
-}
-
-// freeResult reports that a release request drew no new noise — the
-// engine answered from a cache/store tier or coalesced onto an
-// in-flight computation that carries the spend.
-func freeResult(res engine.Result) bool {
-	return res.CacheHit || res.StoreHit || res.Deduped
 }
 
 func parseMethods(names []string) ([]hcoc.Method, error) {
@@ -912,40 +803,15 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		Workers: req.Workers,
 	}
 
-	// Charge the continual-observation budget up front — before the
-	// engine can draw noise — and refund when the request turns out to
-	// be free (a hit or a dedup) or fails.
-	charged, ok, remaining := s.chargeContinual(l, req.Epsilon)
-	if !ok {
-		WriteJSON(w, http.StatusTooManyRequests, budgetResponse{
-			Error: fmt.Sprintf("hierarchy h-%s has spent its continual-observation budget: requested %g, %g of %g remains",
-				l.ID(), req.Epsilon, remaining, s.contLimit),
-			Code:                   "continual_budget",
-			Hierarchy:              "h-" + l.ID(),
-			RequestedEpsilon:       req.Epsilon,
-			RemainingEpsilon:       remaining,
-			MaxEpsilonPerHierarchy: s.contLimit,
-		})
-		return
-	}
-
-	prev := prevCandidates(l, ver.Seq)
+	prev := func() []engine.PrevVersion { return prevCandidates(l, ver.Seq) }
 
 	if req.Async {
 		// Detach from the request: the job runs under the background
-		// context and outlives this connection. The refund moves into
-		// the job body — only it knows how the request was satisfied.
+		// context and outlives this connection.
 		job, err := s.jobs.Submit(func() (engine.Result, error) {
-			res, err := s.eng.ReleaseFrom(context.Background(), tree, ver.Fingerprint, alg, opts, prev)
-			if charged && (err != nil || freeResult(res)) {
-				s.refundContinual(l, req.Epsilon)
-			}
-			return res, err
+			return s.eng.ReleaseFrom(context.Background(), tree, ver.Fingerprint, alg, opts, prev, l.Fingerprints)
 		})
 		if err != nil {
-			if charged {
-				s.refundContinual(l, req.Epsilon)
-			}
 			WriteError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
@@ -959,15 +825,12 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, err := s.eng.ReleaseFrom(r.Context(), tree, ver.Fingerprint, alg, opts, prev)
-	if charged && (err != nil || freeResult(res)) {
-		s.refundContinual(l, req.Epsilon)
-	}
+	res, err := s.eng.ReleaseFrom(r.Context(), tree, ver.Fingerprint, alg, opts, prev, l.Fingerprints)
 	if err != nil {
 		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
 			return // client went away
 		}
-		s.writeReleaseError(w, err)
+		s.writeReleaseError(w, l, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, releaseResponse{
@@ -1079,8 +942,8 @@ func (s *Server) handleListReleases(w http.ResponseWriter, r *http.Request) {
 			}
 			filter[v.Fingerprint] = true
 		} else {
-			for _, v := range l.Versions() {
-				filter[v.Fingerprint] = true
+			for _, fp := range l.Fingerprints() {
+				filter[fp] = true
 			}
 		}
 	} else if q.Get("version") != "" {
@@ -1469,7 +1332,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	put("hcoc_recompute_parents_total", "Parent nodes visited across incremental-capable computations.", m.RecomputeParentsTotal)
 	put("hcoc_release_states", "Per-release recompute states currently retained.", m.StateEntries)
 	put("hcoc_release_state_cost_bytes", "Estimated resident bytes of retained recompute states.", m.StateCostBytes)
-	put("hcoc_epsilon_limit_continual", "Configured continual-observation epsilon bound per hierarchy (0 = unenforced).", s.contLimit)
+	put("hcoc_epsilon_limit_continual", "Configured continual-observation epsilon bound per hierarchy (0 = unenforced).", m.EpsilonLimitContinual)
 
 	// Compute scheduler: pool state, the read priority lane, and one
 	// labeled series set per tenant.

@@ -338,6 +338,12 @@ func TestServeErrors(t *testing.T) {
 		{"query topcode over the cell bound, refused before the release lookup", func() (int, string) {
 			return getJSON(t, fmt.Sprintf("%s/v1/query/US/CA?release=r-beef&topcode=%d", ts.URL, maxTopCodedCells), nil)
 		}, http.StatusBadRequest},
+		{"query rank statistics at the bound", func() (int, string) {
+			return getJSON(t, ts.URL+"/v1/query/US/CA?release=r-beef"+rankParams(maxRankStats), nil)
+		}, http.StatusNotFound},
+		{"query rank statistics over the bound, refused before the release lookup", func() (int, string) {
+			return getJSON(t, ts.URL+"/v1/query/US/CA?release=r-beef"+rankParams(maxRankStats+1), nil)
+		}, http.StatusBadRequest},
 		{"artifact unknown release", func() (int, string) {
 			return getJSON(t, ts.URL+"/v1/release/r-beef", nil)
 		}, http.StatusNotFound},
@@ -373,6 +379,12 @@ func TestServeErrors(t *testing.T) {
 			t.Errorf("q=%s: status %d, want 400", q, status)
 		}
 	}
+}
+
+// rankParams spells n rank statistics as query parameters, half q and
+// half k.
+func rankParams(n int) string {
+	return strings.Repeat("&q=0.5", n/2) + strings.Repeat("&k=1", n-n/2)
 }
 
 // TestServeHierarchyStoreBounded verifies the uploaded-tree store
