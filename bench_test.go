@@ -490,6 +490,34 @@ func BenchmarkSerializeRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeRelease decodes one v2 artifact of the hierarchy the
+// read-mix and ingest workloads serve (housing at scale 0.05, three
+// levels, west coast, K 10000): what every SDK download and every
+// release-cache miss that reads the store pays.
+func BenchmarkDecodeRelease(b *testing.B) {
+	tree, err := SyntheticTree(DatasetHousing, DatasetConfig{Seed: 1, Scale: 0.05, Levels: 3, WestCoast: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel, err := ReleaseSparse(tree, Options{Epsilon: 1, K: 10000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteReleaseSparse(&buf, rel, 1); err != nil {
+		b.Fatal(err)
+	}
+	artifact := buf.Bytes()
+	b.SetBytes(int64(len(artifact)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ReadReleaseSparse(bytes.NewReader(artifact)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNoiseSamplers compares the float-inversion and exact-integer
 // double-geometric samplers.
 func BenchmarkNoiseSamplers(b *testing.B) {

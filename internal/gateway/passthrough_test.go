@@ -29,7 +29,14 @@ var rawClient = &http.Client{Transport: &http.Transport{DisableCompression: true
 // its body read.
 func get(t *testing.T, url string, hdr map[string]string) (*http.Response, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	return send(t, http.MethodGet, url, hdr, nil)
+}
+
+// send sends one request with the given headers and body and returns
+// the answer with its body read.
+func send(t *testing.T, method, url string, hdr map[string]string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +48,11 @@ func get(t *testing.T, url string, hdr map[string]string) (*http.Response, []byt
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp, body
+	return resp, raw
 }
 
 // sameJSON fails unless a and b hold equal JSON documents.
@@ -207,12 +214,28 @@ func TestGatewayParity(t *testing.T) {
 		}
 	}
 
-	// With Accept-Encoding: gzip the backend's compressed bytes reach the
-	// client unopened; without it the body is identity (checked above).
+	// With Accept-Encoding: gzip, an answer under 1 KiB crosses as
+	// identity, varying on Accept-Encoding, from both.
+	gz := map[string]string{"Accept-Encoding": "gzip", "Content-Type": "application/json"}
 	path := "/v1/query/US/CA?release=" + f.release + "&q=0.5"
-	gz := map[string]string{"Accept-Encoding": "gzip"}
 	direct, want := get(t, f.primary+path, gz)
 	via, got := get(t, f.base+path, gz)
+	for _, resp := range []*http.Response{direct, via} {
+		if resp.Header.Get("Content-Encoding") != "" || resp.Header.Get("Vary") != "Accept-Encoding" {
+			t.Fatalf("small answer: Content-Encoding %q, Vary %q; want identity varying on Accept-Encoding",
+				resp.Header.Get("Content-Encoding"), resp.Header.Get("Vary"))
+		}
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatal("gateway bytes of a small answer differ from the backend's")
+	}
+
+	// A 16-entry batch answers more than 1 KiB: the backend's gzip bytes
+	// reach the client unopened.
+	entry := `{"node":"US/CA","q":[0.5,0.9],"k":[1],"topcode":4}`
+	batch := []byte(`{"release":"` + f.release + `","queries":[` + strings.TrimSuffix(strings.Repeat(entry+",", 16), ",") + `]}`)
+	direct, want = send(t, http.MethodPost, f.primary+"/v1/query/batch", gz, batch)
+	via, got = send(t, http.MethodPost, f.base+"/v1/query/batch", gz, batch)
 	if direct.Header.Get("Content-Encoding") != "gzip" || via.Header.Get("Content-Encoding") != "gzip" {
 		t.Fatalf("Content-Encoding direct %q, gateway %q; want gzip from both",
 			direct.Header.Get("Content-Encoding"), via.Header.Get("Content-Encoding"))
@@ -228,7 +251,10 @@ func TestGatewayParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, identity := get(t, f.base+path, nil)
+	_, identity := send(t, http.MethodPost, f.base+"/v1/query/batch", map[string]string{"Content-Type": "application/json"}, batch)
+	if len(plain) < 1<<10 {
+		t.Fatalf("16-entry batch answered %d bytes, want at least 1 KiB", len(plain))
+	}
 	sameJSON(t, "gunzipped answer", identity, plain)
 }
 

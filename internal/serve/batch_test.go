@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"hcoc/internal/engine"
@@ -338,9 +339,9 @@ func TestServeGzip(t *testing.T) {
 		t.Fatalf("gzip upload id %q != plain upload id %q", hr.ID, plain.ID)
 	}
 
-	// Compressed response: ask for gzip explicitly (the default
-	// transport would transparently decompress; do it by hand to see the
-	// header).
+	// Response encoding: ask for gzip explicitly (the default transport
+	// would transparently decompress; do it by hand to see the header).
+	// The one-entry listing is under gzipMinSize, so it is identity.
 	req, err = http.NewRequest("GET", ts.URL+"/v1/hierarchy", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -350,20 +351,53 @@ func TestServeGzip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if got := resp.Header.Get("Content-Encoding"); got != "" || resp.Header.Get("Vary") != "Accept-Encoding" {
+		t.Fatalf("small listing: Content-Encoding %q, Vary %q; want identity varying on Accept-Encoding", got, resp.Header.Get("Vary"))
+	}
+	var listed []hierarchyResponse
+	if err := json.Unmarshal(body, &listed); err != nil {
+		t.Fatal(err)
+	}
+	if len(listed) != 1 || listed[0].ID != hr.ID {
+		t.Fatalf("listed hierarchies: %+v", listed)
+	}
+
+	// A 16-entry batch answers more than gzipMinSize bytes: gzip.
+	_, release := releaseSmall(t, ts)
+	raw16, err := json.Marshal(batchOf(release, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err = http.NewRequest("POST", ts.URL+"/v1/query/batch", bytes.NewReader(raw16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept-Encoding", "gzip")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer resp.Body.Close()
 	if got := resp.Header.Get("Content-Encoding"); got != "gzip" {
-		t.Fatalf("response Content-Encoding = %q, want gzip", got)
+		t.Fatalf("16-entry batch: Content-Encoding = %q, want gzip", got)
 	}
 	zr, err := gzip.NewReader(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var listed []hierarchyResponse
-	if err := json.NewDecoder(zr).Decode(&listed); err != nil {
+	unzipped, err := io.ReadAll(zr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(listed) != 1 || listed[0].ID != hr.ID {
-		t.Fatalf("gzip-listed hierarchies: %+v", listed)
+	var batch batchQueryResponse
+	if err := json.Unmarshal(unzipped, &batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(unzipped) < gzipMinSize || len(batch.Results) != 16 {
+		t.Fatalf("gzip batch: %d bytes, %d results", len(unzipped), len(batch.Results))
 	}
 
 	// Malformed gzip body is a 400, not a hang or a 500.
@@ -396,6 +430,142 @@ func TestServeGzip(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnsupportedMediaType {
 		t.Fatalf("br encoding: status %d, want 415", resp.StatusCode)
+	}
+}
+
+// batchOf is a plain batch of n identical node queries of release.
+func batchOf(release string, n int) batchQueryRequest {
+	req := batchQueryRequest{Release: release}
+	for i := 0; i < n; i++ {
+		req.Queries = append(req.Queries, batchQueryEntry{Node: "US/CA", Quantiles: []float64{0.5, 0.9}, KthLargest: []int64{1}, TopCode: 4})
+	}
+	return req
+}
+
+// TestCompressThreshold pins response compression through
+// Server.ServeHTTP: with Accept-Encoding: gzip, a body under
+// gzipMinSize goes out as identity and one of gzipMinSize or more as
+// gzip, each with the status and body the same request gets without
+// it, and each varying on Accept-Encoding.
+func TestCompressThreshold(t *testing.T) {
+	srv, err := NewServer(engine.New(engine.Options{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	_, release := releaseSmall(t, ts)
+	raw16, err := json.Marshal(batchOf(release, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(method, target string, body []byte, gz bool) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(method, target, bytes.NewReader(body))
+		if body != nil {
+			r.Header.Set("Content-Type", "application/json")
+		}
+		if gz {
+			r.Header.Set("Accept-Encoding", "gzip")
+		}
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, r)
+		return w
+	}
+	gunzip := func(t *testing.T, b []byte) []byte {
+		t.Helper()
+		zr, err := gzip.NewReader(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plain
+	}
+	for _, tc := range []struct {
+		name, method, target string
+		body                 []byte
+		status               int
+		gzipped              bool
+	}{
+		{"small answer", "GET", "/v1/query/US?release=" + release + "&q=0.5", nil, http.StatusOK, false},
+		{"large answer", "POST", "/v1/query/batch", raw16, http.StatusOK, true},
+		{"small 404", "GET", "/v1/query/US?release=r-nosuch", nil, http.StatusNotFound, false},
+		{"small HEAD", "HEAD", "/v1/query/US?release=" + release + "&q=0.5", nil, http.StatusOK, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := serve(tc.method, tc.target, tc.body, false)
+			got := serve(tc.method, tc.target, tc.body, true)
+			if want.Code != tc.status || got.Code != tc.status {
+				t.Fatalf("status %d without gzip, %d with; want %d", want.Code, got.Code, tc.status)
+			}
+			if got.Header().Get("Vary") != "Accept-Encoding" {
+				t.Fatalf("Vary = %q, want Accept-Encoding", got.Header().Get("Vary"))
+			}
+			body := got.Body.Bytes()
+			if ce := got.Header().Get("Content-Encoding"); (ce == "gzip") != tc.gzipped {
+				t.Fatalf("Content-Encoding = %q for a %d-byte body; gzip wanted: %v", ce, want.Body.Len(), tc.gzipped)
+			}
+			if tc.gzipped {
+				body = gunzip(t, body)
+			}
+			if !bytes.Equal(body, want.Body.Bytes()) || (len(body) >= gzipMinSize) != tc.gzipped {
+				t.Fatalf("body (%d bytes) differs from the identity answer (%d bytes)", len(body), want.Body.Len())
+			}
+		})
+	}
+
+	// Compressed answers served at once each get their own compressor.
+	want := serve("POST", "/v1/query/batch", raw16, false).Body.Bytes()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				r := httptest.NewRequest("POST", "/v1/query/batch", bytes.NewReader(raw16))
+				r.Header.Set("Content-Type", "application/json")
+				r.Header.Set("Accept-Encoding", "gzip")
+				w := httptest.NewRecorder()
+				srv.ServeHTTP(w, r)
+				zr, err := gzip.NewReader(w.Body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, err := io.ReadAll(zr); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("concurrent gzip answer differs from the identity one (%v)", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// /metrics is written in many small chunks; together they cross the
+	// threshold, and the compressed stream holds all of them.
+	w := serve("GET", "/metrics", nil, true)
+	if w.Code != http.StatusOK || w.Header().Get("Content-Encoding") != "gzip" {
+		t.Fatalf("/metrics: status %d, Content-Encoding %q; want 200 gzip", w.Code, w.Header().Get("Content-Encoding"))
+	}
+	if text := gunzip(t, w.Body.Bytes()); len(text) < gzipMinSize || !bytes.Contains(text, []byte("hcoc_cache_hits_total")) {
+		t.Fatalf("/metrics decompressed to %d bytes without its counters", len(text))
+	}
+
+	// HEAD on a large answer carries gzip headers and no body.
+	resp, err := http.DefaultClient.Do(func() *http.Request {
+		r, _ := http.NewRequest("HEAD", ts.URL+"/metrics", nil)
+		r.Header.Set("Accept-Encoding", "gzip")
+		return r
+	}())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "gzip" || n != 0 {
+		t.Fatalf("HEAD /metrics: status %d, Content-Encoding %q, %d body bytes", resp.StatusCode, resp.Header.Get("Content-Encoding"), n)
 	}
 }
 

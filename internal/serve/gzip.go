@@ -5,23 +5,52 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// gzipWriters pools response compressors: a flate writer's internal
-// state is large (hundreds of KB), and allocating one per response
-// dominated the serving allocation profile.
-var gzipWriters = sync.Pool{
-	New: func() any { return gzip.NewWriter(io.Discard) },
+// gzipWriters holds idle response compressors. A flate writer's state
+// is about 800 KB. A sync.Pool drops its idle entries at every garbage
+// collection, and under read load, with compressed answers rare and
+// collections frequent, rebuilding them made up half of all bytes the
+// process allocated. Compression is CPU-bound, so one idle compressor
+// per CPU is kept, and no more.
+var gzipWriters = make(chan *gzip.Writer, runtime.GOMAXPROCS(0))
+
+// getGzipWriter returns an idle compressor, or a new one, writing to w.
+func getGzipWriter(w io.Writer) *gzip.Writer {
+	select {
+	case zw := <-gzipWriters:
+		zw.Reset(w)
+		return zw
+	default:
+		return gzip.NewWriter(w)
+	}
 }
+
+// putGzipWriter keeps zw for reuse unless the idle list is full.
+func putGzipWriter(zw *gzip.Writer) {
+	select {
+	case gzipWriters <- zw:
+	default:
+	}
+}
+
+// gzipMinSize is the smallest response body worth compressing, the
+// threshold the SDK also applies to request bodies. Below it a
+// compressor costs more than the bytes it saves: resetting one clears
+// hundreds of KB of tables, even for a 300-byte answer.
+const gzipMinSize = 1 << 10
 
 // The transport layer speaks gzip in both directions: POST bodies may
 // arrive with Content-Encoding: gzip (a hierarchy upload is highly
-// repetitive JSON, typically 10-20x smaller compressed), and any
-// response is compressed when the client advertised Accept-Encoding:
-// gzip. Decompressed request bodies are bounded exactly like plain
+// repetitive JSON, typically 10-20x smaller compressed), and a
+// response body of gzipMinSize bytes or more is compressed when the
+// client advertised Accept-Encoding: gzip. JSON answers are compact,
+// so most single-node answers stay under the threshold and go out as
+// identity. Decompressed request bodies are bounded exactly like plain
 // ones, so a gzip bomb hits the same 413 as an oversized upload.
 
 // gzipBody lazily decompresses a request body. The gzip reader is
@@ -61,20 +90,67 @@ func (b *gzipBody) Close() error {
 	return b.src.Close()
 }
 
-// gzipResponseWriter compresses the response body; headers are fixed up
-// on the first write, when the handler has committed to a body.
+// gzipResponseWriter holds a response back until its body reaches
+// gzipMinSize, then sends status and headers with Content-Encoding:
+// gzip and compresses the body from there. A response that ends
+// shorter goes out as identity when finish runs, with its status and
+// headers unchanged. Either way it varies on Accept-Encoding.
 type gzipResponseWriter struct {
 	http.ResponseWriter
-	zw *gzip.Writer
+	status int    // the handler's status; 0 until it sets one or writes
+	buf    []byte // the body held back, shorter than gzipMinSize
+	zw     *gzip.Writer
+}
+
+// gzipResponses pools response writers with their held-back buffers.
+var gzipResponses = sync.Pool{
+	New: func() any { return &gzipResponseWriter{buf: make([]byte, 0, gzipMinSize)} },
 }
 
 func (w *gzipResponseWriter) WriteHeader(status int) {
-	w.Header().Del("Content-Length")
-	w.ResponseWriter.WriteHeader(status)
+	if w.status == 0 {
+		w.status = status
+	}
 }
 
 func (w *gzipResponseWriter) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	if w.zw != nil {
+		return w.zw.Write(p)
+	}
+	if len(w.buf)+len(p) < gzipMinSize {
+		w.buf = append(w.buf, p...)
+		return len(p), nil
+	}
+	h := w.Header()
+	h.Del("Content-Length")
+	h.Set("Content-Encoding", "gzip")
+	h.Add("Vary", "Accept-Encoding")
+	w.ResponseWriter.WriteHeader(w.status)
+	w.zw = getGzipWriter(w.ResponseWriter)
+	if _, err := w.zw.Write(w.buf); err != nil {
+		return 0, err
+	}
 	return w.zw.Write(p)
+}
+
+// finish ends the response: it flushes the compressor, or sends the
+// held-back body as identity.
+func (w *gzipResponseWriter) finish() {
+	if w.zw != nil {
+		_ = w.zw.Close()
+		putGzipWriter(w.zw)
+		return
+	}
+	w.Header().Add("Vary", "Accept-Encoding")
+	if w.status != 0 {
+		w.ResponseWriter.WriteHeader(w.status)
+	}
+	if len(w.buf) > 0 {
+		_, _ = w.ResponseWriter.Write(w.buf)
+	}
 }
 
 // acceptsGzip reports whether the request advertises gzip response

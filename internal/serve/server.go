@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -128,8 +127,8 @@ func (s *Server) Routes() []Route {
 
 // ServeHTTP implements http.Handler. Request bodies are bounded (and,
 // with Content-Encoding: gzip, transparently decompressed under the
-// same bound); responses are gzip-compressed when the client accepts
-// it.
+// same bound); a response body of at least 1 KiB is gzip-compressed
+// when the client accepts it.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r, ok := WrapRequest(w, r, s.maxBody)
 	if !ok {
@@ -159,9 +158,10 @@ func WrapRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (*http.R
 }
 
 // CompressResponse applies the response side of the transport
-// conventions: the response is gzip-compressed when the client accepts
-// it. The returned finish func must be deferred around the handler (it
-// flushes the compressor).
+// conventions: a body of at least 1 KiB is gzip-compressed when the
+// client accepts it, and a shorter one goes out as identity. The
+// returned finish func must be deferred around the handler (it flushes
+// the compressor, or sends the short body).
 //
 // Artifact downloads (GET /v1/release/{id}) are always served identity:
 // they go through http.ServeContent for zero-copy streaming with exact
@@ -173,13 +173,12 @@ func CompressResponse(w http.ResponseWriter, r *http.Request) (http.ResponseWrit
 	if !acceptsGzip(r) || isArtifactDownload(r) {
 		return w, func() {}
 	}
-	zw := gzipWriters.Get().(*gzip.Writer)
-	zw.Reset(w)
-	w.Header().Set("Content-Encoding", "gzip")
-	w.Header().Add("Vary", "Accept-Encoding")
-	return &gzipResponseWriter{ResponseWriter: w, zw: zw}, func() {
-		_ = zw.Close()
-		gzipWriters.Put(zw)
+	gw := gzipResponses.Get().(*gzipResponseWriter)
+	gw.ResponseWriter = w
+	return gw, func() {
+		gw.finish()
+		*gw = gzipResponseWriter{buf: gw.buf[:0]}
+		gzipResponses.Put(gw)
 	}
 }
 
@@ -225,14 +224,12 @@ func errorCode(status int) string {
 	}
 }
 
-// WriteJSON writes v as an indented JSON response. Exported for the
+// WriteJSON writes v as a compact JSON response. Exported for the
 // gateway tier, which answers in the same wire shapes as the backend.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // WriteError writes the canonical {"error", "code"} body every non-2xx
@@ -1128,22 +1125,18 @@ func (s *Server) resolveReleaseKey(w http.ResponseWriter, hierarchy, version str
 		WriteError(w, http.StatusNotFound, "hierarchy h-%s has no version %d (head is %d)", l.ID(), seq, l.Head().Seq)
 		return "", false
 	}
-	var key string
-	var latest time.Time
+	var latest store.Meta
+	found := false
 	if s.st != nil {
-		for _, m := range s.st.List() {
-			if m.Hierarchy == ver.Fingerprint && (key == "" || m.CreatedAt.After(latest)) {
-				key, latest = m.Key, m.CreatedAt
-			}
-		}
+		latest, found = s.st.LatestRelease(ver.Fingerprint)
 	}
-	if key == "" {
+	if !found {
 		WriteError(w, http.StatusNotFound,
 			"no durable release for hierarchy h-%s version %d; POST /v1/release with \"version\": %d first",
 			l.ID(), ver.Seq, ver.Seq)
 		return "", false
 	}
-	return key, true
+	return latest.Key, true
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -795,5 +798,69 @@ func TestServeBottomUp(t *testing.T) {
 	}
 	if bu.CacheHit || bu.Release == td.Release {
 		t.Fatal("bottomup release shared the topdown cache entry")
+	}
+}
+
+// TestServeVersionPinnedQueryCost: resolving ?hierarchy=&version= reads
+// the store's per-fingerprint index, so against 2,000 artifacts of other
+// hierarchies a pinned query allocates within a small constant of the
+// same query by release id.
+func TestServeVersionPinnedQueryCost(t *testing.T) {
+	dir := t.TempDir()
+	var manifest bytes.Buffer
+	for i := 0; i < 2000; i++ {
+		line, err := json.Marshal(store.Meta{
+			Kind: store.KindRelease, Key: fmt.Sprintf("other-%d", i), Hierarchy: fmt.Sprintf("fp-%d", i),
+			Algorithm: "topdown", Epsilon: 1, CreatedAt: time.Unix(1700000000, 0).UTC(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		manifest.Write(append(line, '\n'))
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.jsonl"), manifest.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, dir)
+	srv, err := NewServer(engine.New(engine.Options{Store: st}), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	hr := uploadGroups(t, ts, "US", smallGroups())
+	var rr releaseResponse
+	req := releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 7}
+	if status, body := postJSON(t, ts.URL+"/v1/release", req, &rr); status != http.StatusOK {
+		t.Fatalf("release: status %d: %s", status, body)
+	}
+	if st.Len() != 2001 {
+		t.Fatalf("store holds %d artifacts, want 2001", st.Len())
+	}
+
+	bytesPerQuery := func(target string) uint64 {
+		t.Helper()
+		query := func() {
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", target, w.Code, w.Body)
+			}
+		}
+		query() // warm the release cache
+		const n = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			query()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	byID := bytesPerQuery("/v1/query/US/CA?release=" + rr.Release + "&q=0.5")
+	pinned := bytesPerQuery("/v1/query/US/CA?hierarchy=" + hr.ID + "&version=1&q=0.5")
+	t.Logf("bytes per query: by release id %d, version-pinned %d", byID, pinned)
+	if pinned > byID+4<<10 {
+		t.Fatalf("a version-pinned query allocates %d bytes, the same query by release id %d: resolution scales with the store", pinned, byID)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hcoc"
 	"hcoc/internal/store/s3stub"
@@ -361,6 +362,43 @@ func TestStoreSharedRefreshOnMiss(t *testing.T) {
 	// The refresh replays the writer's charges too — no double count.
 	if spent := reader.EpsilonByHierarchy(); spent["fp1"] != 1 {
 		t.Fatalf("spent = %v, want fp1=1", spent)
+	}
+}
+
+// TestLatestReleaseSharedRefresh: on a shared store, LatestRelease
+// reads the index as last replayed, and a Refresh picks up another
+// node's newer artifact of the same fingerprint.
+func TestLatestReleaseSharedRefresh(t *testing.T) {
+	srv := httptest.NewServer(s3stub.New("hcoc-test"))
+	defer srv.Close()
+	writer := openStoreS3(t, srv)
+	defer writer.Close()
+	reader := openStoreS3(t, srv)
+	defer reader.Close()
+
+	rel, _ := testRelease(t, 1)
+	older, newer := meta("k1", "fp1", 1), meta("k2", "fp1", 1)
+	newer.CreatedAt = older.CreatedAt.Add(time.Minute)
+	if err := writer.PutRelease(older, rel); err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := reader.LatestRelease("fp1"); !ok || m.Key != "k1" {
+		t.Fatalf("after the first refresh: %+v, %v; want k1", m, ok)
+	}
+	if err := writer.PutRelease(newer, rel); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := reader.LatestRelease("fp1"); m.Key != "k1" {
+		t.Fatalf("before a refresh: %q, want the replayed k1", m.Key)
+	}
+	if err := reader.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := reader.LatestRelease("fp1"); !ok || m.Key != "k2" {
+		t.Fatalf("after the second refresh: %+v, %v; want k2", m, ok)
 	}
 }
 

@@ -107,11 +107,49 @@ type Store struct {
 	// readers take only mu and never wait on backend I/O.
 	appendMu sync.Mutex
 
-	mu     sync.Mutex
-	metas  map[string]Meta // latest entry per key
-	order  []string        // keys in first-appearance manifest order
-	spent  map[string]float64
-	events map[string]int64 // event log id -> highest appended Seq
+	mu  sync.Mutex
+	idx *index
+}
+
+// index is the in-memory replay of the manifest log.
+type index struct {
+	metas map[string]Meta // latest entry per key
+	order []string        // keys in first-appearance manifest order
+	// byHierarchy lists each hierarchy fingerprint's keys in
+	// first-appearance manifest order. A key is a content address that
+	// covers its fingerprint, so it never moves to another list.
+	byHierarchy map[string][]string
+	spent       map[string]float64
+	events      map[string]int64 // event log id -> highest appended Seq
+}
+
+func newIndex() *index {
+	return &index{
+		metas:       make(map[string]Meta),
+		byHierarchy: make(map[string][]string),
+		spent:       make(map[string]float64),
+		events:      make(map[string]int64),
+	}
+}
+
+// record indexes one manifest entry.
+func (x *index) record(m Meta) {
+	switch m.Kind {
+	case KindCharge:
+		x.spent[m.Hierarchy] += m.Epsilon
+	case KindRefund:
+		x.spent[m.Hierarchy] -= m.Epsilon
+	case KindEvent:
+		if m.Seq > x.events[m.Hierarchy] {
+			x.events[m.Hierarchy] = m.Seq
+		}
+	default: // KindRelease / legacy empty
+		if _, ok := x.metas[m.Key]; !ok {
+			x.order = append(x.order, m.Key)
+			x.byHierarchy[m.Hierarchy] = append(x.byHierarchy[m.Hierarchy], m.Key)
+		}
+		x.metas[m.Key] = m
+	}
 }
 
 // Open creates (if needed) and loads a local-disk store rooted at dir,
@@ -136,11 +174,11 @@ func Open(dir string) (*Store, error) {
 // Close closes it.
 func OpenBackend(b BlobStore) (*Store, error) {
 	s := &Store{b: b}
-	metas, order, spent, events, err := s.loadManifest()
+	idx, err := s.loadManifest()
 	if err != nil {
 		return nil, err
 	}
-	s.metas, s.order, s.spent, s.events = metas, order, spent, events
+	s.idx = idx
 	return s, nil
 }
 
@@ -151,19 +189,17 @@ func (s *Store) Backend() string { return s.b.Name() }
 // concurrently (see BlobStore.Shared).
 func (s *Store) Shared() bool { return s.b.Shared() }
 
-// loadManifest replays the backend's manifest log into fresh index
-// maps. It tolerates a torn final line (crash mid-append) and rejects
+// loadManifest replays the backend's manifest log into a fresh index.
+// It tolerates a torn final line (crash mid-append) and rejects
 // corruption anywhere else.
-func (s *Store) loadManifest() (metas map[string]Meta, order []string, spent map[string]float64, events map[string]int64, err error) {
-	metas = make(map[string]Meta)
-	spent = make(map[string]float64)
-	events = make(map[string]int64)
+func (s *Store) loadManifest() (*index, error) {
 	r, err := s.b.ManifestReader()
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
 	defer r.Close()
 
+	idx := newIndex()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var pendingErr error
@@ -173,7 +209,7 @@ func (s *Store) loadManifest() (metas map[string]Meta, order []string, spent map
 		// A parse failure is only tolerated on the final line (torn
 		// append); seeing another line after one means real corruption.
 		if pendingErr != nil {
-			return nil, nil, nil, nil, pendingErr
+			return nil, pendingErr
 		}
 		raw := strings.TrimSpace(sc.Text())
 		if raw == "" {
@@ -184,26 +220,12 @@ func (s *Store) loadManifest() (metas map[string]Meta, order []string, spent map
 			pendingErr = fmt.Errorf("store: manifest line %d is corrupt: %q", line, raw)
 			continue
 		}
-		switch m.Kind {
-		case KindCharge:
-			spent[m.Hierarchy] += m.Epsilon
-		case KindRefund:
-			spent[m.Hierarchy] -= m.Epsilon
-		case KindEvent:
-			if m.Seq > events[m.Hierarchy] {
-				events[m.Hierarchy] = m.Seq
-			}
-		default: // KindRelease / legacy empty
-			if _, ok := metas[m.Key]; !ok {
-				order = append(order, m.Key)
-			}
-			metas[m.Key] = m
-		}
+		idx.record(m)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("store: reading manifest: %w", err)
+		return nil, fmt.Errorf("store: reading manifest: %w", err)
 	}
-	return metas, order, spent, events, nil
+	return idx, nil
 }
 
 // Refresh re-reads the whole manifest log and atomically swaps the
@@ -215,33 +237,14 @@ func (s *Store) loadManifest() (metas map[string]Meta, order []string, spent map
 func (s *Store) Refresh() error {
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
-	metas, order, spent, events, err := s.loadManifest()
+	idx, err := s.loadManifest()
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.metas, s.order, s.spent, s.events = metas, order, spent, events
+	s.idx = idx
 	s.mu.Unlock()
 	return nil
-}
-
-// record indexes one manifest entry (caller holds mu).
-func (s *Store) record(m Meta) {
-	switch m.Kind {
-	case KindCharge:
-		s.spent[m.Hierarchy] += m.Epsilon
-	case KindRefund:
-		s.spent[m.Hierarchy] -= m.Epsilon
-	case KindEvent:
-		if m.Seq > s.events[m.Hierarchy] {
-			s.events[m.Hierarchy] = m.Seq
-		}
-	default: // KindRelease / legacy empty
-		if _, ok := s.metas[m.Key]; !ok {
-			s.order = append(s.order, m.Key)
-		}
-		s.metas[m.Key] = m
-	}
 }
 
 // appendEntry appends one manifest line durably, then indexes it.
@@ -258,7 +261,7 @@ func (s *Store) appendEntry(m Meta) error {
 		return err
 	}
 	s.mu.Lock()
-	s.record(m)
+	s.idx.record(m)
 	s.mu.Unlock()
 	return nil
 }
@@ -312,7 +315,7 @@ func (s *Store) PutRelease(m Meta, rel hcoc.SparseHistograms) error {
 // have released the key since our last replay.
 func (s *Store) meta(key string) (Meta, bool) {
 	s.mu.Lock()
-	m, ok := s.metas[key]
+	m, ok := s.idx.metas[key]
 	s.mu.Unlock()
 	if ok || !s.b.Shared() {
 		return m, ok
@@ -321,7 +324,7 @@ func (s *Store) meta(key string) (Meta, bool) {
 		return Meta{}, false
 	}
 	s.mu.Lock()
-	m, ok = s.metas[key]
+	m, ok = s.idx.metas[key]
 	s.mu.Unlock()
 	return m, ok
 }
@@ -371,7 +374,7 @@ func (s *Store) OpenRelease(key string) (io.ReadSeekCloser, BlobInfo, Meta, erro
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.metas)
+	return len(s.idx.metas)
 }
 
 // List returns the latest manifest entry for every stored release, in
@@ -379,11 +382,27 @@ func (s *Store) Len() int {
 func (s *Store) List() []Meta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Meta, 0, len(s.order))
-	for _, key := range s.order {
-		out = append(out, s.metas[key])
+	out := make([]Meta, 0, len(s.idx.order))
+	for _, key := range s.idx.order {
+		out = append(out, s.idx.metas[key])
 	}
 	return out
+}
+
+// LatestRelease returns the newest stored release of a hierarchy
+// fingerprint by CreatedAt, the first in manifest order among equally
+// new ones. Like List, it reads the index as last replayed.
+func (s *Store) LatestRelease(fingerprint string) (Meta, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var latest Meta
+	keys := s.idx.byHierarchy[fingerprint]
+	for i, key := range keys {
+		if m := s.idx.metas[key]; i == 0 || m.CreatedAt.After(latest.CreatedAt) {
+			latest = m
+		}
+	}
+	return latest, len(keys) > 0
 }
 
 // EpsilonByHierarchy returns the cumulative epsilon spent per hierarchy
@@ -394,8 +413,8 @@ func (s *Store) List() []Meta {
 func (s *Store) EpsilonByHierarchy() map[string]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]float64, len(s.spent))
-	for fp, eps := range s.spent {
+	out := make(map[string]float64, len(s.idx.spent))
+	for fp, eps := range s.idx.spent {
 		out[fp] = eps
 	}
 	return out
@@ -427,8 +446,8 @@ func (s *Store) AppendEvent(m Meta) error {
 func (s *Store) EventLogs() map[string]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.events))
-	for id, seq := range s.events {
+	out := make(map[string]int64, len(s.idx.events))
+	for id, seq := range s.idx.events {
 		out[id] = seq
 	}
 	return out

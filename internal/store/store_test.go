@@ -144,6 +144,60 @@ func TestReopenReplaysManifest(t *testing.T) {
 	}
 }
 
+// TestLatestRelease: a fingerprint's newest artifact by CreatedAt wins,
+// the first in manifest order among equally new ones, a re-put key
+// becomes the newest, and a reopen replays the same answers.
+func TestLatestRelease(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, _ := testRelease(t, 1)
+	put := func(key, fp string, at int64) {
+		t.Helper()
+		m := meta(key, fp, 1)
+		m.CreatedAt = time.Unix(at, 0).UTC()
+		if err := s.PutRelease(m, rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	latest := func(s *Store, fp string) string {
+		m, ok := s.LatestRelease(fp)
+		if ok != (m.Key != "") {
+			t.Fatalf("LatestRelease(%q) = %+v, %v", fp, m, ok)
+		}
+		return m.Key
+	}
+	want := func(fp, key string) {
+		t.Helper()
+		if got := latest(s, fp); got != key {
+			t.Fatalf("latest of %s = %q, want %q", fp, got, key)
+		}
+	}
+	want("fp1", "")
+	put("a", "fp1", 100)
+	put("b", "fp1", 300)
+	put("c", "fp1", 200)
+	put("d", "fp2", 400)
+	want("fp1", "b")
+	put("e", "fp1", 300) // as new as b, later in the manifest
+	want("fp1", "b")
+	put("a", "fp1", 500) // a re-put key is the newest
+	want("fp1", "a")
+	want("fp2", "d")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want("fp1", "a")
+	want("fp2", "d")
+}
+
 // TestTornManifestLine simulates a crash mid-append: the final,
 // incomplete manifest line is dropped on reopen, earlier entries
 // survive, and entries appended after recovery survive later reopens.

@@ -1,9 +1,14 @@
 package hcoc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
+	"sync"
+	"unicode/utf8"
 )
 
 // Release artifacts come in two wire formats:
@@ -98,8 +103,31 @@ func WriteReleaseSparse(w io.Writer, rel SparseHistograms, epsilon float64) erro
 }
 
 // decodeRelease parses either artifact format into the run-length
-// representation, validating every node.
+// representation, validating every node. The artifacts this package
+// writes take sparseParser's single pass; every other input goes to
+// decodeReleaseJSON, so both accept and refuse exactly what the
+// encoding/json decoder does, with the same result.
 func decodeRelease(r io.Reader) (SparseHistograms, float64, error) {
+	sc := sparseScratchPool.Get().(*sparseScratch)
+	defer sc.recycle()
+	if _, err := sc.buf.ReadFrom(r); err != nil {
+		// The reference decoder stops at the end of the first JSON value,
+		// so it may still succeed on the bytes read before the error.
+		return decodeReleaseJSON(io.MultiReader(bytes.NewReader(sc.buf.Bytes()), failingReader{err}))
+	}
+	p := sparseParser{b: sc.buf.Bytes(), runs: sc.runs[:0], nodes: sc.nodes[:0]}
+	rel, epsilon, ok := p.parse()
+	sc.runs, sc.nodes = p.runs, p.nodes
+	if ok {
+		return rel, epsilon, nil
+	}
+	return decodeReleaseJSON(bytes.NewReader(sc.buf.Bytes()))
+}
+
+// decodeReleaseJSON is the encoding/json decoder of both formats: the
+// reference decodeRelease must agree with, and its path for every
+// input outside the canonical v2 shape.
+func decodeReleaseJSON(r io.Reader) (SparseHistograms, float64, error) {
 	var head releaseHeader
 	if err := json.NewDecoder(r).Decode(&head); err != nil {
 		return nil, 0, fmt.Errorf("hcoc: parsing release: %w", err)
@@ -146,6 +174,286 @@ func decodeRelease(r io.Reader) (SparseHistograms, float64, error) {
 		return nil, 0, fmt.Errorf("hcoc: release has no nodes")
 	}
 	return out, head.Epsilon, nil
+}
+
+// failingReader returns err from every Read.
+type failingReader struct{ err error }
+
+func (r failingReader) Read([]byte) (int, error) { return 0, r.err }
+
+// maxPooledArtifact bounds the scratch buffer kept for reuse, so one
+// huge artifact does not stay resident after its decode.
+const maxPooledArtifact = 4 << 20
+
+// sparseScratch is decodeRelease's reusable working memory: the
+// artifact bytes, and the runs and node spans the direct parser reads
+// before it allocates the release at its exact size.
+type sparseScratch struct {
+	buf   bytes.Buffer
+	runs  []SparseRun
+	nodes []nodeSpan
+}
+
+var sparseScratchPool = sync.Pool{New: func() any { return new(sparseScratch) }}
+
+// recycle returns sc to the pool unless its buffer grew too large.
+func (sc *sparseScratch) recycle() {
+	if sc.buf.Cap() > maxPooledArtifact {
+		return
+	}
+	sc.buf.Reset()
+	clear(sc.nodes) // so stale spans cannot pin an outgrown buffer
+	sparseScratchPool.Put(sc)
+}
+
+// nodeSpan is one node the direct parser has read: its path, still in
+// the artifact bytes, and its runs in sparseParser.runs.
+type nodeSpan struct {
+	path       []byte
+	start, end int
+}
+
+// sparseParser reads the canonical v2-sparse shape straight from the
+// artifact bytes: an object with the keys "format", "epsilon" and
+// "nodes", each at most once and in any order; node paths that are
+// valid UTF-8 with no escapes; runs as [size,count] pairs of integer
+// literals; any JSON whitespace. It checks each node as it reads it.
+// A method returning false means the input is outside that shape or
+// invalid, and the caller falls back to decodeReleaseJSON.
+type sparseParser struct {
+	b     []byte
+	i     int
+	runs  []SparseRun
+	nodes []nodeSpan
+}
+
+// parse reads the whole artifact and builds its release.
+func (p *sparseParser) parse() (SparseHistograms, float64, bool) {
+	epsilon, ok := p.artifact()
+	if !ok {
+		return nil, 0, false
+	}
+	rel, ok := p.assemble()
+	return rel, epsilon, ok
+}
+
+// artifact reads the top-level object and returns its epsilon.
+func (p *sparseParser) artifact() (float64, bool) {
+	var epsilon float64
+	var format, eps, nodes bool
+	if !p.next('{') {
+		return 0, false
+	}
+	for n := 0; !p.next('}'); n++ {
+		if n > 0 && !p.next(',') {
+			return 0, false
+		}
+		key, ok := p.str()
+		if !ok || !p.next(':') {
+			return 0, false
+		}
+		switch string(key) {
+		case "format":
+			v, ok := p.str()
+			if format || !ok || string(v) != releaseFormatSparse {
+				return 0, false
+			}
+			format = true
+		case "epsilon":
+			if epsilon, ok = p.number(); eps || !ok {
+				return 0, false
+			}
+			eps = true
+		case "nodes":
+			if nodes || !p.nodeMap() {
+				return 0, false
+			}
+			nodes = true
+		default:
+			return 0, false
+		}
+	}
+	p.skipSpace()
+	return epsilon, format && nodes && p.i == len(p.b)
+}
+
+// nodeMap reads the nodes object.
+func (p *sparseParser) nodeMap() bool {
+	if !p.next('{') {
+		return false
+	}
+	for n := 0; !p.next('}'); n++ {
+		if n > 0 && !p.next(',') {
+			return false
+		}
+		path, ok := p.str()
+		if !ok || !p.next(':') || !p.runList(path) {
+			return false
+		}
+	}
+	return true
+}
+
+// runList reads one node's runs, checking that sizes strictly increase
+// up to MaxGroupSize and that every count is positive.
+func (p *sparseParser) runList(path []byte) bool {
+	if !p.next('[') {
+		return false
+	}
+	start, prev := len(p.runs), int64(-1)
+	for !p.next(']') {
+		if len(p.runs) > start && !p.next(',') {
+			return false
+		}
+		if !p.next('[') {
+			return false
+		}
+		size, ok := p.integer()
+		if !ok || size <= prev || size > MaxGroupSize || !p.next(',') {
+			return false
+		}
+		count, ok := p.integer()
+		if !ok || count <= 0 || !p.next(']') {
+			return false
+		}
+		p.runs = append(p.runs, SparseRun{Size: size, Count: count})
+		prev = size
+	}
+	p.nodes = append(p.nodes, nodeSpan{path: path, start: start, end: len(p.runs)})
+	return true
+}
+
+// assemble builds the release from the nodes read: every path in one
+// string and every run in one array, each node's histogram a
+// capacity-limited slice of it. A duplicate path, or no node at all,
+// refuses.
+func (p *sparseParser) assemble() (SparseHistograms, bool) {
+	if len(p.nodes) == 0 {
+		return nil, false
+	}
+	size := 0
+	for _, n := range p.nodes {
+		size += len(n.path)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for _, n := range p.nodes {
+		sb.Write(n.path)
+	}
+	paths := sb.String()
+	runs := make(SparseHistogram, len(p.runs))
+	copy(runs, p.runs)
+	out := make(SparseHistograms, len(p.nodes))
+	off := 0
+	for _, n := range p.nodes {
+		path := paths[off : off+len(n.path)]
+		off += len(n.path)
+		if _, dup := out[path]; dup {
+			return nil, false
+		}
+		out[path] = runs[n.start:n.end:n.end]
+	}
+	return out, true
+}
+
+// jsonSpace has bit c set for each JSON whitespace byte c.
+const jsonSpace = 1<<' ' | 1<<'\t' | 1<<'\n' | 1<<'\r'
+
+// skipSpace advances past JSON whitespace. An indented artifact is
+// mostly whitespace, so the test is one compare and one mask.
+func (p *sparseParser) skipSpace() {
+	i := p.i
+	for i < len(p.b) && p.b[i] <= ' ' && jsonSpace&(1<<p.b[i]) != 0 {
+		i++
+	}
+	p.i = i
+}
+
+// next skips whitespace and consumes c, reporting whether it was there.
+func (p *sparseParser) next(c byte) bool {
+	p.skipSpace()
+	if p.i < len(p.b) && p.b[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
+// str reads a string with no escapes whose bytes are valid UTF-8,
+// returning its contents as a slice of the artifact.
+func (p *sparseParser) str() ([]byte, bool) {
+	if !p.next('"') {
+		return nil, false
+	}
+	start, ascii := p.i, true
+	for ; p.i < len(p.b); p.i++ {
+		switch c := p.b[p.i]; {
+		case c == '"':
+			s := p.b[start:p.i]
+			p.i++
+			return s, ascii || utf8.Valid(s)
+		case c == '\\' || c < 0x20:
+			return nil, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return nil, false
+}
+
+// digits advances past a run of decimal digits and returns its length.
+func (p *sparseParser) digits() int {
+	start := p.i
+	for p.i < len(p.b) && '0' <= p.b[p.i] && p.b[p.i] <= '9' {
+		p.i++
+	}
+	return p.i - start
+}
+
+// integer reads a nonnegative JSON integer literal of at most 18
+// digits, which cannot overflow an int64.
+func (p *sparseParser) integer() (int64, bool) {
+	p.skipSpace()
+	start := p.i
+	if n := p.digits(); n == 0 || n > 18 || (n > 1 && p.b[start] == '0') {
+		return 0, false
+	}
+	var v int64
+	for _, c := range p.b[start:p.i] {
+		v = v*10 + int64(c-'0')
+	}
+	return v, true
+}
+
+// number reads a JSON number literal and converts it as encoding/json
+// does for a float64; a value out of float64 range refuses.
+func (p *sparseParser) number() (float64, bool) {
+	p.skipSpace()
+	start := p.i
+	if p.i < len(p.b) && p.b[p.i] == '-' {
+		p.i++
+	}
+	intStart := p.i
+	if n := p.digits(); n == 0 || (n > 1 && p.b[intStart] == '0') {
+		return 0, false
+	}
+	if p.i < len(p.b) && p.b[p.i] == '.' {
+		p.i++
+		if p.digits() == 0 {
+			return 0, false
+		}
+	}
+	if p.i < len(p.b) && (p.b[p.i] == 'e' || p.b[p.i] == 'E') {
+		p.i++
+		if p.i < len(p.b) && (p.b[p.i] == '+' || p.b[p.i] == '-') {
+			p.i++
+		}
+		if p.digits() == 0 {
+			return 0, false
+		}
+	}
+	f, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
+	return f, err == nil
 }
 
 // ReadRelease parses a release artifact in either wire format and

@@ -2,9 +2,15 @@ package hcoc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"testing/iotest"
 )
 
 func TestReleaseRoundTrip(t *testing.T) {
@@ -61,6 +67,13 @@ func TestReadReleaseRejectsBadInput(t *testing.T) {
 		`{"format":"hcoc-release/v2-sparse","nodes":{"a":[[3,1],[1,1]]}}`,
 		`{"format":"hcoc-release/v2-sparse","nodes":{"a":[[2,1],[2,1]]}}`,
 		`{"format":"hcoc-release/v2-sparse","nodes":{"a":[[2,0]]}}`,
+		`{"format":"hcoc-release/v2-sparse","nodes":{"a":[[4194305,1]]}}`,
+		`{"format":"hcoc-release/v2-sparse","nodes":{"a":[[01,1]]}}`,
+		`{"format":"hcoc-release/v2-sparse","nodes":{"a":[[1.5,1]]}}`,
+		`{"format":"hcoc-release/v2-sparse","nodes":{"a":[[1,2],]}}`,
+		`{"format":"hcoc-release/v2-sparse","nodes":{"a":[[1,2]]},}`,
+		`{"format":"hcoc-release/v2-sparse","nodes":{"a":[[1,2]]}`,
+		"{\"format\":\"hcoc-release/v2-sparse\",\"nodes\":{\"a\tb\":[[1,2]]}}",
 	} {
 		if _, _, err := ReadRelease(strings.NewReader(bad)); err == nil {
 			t.Errorf("bad artifact %q accepted by ReadRelease", bad)
@@ -158,19 +171,143 @@ func TestWriteReleaseSparseRejectsEmpty(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRelease fuzzes both artifact decoders: no input may panic,
-// and anything accepted must re-encode to an artifact that decodes to
-// the same release (canonical round trip).
+// TestSparseParserReadsWrittenArtifacts: every artifact
+// WriteReleaseSparse writes takes the direct parser, with no fallback,
+// and decodes to what the encoding/json path reads from it.
+func TestSparseParserReadsWrittenArtifacts(t *testing.T) {
+	trees := []struct {
+		kind DatasetKind
+		cfg  DatasetConfig
+	}{
+		{DatasetHousing, DatasetConfig{Seed: 1, Scale: 0.01, Levels: 3, WestCoast: true}},
+		{DatasetRaceHawaiian, DatasetConfig{Seed: 2, Scale: 0.05}},
+		{DatasetTaxi, DatasetConfig{Seed: 3, Scale: 0.02, Levels: 3}},
+	}
+	for _, tr := range trees {
+		tree, err := SyntheticTree(tr.kind, tr.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []Method{MethodHc, MethodNaive} {
+			rel, err := ReleaseSparse(tree, Options{Epsilon: 1, K: 3000, Methods: []Method{m}, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Epsilon 0 is omitted from the artifact.
+			for _, eps := range []float64{0, 0.1, 1, 3.5e-7} {
+				var buf bytes.Buffer
+				if err := WriteReleaseSparse(&buf, rel, eps); err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%v/%v/eps=%g", tr.kind, m, eps)
+				p := sparseParser{b: buf.Bytes()}
+				got, gotEps, ok := p.parse()
+				if !ok {
+					t.Fatalf("%s: the direct parser refused a written artifact", name)
+				}
+				want, wantEps, err := decodeReleaseJSON(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotEps != wantEps || gotEps != eps || !reflect.DeepEqual(got, want) || len(got) != len(rel) {
+					t.Fatalf("%s: direct parse differs from encoding/json (eps %g vs %g)", name, gotEps, wantEps)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeReleaseReadError: a read error after the artifact's last
+// byte refuses nothing the encoding/json decoder, which stops at the
+// end of the first value, accepts; one before it refuses.
+func TestDecodeReleaseReadError(t *testing.T) {
+	const artifact = `{"format":"hcoc-release/v2-sparse","epsilon":1,"nodes":{"US":[[1,2]]}}`
+	broken := errors.New("connection reset")
+	rel, eps, err := ReadReleaseSparse(io.MultiReader(strings.NewReader(artifact), iotest.ErrReader(broken)))
+	if err != nil || eps != 1 || !rel["US"].Equal(SparseHistogram{{Size: 1, Count: 2}}) {
+		t.Fatalf("complete artifact, then a read error: %v, eps %v, %v", rel, eps, err)
+	}
+	_, _, err = ReadReleaseSparse(io.MultiReader(strings.NewReader(artifact[:30]), iotest.ErrReader(broken)))
+	if !errors.Is(err, broken) {
+		t.Fatalf("truncated artifact, then a read error: %v, want %v", err, broken)
+	}
+}
+
+// TestDecodeReleaseConcurrent: decodes running at once share the
+// scratch pool without sharing a buffer.
+func TestDecodeReleaseConcurrent(t *testing.T) {
+	var artifacts [][]byte
+	var want []SparseHistograms
+	for _, seed := range []int64{1, 2} {
+		tree, err := BuildHierarchy("US", smallGroups(seed, 300*int(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := ReleaseSparse(tree, Options{Epsilon: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteReleaseSparse(&buf, rel, 1); err != nil {
+			t.Fatal(err)
+		}
+		artifacts, want = append(artifacts, buf.Bytes()), append(want, rel)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := (g + i) % len(artifacts)
+				got, _, err := ReadReleaseSparse(bytes.NewReader(artifacts[k]))
+				if err != nil || len(got) != len(want[k]) {
+					t.Errorf("artifact %d: %d nodes, %v", k, len(got), err)
+					return
+				}
+				for path, s := range want[k] {
+					if !s.Equal(got[path]) {
+						t.Errorf("artifact %d: node %q differs", k, path)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// FuzzDecodeRelease fuzzes decodeRelease differentially against the
+// encoding/json decoder: both must accept and refuse the same inputs
+// and, on success, return the same release and epsilon. No input may
+// panic, and anything accepted must re-encode to an artifact that
+// decodes to the same release (canonical round trip).
 func FuzzDecodeRelease(f *testing.F) {
 	f.Add([]byte(`{"format":"hcoc-release/v1","epsilon":1,"nodes":{"US":[0,2,1]}}`))
 	f.Add([]byte(`{"format":"hcoc-release/v2-sparse","epsilon":0.5,"nodes":{"US":[[1,2],[7,1]],"US/CA":[[1,2]]}}`))
 	f.Add([]byte(`{"format":"hcoc-release/v2-sparse","nodes":{"a":[[3,1],[1,1]]}}`))
 	f.Add([]byte(`{"format":"wrong","nodes":{}}`))
 	f.Add([]byte("[]"))
+	// One input per shape the direct parser leaves to encoding/json.
+	f.Add([]byte(`{"format":"hcoc-release/v2-sparse","nodes":{"U\u0053":[[1,2]]}}`))
+	f.Add([]byte("{\"format\":\"hcoc-release/v2-sparse\",\"nodes\":{\"U\xff\":[[1,2]]}}"))
+	f.Add([]byte(`{"format":"hcoc-release/v2-sparse","nodes":{"US":[[1,2]],"US":[[3,4]]}}`))
+	f.Add([]byte(`{"Format":"hcoc-release/v2-sparse","nodes":{"US":[[1,2]]}}`))
+	f.Add([]byte(`{"format":"hcoc-release/v2-sparse","nodes":{"US":[[1,2,3]]}}`))
+	f.Add([]byte(`{"format":"hcoc-release/v2-sparse","nodes":{"US":null}}`))
+	f.Add([]byte(`{"format":"hcoc-release/v2-sparse","epsilon":1e400,"nodes":{"US":[[1,2]]}}`))
+	f.Add([]byte(`{"format":"hcoc-release/v2-sparse","nodes":{"US":[[1,2]]}} trailing`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rel, eps, err := ReadReleaseSparse(bytes.NewReader(data))
+		ref, refEps, refErr := decodeReleaseJSON(bytes.NewReader(data))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decodeRelease error %v, encoding/json error %v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if math.Float64bits(eps) != math.Float64bits(refEps) || !reflect.DeepEqual(rel, ref) {
+			t.Fatalf("decodeRelease and encoding/json disagree: eps %v vs %v", eps, refEps)
 		}
 		for path, s := range rel {
 			if e := s.Validate(); e != nil {
