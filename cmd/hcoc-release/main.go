@@ -23,7 +23,7 @@ func main() {
 	var (
 		in      = flag.String("in", "", "input CSV of groups (required)")
 		root    = flag.String("root", "US", "root region name")
-		epsilon = flag.Float64("epsilon", 1.0, "total privacy budget")
+		epsilon = flag.Float64("epsilon", 1.0, "total privacy budget: finite, and at least 2^-40 (about 9.1e-13) per level, since top-down splits it evenly over the tree's levels")
 		k       = flag.Int("k", hcoc.DefaultK, "public max group size K")
 		method  = flag.String("method", "hc", "estimation method per level: hc|hg|naive, comma-separated for per-level choices")
 		merge   = flag.String("merge", "weighted", "merge strategy: weighted|average")

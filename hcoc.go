@@ -182,8 +182,8 @@ func ReleaseBottomUpSparse(tree *Tree, opts Options) (SparseHistograms, error) {
 // ReleaseSingle estimates a single (non-hierarchical) count-of-counts
 // histogram with the given method — the Section 4 problem.
 func ReleaseSingle(h Histogram, method Method, opts Options) (Histogram, error) {
-	if opts.Epsilon <= 0 {
-		return nil, fmt.Errorf("hcoc: epsilon must be positive, got %g", opts.Epsilon)
+	if err := noise.CheckEpsilon(opts.Epsilon, 1); err != nil {
+		return nil, fmt.Errorf("hcoc: %w", err)
 	}
 	k := opts.K
 	if k == 0 {

@@ -1,8 +1,11 @@
 package hcoc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"hcoc/internal/noise"
 )
 
 func smallGroups(seed int64, n int) []Group {
@@ -140,5 +143,61 @@ func TestReleaseDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical releases (suspicious)")
+	}
+}
+
+// TestEpsilonFloor: every entry point refuses, with an error and not a
+// panic, an epsilon the noise cannot honour: NaN, ±Inf, and a budget
+// leaving one node's estimate under 2^-40. Below about 1e-16 the two
+// geometric draws of every cell cancel, and a release would publish
+// exact histograms.
+func TestEpsilonFloor(t *testing.T) {
+	tree, err := BuildHierarchy("US", smallGroups(7, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := tree.Root.Hist
+	opts := func(eps float64) Options { return Options{Epsilon: eps, K: 50, Seed: 1} }
+	topDown := map[string]func(float64) error{
+		"Release":       func(e float64) error { _, err := Release(tree, opts(e)); return err },
+		"ReleaseSparse": func(e float64) error { _, err := ReleaseSparse(tree, opts(e)); return err },
+		"ReleaseSparseFrom": func(e float64) error {
+			_, _, _, err := ReleaseSparseFrom(tree, opts(e), nil, nil)
+			return err
+		},
+		"PrivateGroupCounts": func(e float64) error { _, err := PrivateGroupCounts(tree, e, 1); return err },
+	}
+	single := map[string]func(float64) error{
+		"ReleaseBottomUp":       func(e float64) error { _, err := ReleaseBottomUp(tree, opts(e)); return err },
+		"ReleaseBottomUpSparse": func(e float64) error { _, err := ReleaseBottomUpSparse(tree, opts(e)); return err },
+		"ReleaseSingle":         func(e float64) error { _, err := ReleaseSingle(h, MethodHc, opts(e)); return err },
+		"EstimateK":             func(e float64) error { _, err := EstimateK(h, e, 1); return err },
+		"ChooseMethod":          func(e float64) error { _, err := ChooseMethod(h, e, 1); return err },
+	}
+	for _, eps := range []float64{1e-17, 1e-300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, entries := range []map[string]func(float64) error{topDown, single} {
+			for name, f := range entries {
+				if err := f(eps); err == nil {
+					t.Errorf("%s accepted epsilon %g", name, eps)
+				}
+			}
+		}
+	}
+
+	// The floor holds per node: twice the floor over this tree's three
+	// levels is refused where it is split, and spent where one estimate
+	// takes it whole.
+	if tree.Depth() != 3 {
+		t.Fatalf("tree depth %d, want 3", tree.Depth())
+	}
+	for name, f := range topDown {
+		if err := f(2 * noise.MinEpsilon); err == nil {
+			t.Errorf("%s accepted epsilon 2^-39 split over 3 levels", name)
+		}
+	}
+	for name, f := range single {
+		if err := f(2 * noise.MinEpsilon); err != nil {
+			t.Errorf("%s refused epsilon 2^-39: %v", name, err)
+		}
 	}
 }

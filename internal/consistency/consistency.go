@@ -87,9 +87,12 @@ func (o Options) methodFor(level int) estimator.Method {
 	}
 }
 
-func (o Options) validate(depth int) error {
-	if o.Epsilon <= 0 {
-		return fmt.Errorf("consistency: epsilon must be positive, got %g", o.Epsilon)
+// validate checks the options for a tree of the given depth in which
+// each node's estimate spends epsilon/levels: levels is the depth for
+// top-down and 1 for bottom-up.
+func (o Options) validate(depth, levels int) error {
+	if err := noise.CheckEpsilon(o.Epsilon, levels); err != nil {
+		return fmt.Errorf("consistency: %w", err)
 	}
 	if len(o.Methods) > 1 && len(o.Methods) != depth {
 		return fmt.Errorf("consistency: got %d methods for %d levels", len(o.Methods), depth)
@@ -169,7 +172,7 @@ func TopDown(tree *hierarchy.Tree, opts Options) (Release, error) {
 // measure the sparse pipeline against.
 func TopDownDense(tree *hierarchy.Tree, opts Options) (Release, error) {
 	depth := tree.Depth()
-	if err := opts.validate(depth); err != nil {
+	if err := opts.validate(depth, depth); err != nil {
 		return nil, err
 	}
 	epsLevel := opts.Epsilon / float64(depth)
@@ -342,7 +345,7 @@ func BottomUp(tree *hierarchy.Tree, opts Options) (Release, error) {
 // BottomUp, retained for the differential tests and benchmarks.
 func BottomUpDense(tree *hierarchy.Tree, opts Options) (Release, error) {
 	depth := tree.Depth()
-	if err := opts.validate(depth); err != nil {
+	if err := opts.validate(depth, 1); err != nil {
 		return nil, err
 	}
 	m := opts.methodFor(depth - 1)

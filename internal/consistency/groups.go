@@ -27,10 +27,10 @@ import (
 // histograms are scaled accordingly; they satisfy count >= 0,
 // integrality, and parent = sum of children.
 func PrivateGroupCounts(tree *hierarchy.Tree, epsilon float64, seed int64) (map[string]int64, error) {
-	if epsilon <= 0 {
-		return nil, fmt.Errorf("consistency: epsilon must be positive, got %g", epsilon)
-	}
 	depth := tree.Depth()
+	if err := noise.CheckEpsilon(epsilon, depth); err != nil {
+		return nil, fmt.Errorf("consistency: %w", err)
+	}
 	scale := float64(depth) / epsilon
 
 	// Per-node noisy counts, seeded per path (order-independent).

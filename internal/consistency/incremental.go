@@ -105,7 +105,7 @@ func updRunsEqual(a, b []updRun) bool {
 func TopDownSparseFrom(tree *hierarchy.Tree, opts Options, prev *RecomputeState, changed map[string]bool) (SparseRelease, *RecomputeState, RecomputeStats, error) {
 	depth := tree.Depth()
 	var stats RecomputeStats
-	if err := opts.validate(depth); err != nil {
+	if err := opts.validate(depth, depth); err != nil {
 		return nil, nil, stats, err
 	}
 	if prev != nil && prev.depth != depth {

@@ -225,7 +225,7 @@ func matchParentRuns(states map[string]*runState, parent *hierarchy.Node, strate
 // pipeline's one estimation fan-out across opts.Workers goroutines and
 // aggregated upward as sparse sums.
 func BottomUpSparse(tree *hierarchy.Tree, opts Options) (SparseRelease, error) {
-	if err := opts.validate(tree.Depth()); err != nil {
+	if err := opts.validate(tree.Depth(), 1); err != nil {
 		return nil, err
 	}
 	leaves := tree.Leaves()

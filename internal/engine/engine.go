@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hcoc"
+	"hcoc/internal/noise"
 	"hcoc/internal/sched"
 	"hcoc/internal/store"
 )
@@ -584,9 +585,10 @@ func isOverload(err error) bool {
 // request: the release is computed, charged, cached, and served; only
 // durability of the artifact is lost (and counted).
 func (e *Engine) computeThrough(key, treeFP string, tree *hcoc.Tree, alg Algorithm, opts hcoc.Options, prev func() []PrevVersion, lineage func() []string) (*cached, error) {
-	// Nonpositive epsilon never reaches the ledger; the release's own
-	// validation rejects it with the canonical error.
-	charged := opts.Epsilon > 0
+	// An epsilon the noise cannot honour never reaches the ledger, where
+	// a refunded +Inf would leave NaN; the release's own validation
+	// rejects it with the canonical error.
+	charged := noise.CheckEpsilon(opts.Epsilon, 1) == nil
 	if charged {
 		if err := e.charge(treeFP, opts.Epsilon, lineage); err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -803,6 +804,26 @@ func TestBudgetRefundOnFailure(t *testing.T) {
 	defer st2.Close()
 	if spent := st2.EpsilonByHierarchy()[fp]; spent != 1 {
 		t.Fatalf("durable spend = %g, want 1 (charge+refund+charge)", spent)
+	}
+}
+
+// TestRefusedEpsilonNeverCharged: an epsilon the release refuses,
+// +Inf among them, leaves the ledger as it was instead of charging and
+// refunding it (Inf - Inf would leave NaN spent).
+func TestRefusedEpsilonNeverCharged(t *testing.T) {
+	tree := testTree(t)
+	fp := FingerprintTree(tree)
+	e := New(Options{})
+	if _, err := e.Release(context.Background(), tree, fp, TopDown, testOpts(1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{math.Inf(1), math.NaN(), 1e-17} {
+		if _, err := e.Release(context.Background(), tree, fp, TopDown, hcoc.Options{Epsilon: eps, K: 50}); err == nil {
+			t.Fatalf("epsilon %g released", eps)
+		}
+	}
+	if spent, _, _, _ := e.BudgetStatus(fp); spent != 1 {
+		t.Fatalf("spent = %v after refused releases, want 1", spent)
 	}
 }
 

@@ -121,8 +121,8 @@ type Params struct {
 }
 
 func (p Params) validate() error {
-	if p.Epsilon <= 0 {
-		return fmt.Errorf("estimator: epsilon must be positive, got %g", p.Epsilon)
+	if err := noise.CheckEpsilon(p.Epsilon, 1); err != nil {
+		return fmt.Errorf("estimator: %w", err)
 	}
 	if p.K < 1 {
 		return fmt.Errorf("estimator: K must be at least 1, got %d", p.K)

@@ -22,8 +22,8 @@ import (
 // The result is rounded up and clamped to at least 1 so it is always a
 // valid Params.K.
 func EstimateK(h histogram.Hist, epsilon float64, gen *noise.Gen) (int, error) {
-	if epsilon <= 0 {
-		return 0, fmt.Errorf("estimator: epsilon must be positive, got %g", epsilon)
+	if err := noise.CheckEpsilon(epsilon, 1); err != nil {
+		return 0, fmt.Errorf("estimator: %w", err)
 	}
 	x := float64(h.MaxSize())
 	if x < 0 {

@@ -23,8 +23,8 @@ import (
 // choice; callers should account the epsilon spent here on top of the
 // release budget.
 func ChooseMethod(h histogram.Hist, epsilon float64, gen *noise.Gen) (Method, error) {
-	if epsilon <= 0 {
-		return 0, fmt.Errorf("estimator: epsilon must be positive, got %g", epsilon)
+	if err := noise.CheckEpsilon(epsilon, 1); err != nil {
+		return 0, fmt.Errorf("estimator: %w", err)
 	}
 	distinct := float64(h.DistinctSizes()) + float64(gen.DoubleGeometric(2/(epsilon/2)))
 	maxSize := float64(h.MaxSize()) + float64(gen.DoubleGeometric(1/(epsilon/2)))

@@ -4,7 +4,10 @@
 // histogram this way (Sections 4.2 and 4.3), solving L2 with
 // pool-adjacent-violators (PAV) and L1 with what a commercial solver
 // would do; here the L1 problem is solved exactly with the slope-trick
-// algorithm in O(n log n).
+// algorithm. Its breakpoints are counted per value, in O(n + range),
+// when the input is integers spanning fewer than 2n values, as the Hc
+// estimator's noisy cumulative counts usually are, and kept in a heap,
+// in O(n log n), otherwise; both give the same bits.
 //
 // Both fits return piecewise-constant solutions; Blocks recovers the
 // solution partition, which Section 5.1 uses for variance estimation.

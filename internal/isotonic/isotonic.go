@@ -1,5 +1,10 @@
 package isotonic
 
+import (
+	"math"
+	"math/bits"
+)
+
 // FitL2 returns the non-decreasing sequence minimizing sum (z_i - y_i)^2
 // using pool-adjacent-violators in O(n). Within each pooled block the
 // fitted value is the block mean.
@@ -52,28 +57,57 @@ func FitL2Weighted(ys, ws []float64) []float64 {
 }
 
 // FitL1 returns a non-decreasing sequence minimizing sum |z_i - y_i|
-// in O(n log n) using the slope-trick algorithm: a max-heap of
-// left-slope breakpoints is maintained; the recorded heap tops, scanned
-// backwards under a running minimum, form an optimal fit. When the
-// optimum is not unique this returns the pointwise-smallest optimal
-// solution whose values are all drawn from the input values; in
-// particular, integer inputs yield an integer fit (the property the
-// paper relies on when it notes the L1 version "mostly returns
-// integers"). It is FitL1InPlace on a copy of ys.
+// using the slope-trick algorithm: the multiset of left-slope
+// breakpoints is maintained, and its recorded maxima, scanned backwards
+// under a running minimum, form an optimal fit. When the optimum is not
+// unique this returns the pointwise-smallest optimal solution whose
+// values are all drawn from the input values; in particular, integer
+// inputs yield an integer fit (the property the paper relies on when it
+// notes the L1 version "mostly returns integers"). It is FitL1InPlace
+// on a copy of ys.
 func FitL1(ys []float64) []float64 {
 	return FitL1InPlace(append([]float64(nil), ys...))
 }
 
 // FitL1InPlace is FitL1 writing the fit into ys, which it overwrites
-// and returns. Each step's heap top is stored at the index just read,
-// and the backward minimum scan then runs over ys, so the heap is the
-// only allocation.
+// and returns. Each step's largest breakpoint is stored at the index
+// just read, and the backward minimum scan then runs over ys.
+//
+// The input picks how the breakpoints are kept. When every value is an
+// integer of magnitude below 2^52 other than -0, and the largest minus
+// the smallest is below 2*len(ys), as in the Hc estimator's noisy
+// cumulative cells, they are counted per value in O(n + range) time
+// and about 4.1 bytes per value of range. Any other input goes to a
+// max-heap, in O(n log n) time and 8 bytes per value. Both hold the
+// same multiset after every step, so both return the same bits.
 func FitL1InPlace(ys []float64) []float64 {
-	n := len(ys)
-	if n == 0 {
+	if len(ys) == 0 {
 		return ys
 	}
-	h := make(maxHeap4, 0, n)
+	if lo, span, ok := countingSpan(ys); ok {
+		countingTops(ys, lo, span)
+	} else {
+		heapTops(ys)
+	}
+	return suffixMin(ys)
+}
+
+// suffixMin replaces every ys[i] with the minimum of ys[i:], in place.
+func suffixMin(ys []float64) []float64 {
+	run := ys[len(ys)-1]
+	for i := len(ys) - 1; i >= 0; i-- {
+		if ys[i] < run {
+			run = ys[i]
+		}
+		ys[i] = run
+	}
+	return ys
+}
+
+// heapTops runs the slope trick over ys with the breakpoints in a
+// 4-ary max-heap, storing each step's top at the index just read.
+func heapTops(ys []float64) {
+	h := make(maxHeap4, 0, len(ys))
 	for i, y := range ys {
 		// The slope trick pushes y and, when the top then exceeds y,
 		// pops the top and pushes y again. Replacing the top with y
@@ -85,14 +119,112 @@ func FitL1InPlace(ys []float64) []float64 {
 		h.push(y)
 		ys[i] = h[0]
 	}
-	run := ys[n-1]
-	for i := n - 1; i >= 0; i-- {
-		if ys[i] < run {
-			run = ys[i]
-		}
-		ys[i] = run
+}
+
+// countingSpan reports whether the breakpoints of ys can be counted
+// per value: every value an integer of magnitude below 2^52 and not -0
+// (which would come back as +0), and the values spanning fewer than
+// 2*len(ys) integers, so the counts take about the heap's memory. It
+// returns the smallest value and the number of integers from it to the
+// largest.
+func countingSpan(ys []float64) (lo int64, span int, ok bool) {
+	const limit = 1 << 52
+	if len(ys) > math.MaxInt32 {
+		return 0, 0, false // a count could overflow its int32
 	}
-	return ys
+	mn, mx := ys[0], ys[0]
+	for _, y := range ys {
+		// NaN fails the range test.
+		if !(y > -limit && y < limit) || float64(int64(y)) != y || math.Float64bits(y) == 1<<63 {
+			return 0, 0, false
+		}
+		if y < mn {
+			mn = y
+		} else if y > mx {
+			mx = y
+		}
+	}
+	if mx-mn >= 2*float64(len(ys)) {
+		return 0, 0, false
+	}
+	return int64(mn), int(mx-mn) + 1, true
+}
+
+// countingTops is heapTops for integer ys in [lo, lo+span), with the
+// breakpoints kept in a countSet and the top as an offset from lo.
+func countingTops(ys []float64, lo int64, span int) {
+	s := newCountSet(span)
+	top := -1 // no breakpoint yet
+	for i, y := range ys {
+		v := int(int64(y) - lo)
+		if v < top {
+			// heapTops' replaceTop(y) and push(y): one copy of the top
+			// out, two copies of y in.
+			s.add(v, 2)
+			if s.remove(top) {
+				top = s.below(top)
+			}
+		} else {
+			s.add(v, 1)
+			top = v
+		}
+		ys[i] = float64(lo + int64(top))
+	}
+}
+
+// countSet is a multiset of integers in [0, span): a count per value,
+// one bit per value held and one bit per non-empty 64-value word of
+// those, so that below reaches the next value held in a few word reads
+// however far away it is.
+type countSet struct {
+	counts []int32
+	held   []uint64 // bit v%64 of held[v/64] is set iff counts[v] > 0
+	words  []uint64 // bit w%64 of words[w/64] is set iff held[w] != 0
+}
+
+func newCountSet(span int) countSet {
+	n := (span + 63) / 64
+	return countSet{
+		counts: make([]int32, span),
+		held:   make([]uint64, n),
+		words:  make([]uint64, (n+63)/64),
+	}
+}
+
+// add puts c copies of v in the set.
+func (s *countSet) add(v int, c int32) {
+	s.counts[v] += c
+	s.held[v>>6] |= 1 << (uint(v) & 63)
+	s.words[v>>12] |= 1 << (uint(v>>6) & 63)
+}
+
+// remove takes one copy of v, which the set holds, out of it and
+// reports whether none is left.
+func (s *countSet) remove(v int) bool {
+	if s.counts[v]--; s.counts[v] > 0 {
+		return false
+	}
+	w := v >> 6
+	if s.held[w] &^= 1 << (uint(v) & 63); s.held[w] == 0 {
+		s.words[w>>6] &^= 1 << (uint(w) & 63)
+	}
+	return true
+}
+
+// below returns the largest value held below v; the set must hold one.
+func (s *countSet) below(v int) int {
+	w := v >> 6
+	if m := s.held[w] & (1<<(uint(v)&63) - 1); m != 0 {
+		return w<<6 | (bits.Len64(m) - 1)
+	}
+	j := w >> 6
+	m := s.words[j] & (1<<(uint(w)&63) - 1)
+	for m == 0 {
+		j--
+		m = s.words[j]
+	}
+	w = j<<6 | (bits.Len64(m) - 1)
+	return w<<6 | (bits.Len64(s.held[w]) - 1)
 }
 
 // CostL2 returns sum (z_i - y_i)^2.

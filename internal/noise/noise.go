@@ -1,9 +1,35 @@
 package noise
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
+
+// MinEpsilon is the smallest budget one estimate may spend: 2^-40,
+// about 9.1e-13. Below about 1e-16, exp(-epsilon) rounds to 1 and
+// DoubleGeometric's two draws cancel to 0, releasing exact counts; from
+// this floor up, rounding exp(-epsilon) to a double moves the sampler's
+// effective epsilon by under 0.02%.
+const MinEpsilon = 0x1p-40
+
+// CheckEpsilon returns an error unless epsilon is a budget the samplers
+// can honour when it is split evenly across levels sequential estimates
+// (1 for a single estimate): a finite positive number leaving at least
+// MinEpsilon to each.
+func CheckEpsilon(epsilon float64, levels int) error {
+	switch per := epsilon / float64(levels); {
+	case math.IsNaN(epsilon) || math.IsInf(epsilon, 0):
+		return fmt.Errorf("epsilon must be a finite number, got %g", epsilon)
+	case epsilon <= 0:
+		return fmt.Errorf("epsilon must be positive, got %g", epsilon)
+	case per < MinEpsilon && levels == 1:
+		return fmt.Errorf("epsilon %g is below the floor of 2^-40 (%.4g) that the noise can honour", epsilon, MinEpsilon)
+	case per < MinEpsilon:
+		return fmt.Errorf("epsilon %g split over %d levels leaves %.4g per level, below the floor of 2^-40 (%.4g) that the noise can honour", epsilon, levels, per, MinEpsilon)
+	}
+	return nil
+}
 
 // Gen wraps a seeded random source with the two mechanisms used in the
 // paper. A Gen is not safe for concurrent use; create one per goroutine.

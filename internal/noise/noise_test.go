@@ -168,3 +168,36 @@ func TestDoubleGeometricMatchesUnmemoized(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckEpsilon pins the floor: it holds per level, refuses NaN,
+// ±Inf and what is not positive, and admits the floor itself, where
+// the draws still spread (one is 0 with probability about 2^-41).
+func TestCheckEpsilon(t *testing.T) {
+	for _, tc := range []struct {
+		eps    float64
+		levels int
+		ok     bool
+	}{
+		{1, 1, true},
+		{MinEpsilon, 1, true},
+		{3 * MinEpsilon, 3, true},
+		{2 * MinEpsilon, 3, false},
+		{math.Nextafter(MinEpsilon, 0), 1, false},
+		{1e-17, 1, false},
+		{0, 1, false},
+		{-1, 1, false},
+		{math.NaN(), 1, false},
+		{math.Inf(1), 1, false},
+		{math.Inf(-1), 1, false},
+	} {
+		if err := CheckEpsilon(tc.eps, tc.levels); (err == nil) != tc.ok {
+			t.Errorf("CheckEpsilon(%g, %d) = %v, want ok %v", tc.eps, tc.levels, err, tc.ok)
+		}
+	}
+	g := New(3)
+	for i := 0; i < 20; i++ {
+		if x := g.DoubleGeometric(1 / MinEpsilon); x == 0 {
+			t.Fatalf("draw %d at the floor is 0", i)
+		}
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"hcoc"
 	"hcoc/internal/engine"
 	"hcoc/internal/eventlog"
+	"hcoc/internal/noise"
 	"hcoc/internal/store"
 )
 
@@ -782,8 +783,14 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Epsilon <= 0 {
-		WriteError(w, http.StatusBadRequest, "epsilon must be positive, got %g", req.Epsilon)
+	// Refused here, before the engine charges anything: top-down gives
+	// each level of the tree an equal share of the budget.
+	levels := 1
+	if alg == engine.TopDown {
+		levels = tree.Depth()
+	}
+	if err := noise.CheckEpsilon(req.Epsilon, levels); err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.K < 0 || req.K > hcoc.MaxGroupSize {

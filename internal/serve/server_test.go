@@ -17,6 +17,7 @@ import (
 	"hcoc"
 	"hcoc/internal/dataset"
 	"hcoc/internal/engine"
+	"hcoc/internal/noise"
 	"hcoc/internal/store"
 )
 
@@ -263,6 +264,51 @@ func smallGroups() []hcoc.Group {
 	return groups
 }
 
+// TestServeEpsilonFloor: a release whose epsilon leaves a node's
+// estimate under the noise's floor of 2^-40 answers 400 naming the
+// floor, sync or async, before the engine charges anything, so the
+// budget and the release counter read as before. Top-down splits the
+// budget over the tree's two levels; bottom-up spends it whole.
+func TestServeEpsilonFloor(t *testing.T) {
+	ts := newTestServer(t, engine.Options{MaxEpsilonPerHierarchy: 4})
+	hr := uploadGroups(t, ts, "US", smallGroups())
+	if status, body := postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1}, nil); status != http.StatusOK {
+		t.Fatalf("release: status %d: %s", status, body)
+	}
+	split := 1.5 * noise.MinEpsilon
+	for _, req := range []releaseRequest{
+		{Hierarchy: hr.ID, Epsilon: 1e-17, K: 50, Seed: 2},
+		{Hierarchy: hr.ID, Epsilon: 1e-17, K: 50, Seed: 2, Async: true},
+		{Hierarchy: hr.ID, Epsilon: split, K: 50, Seed: 2},
+	} {
+		if status, body := postJSON(t, ts.URL+"/v1/release", req, nil); status != http.StatusBadRequest || !strings.Contains(body, "2^-40") {
+			t.Errorf("epsilon %g async %v: status %d, want 400 naming the floor: %s", req.Epsilon, req.Async, status, body)
+		}
+	}
+	var bs budgetStatusResponse
+	if status, body := getJSON(t, ts.URL+"/v1/budget/"+hr.ID, &bs); status != http.StatusOK || bs.SpentEpsilon != 1 {
+		t.Errorf("budget after refusals: status %d: %s", status, body)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"hcoc_releases_total 1\n", "hcoc_epsilon_spent_total 1\n"} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("metrics missing %q after refusals", want)
+		}
+	}
+	bottomUp := releaseRequest{Hierarchy: hr.ID, Epsilon: split, K: 50, Seed: 2, Algorithm: "bottomup"}
+	if status, body := postJSON(t, ts.URL+"/v1/release", bottomUp, nil); status != http.StatusOK {
+		t.Errorf("bottom-up at 1.5 * 2^-40: status %d: %s", status, body)
+	}
+}
+
 func TestServeHierarchyIdempotent(t *testing.T) {
 	ts := newTestServer(t, engine.Options{})
 	a := uploadGroups(t, ts, "US", smallGroups())
@@ -293,6 +339,9 @@ func TestServeErrors(t *testing.T) {
 		}, http.StatusNotFound},
 		{"bad epsilon", func() (int, string) {
 			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 0}, nil)
+		}, http.StatusBadRequest},
+		{"epsilon below the floor", func() (int, string) {
+			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1e-17}, nil)
 		}, http.StatusBadRequest},
 		{"negative k", func() (int, string) {
 			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: -1}, nil)
