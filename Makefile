@@ -63,7 +63,8 @@ staticcheck:
 
 # Short fuzz budget over the CSV/dataset parser, the release-artifact
 # decoder, the isotonic fits, the event log's delta apply, the batch
-# query body and the events-append body, as in CI.
+# query body, the events-append body and the table-driven noise
+# draws, as in CI.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadGroups -fuzztime=10s ./internal/dataset
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRelease -fuzztime=10s .
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzApplyEvents -fuzztime=10s ./internal/eventlog
 	$(GO) test -run=NONE -fuzz=FuzzBatchQuery -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzAppendEvents -fuzztime=10s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzDoubleGeometric -fuzztime=10s ./internal/noise
 
 serve:
 	$(GO) run ./cmd/hcoc-serve

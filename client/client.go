@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"context"
@@ -10,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -302,6 +304,9 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		}
 	}
 	req.Header.Set("User-Agent", c.userAgent)
+	// Asking for gzip here, as the transport would, keeps the transport
+	// from decompressing: readBody does it with a reused decompressor.
+	req.Header.Set("Accept-Encoding", "gzip")
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}
@@ -321,13 +326,64 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		return c.responseError(resp)
 	}
 	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
+		_, _ = io.CopyN(io.Discard, resp.Body, drainLimit)
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("client: decoding response: %w", err)
+	return readBody(resp, func(body io.Reader) error {
+		if err := json.NewDecoder(body).Decode(out); err != nil {
+			return fmt.Errorf("client: decoding response: %w", err)
+		}
+		return nil
+	})
+}
+
+// decompressor is an idle response decompressor: a gzip reader with
+// its 32 KB flate window, and the buffer it reads the body through.
+type decompressor struct {
+	br *bufio.Reader
+	zr gzip.Reader
+}
+
+// decompressors holds idle decompressors. Decompression is CPU-bound,
+// so one idle decompressor per CPU is kept, and no more.
+var decompressors = make(chan *decompressor, runtime.GOMAXPROCS(0))
+
+// drainLimit bounds what readBody reads past the part of a body it
+// used, so that the connection can carry the next request; a longer
+// remainder costs less to drop with the connection.
+const drainLimit = 64 << 10
+
+// readBody calls read with resp's body, decompressed through an idle
+// decompressor when the answer is Content-Encoding: gzip. It then reads
+// the rest of the body, and only then returns the decompressor to the
+// idle list.
+func readBody(resp *http.Response, read func(io.Reader) error) error {
+	if !strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
+		err := read(resp.Body)
+		_, _ = io.CopyN(io.Discard, resp.Body, drainLimit)
+		return err
 	}
-	return nil
+	var d *decompressor
+	select {
+	case d = <-decompressors:
+		d.br.Reset(resp.Body)
+	default:
+		d = &decompressor{br: bufio.NewReader(resp.Body)}
+	}
+	err := d.zr.Reset(d.br)
+	if err == nil {
+		err = read(&d.zr)
+		_, _ = io.CopyN(io.Discard, &d.zr, drainLimit)
+	} else {
+		err = fmt.Errorf("client: decompressing response: %w", err)
+	}
+	_, _ = io.CopyN(io.Discard, d.br, drainLimit)
+	d.br.Reset(nil) // an idle decompressor holds no body
+	select {
+	case decompressors <- d:
+	default:
+	}
+	return err
 }
 
 // Do sends one request to the daemon and returns its answer unread.
@@ -375,7 +431,13 @@ func (c *Client) Do(ctx context.Context, method, target string, header http.Head
 // shape heuristics (a 429 carrying budget fields) keep working against
 // pre-code daemons.
 func (c *Client) responseError(resp *http.Response) error {
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	// A body that cannot be read or decompressed still leaves the
+	// status, and whatever text was read, to report.
+	var raw []byte
+	_ = readBody(resp, func(body io.Reader) error {
+		raw, _ = io.ReadAll(io.LimitReader(body, 1<<20))
+		return nil
+	})
 	var body struct {
 		Error                  string  `json:"error"`
 		Code                   string  `json:"code"`

@@ -20,8 +20,13 @@
 // and server message.
 //
 // Large request bodies (hierarchy uploads) are gzip-compressed
-// automatically; responses are transparently decompressed by the
-// underlying http.Transport.
+// automatically. API calls send Accept-Encoding: gzip themselves, the
+// header the transport would send, and decompress a gzipped answer or
+// error with a reused decompressor (one idle per CPU), so they decode
+// on a transport with compression disabled too. They read what is left
+// of every body (up to 64 KiB) before closing it, so the connection
+// carries the next request. Artifact downloads rely on the transport's
+// own decompression, and Do returns the bytes the daemon sent.
 //
 // # Asynchronous releases
 //

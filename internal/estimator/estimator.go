@@ -245,9 +245,10 @@ func estimateHgRuns(h histogram.Hist, g int64, p Params, gen *noise.Gen) []SizeR
 // straight into the float buffer (no dense Hist, Cumulative, or noisy
 // arrays), the L1 fit reuses that buffer, and the rounded cumulative is
 // scanned into runs without materializing it — for bound K that is 2
-// K-length allocations in all (the buffer and the L1 fit's heap; the L2
-// fit allocates its own output instead) and none of the per-group
-// arrays.
+// K-length allocations in all (the buffer and the L1 fit's counting
+// set, a count per value over the fewer than 2K integers the noisy
+// cells span, or its heap on wider inputs; the L2 fit allocates its
+// own output instead) and none of the per-group arrays.
 func estimateHcRuns(h histogram.Hist, g int64, p Params, gen *noise.Gen, l1 bool) []SizeRun {
 	scale := 1 / p.Epsilon
 	ys := make([]float64, p.K) // cell K is pinned to G

@@ -115,20 +115,42 @@ func TestDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
+// TestPanicsOnBadScale: both samplers refuse a scale that is not
+// positive, NaN, ±Inf, or so large that exp(-1/scale) rounds to 1,
+// where every double-geometric draw would be 0, from a fresh Gen and
+// from one memoized at another scale. The largest scale the epsilon
+// floor allows, 2/MinEpsilon (Hc's sensitivity 2), still draws noise.
 func TestPanicsOnBadScale(t *testing.T) {
-	g := New(1)
-	for _, f := range []func(){
-		func() { g.DoubleGeometric(0) },
-		func() { g.Laplace(-1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("non-positive scale accepted")
-				}
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, maxScale} {
+		for name, draw := range map[string]func(g *Gen){
+			"DoubleGeometric": func(g *Gen) { g.DoubleGeometric(scale) },
+			"Laplace":         func(g *Gen) { g.Laplace(scale) },
+			"after a draw":    func(g *Gen) { g.DoubleGeometric(2); g.DoubleGeometric(scale) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted scale %g", name, scale)
+					}
+				}()
+				draw(New(1))
 			}()
-			f()
-		}()
+		}
+	}
+	if a := math.Exp(-1 / math.Nextafter(maxScale, 0)); a == 1 {
+		t.Errorf("exp(-1/scale) rounds to 1 below maxScale")
+	}
+	if a := math.Exp(-1 / maxScale); a != 1 {
+		t.Errorf("exp(-1/maxScale) = %v, want 1: maxScale refuses a scale the samplers can honour", a)
+	}
+	g := New(3)
+	for i := 0; i < 20; i++ {
+		if x := g.DoubleGeometric(2 / MinEpsilon); x == 0 {
+			t.Fatalf("draw %d at scale 2/MinEpsilon is 0", i)
+		}
+		if x := g.Laplace(math.Nextafter(maxScale, 0)); x == 0 || math.IsNaN(x) {
+			t.Fatalf("Laplace draw %d just below maxScale is %v", i, x)
+		}
 	}
 }
 
@@ -151,17 +173,11 @@ func TestVarianceFormulas(t *testing.T) {
 // across scale changes, including a scale whose alpha underflows to 0.
 func TestDoubleGeometricMatchesUnmemoized(t *testing.T) {
 	g, ref := New(5), rand.New(rand.NewSource(5))
-	geometric := func(alpha float64) int64 {
-		if alpha <= 0 {
-			return 0
-		}
-		u := 1 - ref.Float64()
-		return int64(math.Floor(math.Log(u) / math.Log(alpha)))
-	}
 	for i, scale := range []float64{2, 2, 0.5, 1e-3, 1e-3, 7, 2, 100, 0.5} {
 		for j := 0; j < 1000; j++ {
 			alpha := math.Exp(-1 / scale)
-			want := geometric(alpha) - geometric(alpha)
+			want := formulaGeometric(ref, alpha)
+			want -= formulaGeometric(ref, alpha)
 			if got := g.DoubleGeometric(scale); got != want {
 				t.Fatalf("scale %g (step %d), draw %d: %d, want %d", scale, i, j, got, want)
 			}
