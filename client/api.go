@@ -555,6 +555,8 @@ func (c *Client) BatchQuery(ctx context.Context, release string, queries []NodeQ
 	var out struct {
 		Results []NodeResult `json:"results"`
 	}
+	// The decoder appends into the capacity it finds.
+	out.Results = make([]NodeResult, 0, len(queries))
 	if err := c.do(ctx, http.MethodPost, "/v1/query/batch", req, &out); err != nil {
 		return nil, err
 	}

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -27,12 +28,22 @@ const (
 	DefaultBackoff = 100 * time.Millisecond
 	// DefaultMaxBackoff caps the growing retry delay.
 	DefaultMaxBackoff = 5 * time.Second
-	// gzipThreshold is the request-body size above which the client
-	// compresses POST bodies. Hierarchy uploads are highly repetitive
-	// JSON and typically shrink 10-20x; tiny bodies are not worth the
-	// header overhead.
+	// gzipThreshold is the smallest request body the client compresses:
+	// bodies of at least 1 KiB go out gzipped. Hierarchy uploads are
+	// highly repetitive JSON and typically shrink 10-20x; tiny bodies
+	// are not worth the header overhead.
 	gzipThreshold = 1 << 10
 )
+
+// gzipWriters pools request compressors. A flate writer's state is
+// about 800 KB, and only bodies of gzipThreshold bytes or more use
+// one, so a bounded idle list (as for decompressors) would pin a
+// megabyte per slot in every process that ever sent one; a sync.Pool
+// lets an idle process drop it after two garbage collections. Reset
+// clears 640 KB of hash chains at the default level, so a compressor
+// is reset when it is taken, not when it is put back: an idle one may
+// still point at the last call's buffer, which it never writes again.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 
 // Client is a typed HTTP client for an hcoc-serve daemon. It covers
 // every /v1 endpoint, retries backpressure responses with exponential
@@ -283,12 +294,14 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if body != nil {
 		if !c.noGzip && len(body) >= gzipThreshold {
 			var buf bytes.Buffer
-			zw := gzip.NewWriter(&buf)
+			zw := gzipWriters.Get().(*gzip.Writer)
+			zw.Reset(&buf)
 			if _, err := zw.Write(body); err == nil && zw.Close() == nil {
 				rd, gzipped = &buf, true
 			} else {
 				rd = bytes.NewReader(body)
 			}
+			gzipWriters.Put(zw)
 		} else {
 			rd = bytes.NewReader(body)
 		}

@@ -19,14 +19,19 @@
 // a privacy budget. Other failures are *APIError with the HTTP status
 // and server message.
 //
-// Large request bodies (hierarchy uploads) are gzip-compressed
-// automatically. API calls send Accept-Encoding: gzip themselves, the
-// header the transport would send, and decompress a gzipped answer or
-// error with a reused decompressor (one idle per CPU), so they decode
-// on a transport with compression disabled too. They read what is left
-// of every body (up to 64 KiB) before closing it, so the connection
-// carries the next request. Artifact downloads rely on the transport's
-// own decompression, and Do returns the bytes the daemon sent.
+// Request bodies of at least 1 KiB (hierarchy uploads, cross-release
+// batches) are gzip-compressed automatically, at the default level,
+// by a compressor reused from a sync.Pool: a compressor is about
+// 800 KB, and the pool lets an idle process drop it, where an idle
+// list would keep it for good. The daemon reuses its request
+// decompressors too. API calls send Accept-Encoding: gzip themselves,
+// the header the transport would send, and decompress a gzipped answer
+// or error with a reused decompressor (one idle per CPU), so they
+// decode on a transport with compression disabled too. They read what
+// is left of every body (up to 64 KiB) before closing it, so the
+// connection carries the next request. Artifact downloads rely on the
+// transport's own decompression, and Do returns the bytes the daemon
+// sent.
 //
 // # Asynchronous releases
 //

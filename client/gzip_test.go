@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -121,4 +126,152 @@ func TestClientReusesConnection(t *testing.T) {
 	if n := conns.Load(); n != 1 {
 		t.Fatalf("50 calls opened %d connections, want 1", n)
 	}
+}
+
+// raceEnabled reports whether the tests run under the race detector,
+// where sync.Pool drops a quarter of its Puts at random.
+var raceEnabled bool
+
+// crossQueries is a batch of n emd entries across two releases, the
+// shape of a cross-release batch: at n = 16 its body is over 1 KiB.
+func crossQueries(n int) []client.NodeQuery {
+	a, b := "r-"+strings.Repeat("a", 64), "r-"+strings.Repeat("b", 64)
+	qs := make([]client.NodeQuery, n)
+	for i := range qs {
+		qs[i] = client.NodeQuery{Op: "emd", Releases: []string{a, b}, Node: fmt.Sprintf("US/R%02d", i)}
+	}
+	return qs
+}
+
+// batchJSON is the body BatchQuery sends for release and queries.
+func batchJSON(t *testing.T, release string, queries []client.NodeQuery) []byte {
+	t.Helper()
+	raw, err := json.Marshal(struct {
+		Release string             `json:"release"`
+		Queries []client.NodeQuery `json:"queries"`
+	}{release, queries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// gzipBatchStub answers every batch with one empty result per query.
+// It fails the test on a body that is not gzipped, and hands each raw
+// body to record, when record is not nil.
+func gzipBatchStub(t *testing.T, record func(raw []byte)) *httptest.Server {
+	var mu sync.Mutex
+	var zr gzip.Reader // one reader, so the stub adds little to an allocation count
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		raw, err := io.ReadAll(r.Body)
+		if err != nil || r.Header.Get("Content-Encoding") != "gzip" {
+			t.Errorf("batch body: Content-Encoding %q, read error %v; want a gzipped body", r.Header.Get("Content-Encoding"), err)
+			http.Error(w, "want gzip", http.StatusBadRequest)
+			return
+		}
+		var req struct {
+			Queries []json.RawMessage `json:"queries"`
+		}
+		mu.Lock()
+		if record != nil {
+			record(raw)
+		}
+		if zr.Reset(bytes.NewReader(raw)) == nil {
+			_ = json.NewDecoder(&zr).Decode(&req)
+		}
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = fmt.Fprintf(w, `{"results":[%s]}`, strings.TrimSuffix(strings.Repeat("{},", len(req.Queries)), ","))
+	}))
+}
+
+// TestClientGzipRequestsReuseCleanly: one client alternates two batch
+// bodies of different sizes, both of at least 1 KiB, so every
+// compressor it reuses last compressed the other body. Each body that
+// arrives is, byte for byte, what a fresh compressor makes of the same
+// JSON, and decompresses to that JSON.
+func TestClientGzipRequestsReuseCleanly(t *testing.T) {
+	var bodies [][]byte
+	stub := gzipBatchStub(t, func(raw []byte) { bodies = append(bodies, raw) })
+	defer stub.Close()
+
+	c := newClient(t, stub.URL)
+	sizes := []int{16, 40}
+	const calls = 6
+	for i := 0; i < calls; i++ {
+		if _, err := c.BatchQuery(context.Background(), "r-default", crossQueries(sizes[i%2])); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if len(bodies) != calls {
+		t.Fatalf("stub saw %d bodies, want %d", len(bodies), calls)
+	}
+	for i, raw := range bodies {
+		want := batchJSON(t, "r-default", crossQueries(sizes[i%2]))
+		if len(want) < 1<<10 {
+			t.Fatalf("body %d is %d bytes, under the compression threshold", i, len(want))
+		}
+		var fresh bytes.Buffer
+		zw := gzip.NewWriter(&fresh)
+		if _, err := zw.Write(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, fresh.Bytes()) {
+			t.Errorf("body %d (%d queries): %d compressed bytes differ from a fresh compressor's %d", i, sizes[i%2], len(raw), fresh.Len())
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("body %d: %v", i, err)
+		}
+		got, err := io.ReadAll(zr)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("body %d decompresses to %d bytes (%v), want the %d-byte batch JSON", i, len(got), err, len(want))
+		}
+	}
+}
+
+// allocated is how many heap bytes the process allocated while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestClientReusesCompressors: 100 compressed calls allocate under a
+// quarter of what 100 fresh compressors would, stub server included.
+// A fresh compressor is about 800 KB of flate state.
+func TestClientReusesCompressors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	stub := gzipBatchStub(t, nil)
+	defer stub.Close()
+
+	c := newClient(t, stub.URL)
+	qs := crossQueries(16)
+	body := batchJSON(t, "r-default", qs)
+	fresh := allocated(func() {
+		for i := 0; i < 10; i++ {
+			zw := gzip.NewWriter(io.Discard)
+			_, _ = zw.Write(body)
+			_ = zw.Close()
+		}
+	}) / 10
+	calls := allocated(func() {
+		for i := 0; i < 100; i++ {
+			if _, err := c.BatchQuery(context.Background(), "r-default", qs); err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+		}
+	})
+	if calls >= 100*fresh/4 {
+		t.Fatalf("100 compressed calls allocated %d KB; 100 fresh compressors allocate %d KB, and the calls may take a quarter of that",
+			calls>>10, 100*fresh>>10)
+	}
+	t.Logf("100 compressed calls: %d KB; one fresh compressor: %d KB", calls>>10, fresh>>10)
 }

@@ -80,6 +80,7 @@ type Gateway struct {
 	cluster *cluster.Cluster
 	mux     *http.ServeMux
 	copts   []client.Option
+	maxBody int64
 
 	mu           sync.Mutex
 	clients      map[string]*client.Client // guarded: membership changes at runtime
@@ -111,6 +112,7 @@ func New(opts Options) (*Gateway, error) {
 		cluster:      cl,
 		clients:      make(map[string]*client.Client),
 		mux:          http.NewServeMux(),
+		maxBody:      maxBodyBytes,
 		releaseOwner: make(map[string]string),
 		jobOwner:     make(map[string]string),
 		stats:        make(map[string]*backendStats),
@@ -243,10 +245,11 @@ func (g *Gateway) Routes() []serve.Route {
 // and 415 for any other encoding. Responses are not compressed here: a
 // forwarded answer crosses in the encoding its backend chose.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r, ok := serve.WrapRequest(w, r, maxBodyBytes)
+	r, release, ok := serve.WrapRequest(w, r, g.maxBody)
 	if !ok {
 		return
 	}
+	defer release()
 	g.mux.ServeHTTP(w, r)
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -53,27 +54,48 @@ const gzipMinSize = 1 << 10
 // identity. Decompressed request bodies are bounded exactly like plain
 // ones, so a gzip bomb hits the same 413 as an oversized upload.
 
-// gzipBody lazily decompresses a request body. The gzip reader is
-// created on first Read so an empty or malformed stream surfaces as a
-// decode error on the request, not a panic at wrap time; the
-// decompressed byte count is bounded by limit, surfacing the same
-// *http.MaxBytesError an oversized plain body produces.
+// gzipReader is an idle request decompressor: a gzip reader with its
+// 32 KB flate window, and the buffer it reads the body through (a
+// gzip reader over a source without ReadByte allocates one per Reset).
+// It mirrors the SDK's response decompressor instead of sharing it:
+// the SDK depends on nothing but hcoc and the standard library.
+type gzipReader struct {
+	br *bufio.Reader
+	zr gzip.Reader
+}
+
+// gzipReaders holds idle request decompressors. Decompression is
+// CPU-bound, so one idle decompressor per CPU is kept, and no more.
+var gzipReaders = make(chan *gzipReader, runtime.GOMAXPROCS(0))
+
+// gzipBody lazily decompresses a request body. The decompressor is
+// taken on first Read, so an empty or malformed stream surfaces as a
+// decode error on the request, not at wrap time, and a handler that
+// never reads the body takes none. The decompressed byte count is
+// bounded by limit, surfacing the same *http.MaxBytesError an
+// oversized plain body produces. net/http closes the body it created,
+// never this wrapper, so the decompressor goes back in release, which
+// WrapRequest's caller runs when the handler returns.
 type gzipBody struct {
 	src   io.ReadCloser
-	zr    *gzip.Reader
+	d     *gzipReader // nil until the first Read, and again after release
 	limit int64
 	read  int64
 }
 
 func (b *gzipBody) Read(p []byte) (int, error) {
-	if b.zr == nil {
-		zr, err := gzip.NewReader(b.src)
-		if err != nil {
+	if b.d == nil {
+		select {
+		case b.d = <-gzipReaders:
+			b.d.br.Reset(b.src)
+		default:
+			b.d = &gzipReader{br: bufio.NewReader(b.src)}
+		}
+		if err := b.d.zr.Reset(b.d.br); err != nil {
 			return 0, fmt.Errorf("gzip request body: %w", err)
 		}
-		b.zr = zr
 	}
-	n, err := b.zr.Read(p)
+	n, err := b.d.zr.Read(p)
 	b.read += int64(n)
 	if b.read > b.limit {
 		// The n bytes already written to p must still be reported
@@ -83,11 +105,20 @@ func (b *gzipBody) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (b *gzipBody) Close() error {
-	if b.zr != nil {
-		_ = b.zr.Close()
+func (b *gzipBody) Close() error { return b.src.Close() }
+
+// release hands the decompressor back for reuse unless the idle list
+// is full. An idle decompressor holds no body.
+func (b *gzipBody) release() {
+	if b.d == nil {
+		return
 	}
-	return b.src.Close()
+	b.d.br.Reset(nil)
+	select {
+	case gzipReaders <- b.d:
+	default:
+	}
+	b.d = nil
 }
 
 // gzipResponseWriter holds a response back until its body reaches

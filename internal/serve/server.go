@@ -131,10 +131,11 @@ func (s *Server) Routes() []Route {
 // same bound); a response body of at least 1 KiB is gzip-compressed
 // when the client accepts it.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r, ok := WrapRequest(w, r, s.maxBody)
+	r, release, ok := WrapRequest(w, r, s.maxBody)
 	if !ok {
 		return
 	}
+	defer release()
 	w, finish := CompressResponse(w, r)
 	defer finish()
 	s.mux.ServeHTTP(w, r)
@@ -145,17 +146,24 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // hcoc-gateway): the body is bounded at maxBody and, with
 // Content-Encoding: gzip, transparently decompressed under the same
 // bound. ok reports whether to proceed; false means an error response
-// was already written (an unsupported Content-Encoding, 415).
-func WrapRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (*http.Request, bool) {
+// was already written (an unsupported Content-Encoding, 415). When ok,
+// the returned release func must be deferred around the handler: it
+// hands a gzip body's decompressor back for reuse, which the body's
+// Close cannot do, because net/http closes the body it created, not
+// this wrapper.
+func WrapRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (*http.Request, func(), bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	if ce := r.Header.Get("Content-Encoding"); strings.EqualFold(ce, "gzip") {
-		r.Body = &gzipBody{src: r.Body, limit: maxBody}
+	switch ce := r.Header.Get("Content-Encoding"); {
+	case strings.EqualFold(ce, "gzip"):
+		b := &gzipBody{src: r.Body, limit: maxBody}
+		r.Body = b
 		r.Header.Del("Content-Encoding")
-	} else if ce != "" && !strings.EqualFold(ce, "identity") {
+		return r, b.release, true
+	case ce != "" && !strings.EqualFold(ce, "identity"):
 		WriteError(w, http.StatusUnsupportedMediaType, "unsupported Content-Encoding %q; send gzip or identity", ce)
-		return nil, false
+		return nil, nil, false
 	}
-	return r, true
+	return r, func() {}, true
 }
 
 // CompressResponse applies the response side of the transport
