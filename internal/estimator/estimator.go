@@ -2,6 +2,8 @@ package estimator
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 
 	"hcoc/internal/histogram"
 	"hcoc/internal/isotonic"
@@ -242,44 +244,50 @@ func estimateHgRuns(h histogram.Hist, g int64, p Params, gen *noise.Gen) []SizeR
 // estimateHcRuns is the Hc pipeline fused for the run-length output:
 // identical draws and float operations to estimateHcCore, but the
 // noisy truncated cumulative histogram is accumulated cell by cell
-// straight into the float buffer (no dense Hist, Cumulative, or noisy
-// arrays), the L1 fit reuses that buffer, and the rounded cumulative is
-// scanned into runs without materializing it — for bound K that is 2
-// K-length allocations in all (the buffer and the L1 fit's counting
-// set, a count per value over the fewer than 2K integers the noisy
-// cells span, or its heap on wider inputs; the L2 fit allocates its
-// own output instead) and none of the per-group arrays.
+// straight into a reused float buffer (no dense Hist, Cumulative, or
+// noisy arrays), the L1 fit runs in that buffer, and the clamped,
+// rounded cumulative is scanned into runs without materializing it.
+// Every noisy cell is an integer, so the draw loop also keeps the
+// smallest and largest, which let the L1 fit pick how it keeps its
+// breakpoints without a pass of its own. The buffer and the fit's
+// breakpoint storage come from hcScratches, so in steady state the
+// kernel allocates only its runs (the L2 fit allocates its own output).
 func estimateHcRuns(h histogram.Hist, g int64, p Params, gen *noise.Gen, l1 bool) []SizeRun {
+	s := getHcScratch(p.K)
+	defer putHcScratch(s)
 	scale := 1 / p.Epsilon
-	ys := make([]float64, p.K) // cell K is pinned to G
+	ys := s.ys // cell K is pinned to G
 	var cum int64
-	for cell := 0; cell < p.K; cell++ {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for cell := range ys {
 		if cell < len(h) {
 			cum += h[cell]
-		} else if cum == g {
-			// Every group counted; the remaining cells are flat. Noise
-			// must still be drawn per cell to keep the stream aligned.
-			for ; cell < p.K; cell++ {
-				ys[cell] = float64(cum + gen.DoubleGeometric(scale))
-			}
-			break
 		}
-		ys[cell] = float64(cum + gen.DoubleGeometric(scale))
+		v := cum + gen.DoubleGeometric(scale)
+		lo, hi = min(lo, v), max(hi, v)
+		ys[cell] = float64(v)
 	}
 	gen.DoubleGeometric(scale) // cell K's draw, discarded (pinned below)
 
 	var fit []float64
 	if l1 {
-		fit = isotonic.FitL1InPlace(ys)
+		fit = isotonic.FitL1Ints(ys, lo, hi, &s.fit)
 	} else {
 		fit = isotonic.FitL2(ys)
 	}
-	isotonic.ClampBox(fit, 0, float64(g))
 
+	// Clamping into [0, G] keeps the box-constrained optimum (see
+	// estimateHcCore); it runs here, cell by cell, before the rounding.
 	perCell := 2 * noise.LaplaceVariance(scale) // 4/eps^2
+	gf := float64(g)
 	var runs []SizeRun
 	var prev int64
 	for i, z := range fit {
+		if z < 0 {
+			z = 0
+		} else if z > gf {
+			z = gf
+		}
 		est := int64(z + 0.5)
 		if count := est - prev; count > 0 {
 			runs = append(runs, SizeRun{Size: int64(i), Count: count, Var: perCell / float64(count)})
@@ -291,6 +299,60 @@ func estimateHcRuns(h histogram.Hist, g int64, p Params, gen *noise.Gen, l1 bool
 		runs = append(runs, SizeRun{Size: int64(p.K), Count: count, Var: perCell / float64(count)})
 	}
 	return runs
+}
+
+// hcScratch is the working memory of one estimateHcRuns call: the
+// K-cell float buffer and the L1 fit's breakpoint storage.
+type hcScratch struct {
+	ys  []float64
+	fit isotonic.Scratch
+}
+
+// maxPooledCells is the largest K whose scratch is kept for reuse: 2^17
+// cells, a 1 MiB buffer, which DefaultK fits in. A larger K allocates
+// its scratch per call, so an idle entry holds at most 1 MiB of cells,
+// 1 MiB of breakpoint counts, 1 MiB of heap and a few KB of bitmaps.
+const maxPooledCells = 1 << 17
+
+// hcScratches holds idle scratch for estimateHcRuns. A sync.Pool drops
+// its idle entries at every garbage collection, and without reuse these
+// buffers are most of what a release allocates, so collections would
+// come often and empty it. The kernel is CPU-bound, so one idle entry
+// per CPU is kept, and no more.
+var hcScratches = make(chan *hcScratch, runtime.GOMAXPROCS(0))
+
+// getHcScratch returns scratch whose buffer holds k cells: an idle
+// entry when k is small enough to pool, or a new one. The buffer's
+// cells hold whatever an earlier call left; the caller writes every
+// one before reading it.
+func getHcScratch(k int) *hcScratch {
+	var s *hcScratch
+	if k <= maxPooledCells {
+		select {
+		case s = <-hcScratches:
+		default:
+		}
+	}
+	if s == nil {
+		s = new(hcScratch)
+	}
+	if cap(s.ys) < k {
+		s.ys = make([]float64, k)
+	}
+	s.ys = s.ys[:k]
+	return s
+}
+
+// putHcScratch keeps s for reuse unless its buffer is over
+// maxPooledCells or the idle list is full.
+func putHcScratch(s *hcScratch) {
+	if cap(s.ys) > maxPooledCells {
+		return
+	}
+	select {
+	case hcScratches <- s:
+	default:
+	}
 }
 
 // estimateNaiveCore adds double-geometric noise with scale 2/eps to

@@ -7,7 +7,10 @@
 // algorithm. Its breakpoints are counted per value, in O(n + range),
 // when the input is integers spanning fewer than 2n values, as the Hc
 // estimator's noisy cumulative counts usually are, and kept in a heap,
-// in O(n log n), otherwise; both give the same bits.
+// in O(n log n), otherwise; both give the same bits. FitL1InPlace finds
+// that out with a pass over its input. FitL1Ints takes the bounds of
+// input known to be integers from its caller instead, and keeps the
+// breakpoints in a Scratch the caller reuses from fit to fit.
 //
 // Both fits return piecewise-constant solutions; Blocks recovers the
 // solution partition, which Section 5.1 uses for variance estimation.

@@ -70,7 +70,9 @@ func rawFuzzInput(alphabet []float64, picks []byte) []byte {
 // FuzzFitMonotone checks on tie-heavy inputs that all three solvers
 // return monotone outputs of the right length, that the two L1 solvers
 // agree on cost, and that FitL1 and FitL1InPlace equal the binary-heap
-// reference bit for bit, so that neither path turns a -0 into +0.
+// reference bit for bit, so that neither path turns a -0 into +0. An
+// input of int64 values also goes through FitL1Ints at its true
+// minimum and maximum, which must give the same bits.
 func FuzzFitMonotone(f *testing.F) {
 	f.Add([]byte{15, 1, 2, 3, 4})
 	f.Add([]byte{15, 4, 3, 2, 1})
@@ -116,9 +118,13 @@ func FuzzFitMonotone(f *testing.F) {
 		// keeps on top depends on its layout, so there a zero may carry
 		// either sign.
 		bothZeros := hasBits(ys, 0) && hasBits(ys, 1<<63)
-		for name, got := range map[string][]float64{
+		fits := map[string][]float64{
 			"FitL1": l1, "FitL1InPlace": FitL1InPlace(append([]float64(nil), ys...)),
-		} {
+		}
+		if lo, hi, ok := intBounds(ys); ok {
+			fits["FitL1Ints"] = FitL1Ints(append([]float64(nil), ys...), lo, hi, new(Scratch))
+		}
+		for name, got := range fits {
 			if len(got) != len(want) {
 				t.Fatalf("%s: length %d != reference %d", name, len(got), len(want))
 			}
