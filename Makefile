@@ -78,11 +78,12 @@ serve:
 	$(GO) run ./cmd/hcoc-serve
 
 # Documentation contract: godoc conventions (package comments in
-# doc.go, documented exported symbols) and OpenAPI route coverage
-# across both serving tiers (backend + gateway).
+# doc.go, documented exported symbols), OpenAPI route coverage across
+# both serving tiers (backend + gateway), and the golden bytes of every
+# JSON route.
 docs-check:
 	$(GO) test -run TestGodocConventions .
-	$(GO) test -run 'TestOpenAPI|TestRoutesStable|TestGatewayRoutesStable' ./internal/serve ./internal/gateway
+	$(GO) test -run 'TestOpenAPI|TestRoutesStable|TestGatewayRoutesStable|TestWireGolden' ./internal/serve ./internal/gateway
 
 # The repository benchmark (perfbench/) is its own module, which
 # ./... in this one skips: build, vet and test it against the root

@@ -34,16 +34,12 @@ type Hierarchy struct {
 // server-side. Uploads are content-addressed: re-uploading the same
 // groups returns the same id and costs nothing.
 func (c *Client) UploadHierarchy(ctx context.Context, root string, groups []hcoc.Group) (Hierarchy, error) {
-	type groupRecord struct {
-		Path []string `json:"path"`
-		Size int64    `json:"size"`
-	}
 	req := struct {
-		Root   string        `json:"root"`
-		Groups []groupRecord `json:"groups"`
-	}{Root: root, Groups: make([]groupRecord, len(groups))}
+		Root   string       `json:"root"`
+		Groups []EventGroup `json:"groups"`
+	}{Root: root, Groups: make([]EventGroup, len(groups))}
 	for i, g := range groups {
-		req.Groups[i] = groupRecord{Path: g.Path, Size: g.Size}
+		req.Groups[i] = EventGroup{Path: g.Path, Size: g.Size}
 	}
 	var out Hierarchy
 	err := c.do(ctx, http.MethodPost, "/v1/hierarchy", req, &out)
@@ -185,6 +181,10 @@ type Release struct {
 	Release string `json:"release"`
 	// Hierarchy echoes the request.
 	Hierarchy string `json:"hierarchy"`
+	// Version and Fingerprint identify the hierarchy version released
+	// (0/"" against pre-event-log daemons).
+	Version     int64  `json:"version"`
+	Fingerprint string `json:"fingerprint"`
 	// Algorithm and Epsilon echo what was released.
 	Algorithm string  `json:"algorithm"`
 	Epsilon   float64 `json:"epsilon"`
@@ -200,21 +200,17 @@ type Release struct {
 	//
 	// Deprecated: nothing sets it; it remains so existing callers build.
 	PeerHit bool `json:"-"`
-	// DurationMS is the wall time of the computation that produced the
-	// release (zero for cache hits).
-	DurationMS float64 `json:"duration_ms"`
-	// Version and Fingerprint identify the hierarchy version released
-	// (0/"" against pre-event-log daemons).
-	Version     int64  `json:"version"`
-	Fingerprint string `json:"fingerprint"`
 	// Incremental reports whether the computation reused a prior
 	// version's release state, recomputing only changed subtrees.
 	Incremental bool `json:"incremental"`
 	// NodesEstimated and NodesTotal count the nodes an incremental
 	// computation re-estimated versus the tree total (zero when the
 	// request was satisfied without computing).
-	NodesEstimated int `json:"nodes_estimated,omitempty"`
-	NodesTotal     int `json:"nodes_total,omitempty"`
+	NodesEstimated int `json:"nodes_estimated"`
+	NodesTotal     int `json:"nodes_total"`
+	// DurationMS is the wall time of the computation that produced the
+	// release (zero for cache hits).
+	DurationMS float64 `json:"duration_ms"`
 }
 
 // Release runs a synchronous release: the call returns when the
@@ -582,7 +578,7 @@ type Budget struct {
 	Enforced bool `json:"enforced"`
 	// Versions breaks the spend down per immutable hierarchy version
 	// (empty against pre-event-log daemons).
-	Versions []VersionBudget `json:"versions,omitempty"`
+	Versions []VersionBudget `json:"versions"`
 	// ContinualSpentEpsilon and ContinualRemainingEpsilon describe the
 	// continual-observation account, which sums spend over the distinct
 	// version fingerprints of the hierarchy's event log.

@@ -8,6 +8,15 @@
 //	rel, err := c.Release(ctx, client.ReleaseRequest{Hierarchy: h.ID, Epsilon: 1})
 //	results, err := c.BatchQuery(ctx, rel.Release, queries)
 //
+// # Wire schema
+//
+// The exported request and answer types (Hierarchy, Event,
+// HierarchyVersion, AppendResult, ReleaseRequest, Release, Job,
+// ReleaseArtifact, NodeReport, NodeQuery, NodeResult, Budget,
+// TenantsStatus and their element types) are the /v1 schema: hcoc-serve
+// decodes requests into and encodes answers from these same types, so
+// their JSON field names and order are the bytes on the wire.
+//
 // # Transport behavior
 //
 // Every call takes a context and honors its deadline and cancellation,

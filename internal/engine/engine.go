@@ -913,14 +913,6 @@ func (m Metrics) HitRate() float64 {
 	return float64(m.CacheHits) / float64(total)
 }
 
-// AvgRelease is the mean release computation time (0 before the first).
-func (m Metrics) AvgRelease() time.Duration {
-	if m.Releases == 0 {
-		return 0
-	}
-	return m.ReleaseTotal / time.Duration(m.Releases)
-}
-
 // Metrics returns a snapshot of the engine's counters.
 func (e *Engine) Metrics() Metrics {
 	var artifacts int

@@ -223,12 +223,11 @@ func lastAnswer(answers []*http.Response) int {
 	return -1
 }
 
-// listEntry holds the routing fields of one listing element: a
-// hierarchy's id, or a release artifact's id and hierarchy.
+// listEntry holds the dedup key of one listing element: a hierarchy's
+// id or a release artifact's id.
 type listEntry struct {
-	ID        string `json:"id"`
-	Release   string `json:"release"`
-	Hierarchy string `json:"hierarchy"`
+	ID      string `json:"id"`
+	Release string `json:"release"`
 }
 
 // scatter sends r, path and query as given, to every live backend in

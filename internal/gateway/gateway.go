@@ -18,7 +18,7 @@ const maxBodyBytes = 1 << 30
 
 // maxLearned caps the learned release→hierarchy and job→backend maps.
 // They are routing hints, not state: an evicted entry degrades a read
-// to the scatter fallback, nothing more.
+// to any live backend, nothing more.
 const maxLearned = 8192
 
 // Options configures a Gateway.
@@ -294,7 +294,7 @@ func (g *Gateway) recordTenant(fp string, status int, hdr http.Header) {
 	}
 }
 
-// learnRelease remembers which hierarchy a release belongs to, so
+// learnRelease remembers which hierarchy a release answer named, so
 // reads route straight to its owners instead of scattering.
 func (g *Gateway) learnRelease(releaseID, fp string) {
 	g.mu.Lock()

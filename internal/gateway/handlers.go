@@ -84,13 +84,12 @@ func (g *Gateway) handleListHierarchies(w http.ResponseWriter, r *http.Request) 
 
 // handleListReleases merges the durable-artifact listings across the
 // cluster, deduplicated by release id. Each backend gets the caller's
-// query, so ?hierarchy= and ?version= filter as they do directly. The
-// gateway learns release→hierarchy ownership from the merged entries.
+// query, so ?hierarchy= and ?version= filter as they do directly. A
+// listing teaches the gateway no routes: an entry's hierarchy is the
+// tree fingerprint of its version, which names the log only at version
+// 1, so routes are learned from release answers alone.
 func (g *Gateway) handleListReleases(w http.ResponseWriter, r *http.Request) {
-	g.scatter(w, r, func(e listEntry) string {
-		g.learnRelease(e.Release, hierarchyFP(e.Hierarchy))
-		return e.Release
-	})
+	g.scatter(w, r, func(e listEntry) string { return e.Release })
 }
 
 // handleRelease routes a release to the hierarchy's primary, failing

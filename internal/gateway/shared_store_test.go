@@ -181,3 +181,57 @@ func TestGatewayColdJoin(t *testing.T) {
 		t.Fatal("gateway serves different artifact bytes after the original node died")
 	}
 }
+
+// TestGatewayListingKeepsReleaseRoute: listing releases through the
+// gateway leaves a release's route alone. A listing names the tree
+// fingerprint of the release's version, which is the log id only at
+// version 1, so a version-2 release keeps routing to the log's primary,
+// the node that computed it.
+func TestGatewayListingKeepsReleaseRoute(t *testing.T) {
+	ctx := context.Background()
+	stub := newStub(t)
+	backends := make([]*backendFixture, 4)
+	for i := range backends {
+		backends[i] = newSharedBackend(t, stub)
+	}
+	gw, c, _ := newGateway(t, 2, 3, backends...)
+
+	h, err := c.UploadHierarchy(ctx, "US", testGroups())
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := []client.EventGroup{{Path: []string{"OR"}, Size: 3}}
+	head, err := c.AppendEvents(ctx, h.ID, []client.Event{client.DeltaEvent(add, nil, nil)}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := c.Release(ctx, client.ReleaseRequest{Hierarchy: h.ID, Epsilon: 1, K: 50, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logID := hierarchyFP(h.ID)
+	if rel.Version != 2 || rel.Fingerprint != head.Head.Fingerprint || rel.Fingerprint == logID {
+		t.Fatalf("release = %+v, want version 2 of a tree other than the log's first", rel)
+	}
+	primary := gw.routeHierarchy(logID)[0]
+	if m := byURL(t, backends, primary).eng.Metrics(); m.Releases != 1 {
+		t.Fatalf("log primary %s computed %d releases, want 1", primary, m.Releases)
+	}
+
+	listed, err := c.Releases(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(listed) != 1 || listed[0].Release != rel.Release || listed[0].Hierarchy != "h-"+rel.Fingerprint {
+		t.Fatalf("listing = %+v, want the one version-2 release", listed)
+	}
+	gw.mu.Lock()
+	owner := gw.releaseOwner[rel.Release]
+	gw.mu.Unlock()
+	if owner != logID {
+		t.Errorf("after a listing the release routes by %q, want the log id %q", owner, logID)
+	}
+	if order := gw.orderForRelease(rel.Release); order[0] != primary {
+		t.Errorf("after a listing the release's first backend is %s, want the log's primary %s", order[0], primary)
+	}
+}

@@ -185,27 +185,3 @@ func TopCoded(h histogram.Hist, cap int) (histogram.Hist, error) {
 	}
 	return h.Truncate(cap), nil
 }
-
-// Compare summarizes the disagreement between a released histogram and
-// a reference (e.g. the truth, in evaluation settings): the earthmover's
-// distance plus the largest per-quantile size deviation at the given
-// quantiles.
-func Compare(truth, released histogram.Hist, quantiles []float64) (emd int64, maxQuantileGap int64, err error) {
-	emd = histogram.EMD(truth, released)
-	for _, q := range quantiles {
-		a, err := Quantile(truth, q)
-		if err != nil {
-			return 0, 0, err
-		}
-		b, err := Quantile(released, q)
-		if err != nil {
-			return 0, 0, err
-		}
-		if d := a - b; d > maxQuantileGap {
-			maxQuantileGap = d
-		} else if -d > maxQuantileGap {
-			maxQuantileGap = -d
-		}
-	}
-	return emd, maxQuantileGap, nil
-}

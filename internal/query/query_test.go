@@ -193,24 +193,6 @@ func TestTopCoded(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	truth := histogram.Hist{0, 10, 5}
-	released := histogram.Hist{0, 9, 6}
-	emd, gap, err := Compare(truth, released, []float64{0.5, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emd != 1 {
-		t.Errorf("emd = %d, want 1", emd)
-	}
-	if gap > 1 {
-		t.Errorf("quantile gap = %d, want <= 1", gap)
-	}
-	if _, _, err := Compare(histogram.Hist{}, released, []float64{0.5}); err == nil {
-		t.Error("empty truth accepted")
-	}
-}
-
 func TestPropOrderStatisticsConsistent(t *testing.T) {
 	// KthSmallest over all k reproduces the sorted group sizes.
 	f := func(seed int64) bool {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 
 	"hcoc"
+	"hcoc/client"
 	"hcoc/internal/engine"
 	"hcoc/internal/query"
 	"hcoc/internal/query/plan"
@@ -37,56 +38,19 @@ const maxRankStats = 2 * maxBatchQueries
 // errRankStats refuses a request over maxRankStats.
 var errRankStats = fmt.Errorf("request asks for more than %d rank statistics (q and k values per report)", maxRankStats)
 
-// batchQueryEntry is one query of a batch: a node plus the same
-// optional statistics the single-query endpoint accepts as URL
-// parameters. The cross-release fields select an aggregate beyond the
-// default single-release stats and name the releases it reads; a plain
-// entry (no op, no releases) keeps its pre-cross-release meaning.
-type batchQueryEntry struct {
-	Op         string    `json:"op,omitempty"`
-	Releases   []string  `json:"releases,omitempty"`
-	Node       string    `json:"node"`
-	Quantiles  []float64 `json:"q,omitempty"`
-	KthLargest []int64   `json:"k,omitempty"`
-	TopCode    int       `json:"topcode,omitempty"`
-}
-
 // batchQueryRequest is the body of POST /v1/query/batch. Release is the
 // default release for entries that name none; entries with cross-release
 // ops list their own.
 type batchQueryRequest struct {
-	Release string            `json:"release"`
-	Queries []batchQueryEntry `json:"queries"`
-}
-
-// seriesPoint is one release's node report within a series result.
-type seriesPoint struct {
-	Release string `json:"release"`
-	queryResponse
-}
-
-// batchQueryItem is one result of a batch query: the payload of the
-// entry's aggregate (node report for stats; emd/deltas, series points,
-// or a left/right report pair for the cross-release ops), or an error
-// naming why this query (and only this query) failed.
-type batchQueryItem struct {
-	queryResponse
-	Op          string         `json:"op,omitempty"`
-	Releases    []string       `json:"releases,omitempty"`
-	EMD         *int64         `json:"emd,omitempty"`
-	GroupsDelta *int64         `json:"groups_delta,omitempty"`
-	PeopleDelta *int64         `json:"people_delta,omitempty"`
-	Series      []seriesPoint  `json:"series,omitempty"`
-	Left        *queryResponse `json:"left,omitempty"`
-	Right       *queryResponse `json:"right,omitempty"`
-	Error       string         `json:"error,omitempty"`
+	Release string             `json:"release"`
+	Queries []client.NodeQuery `json:"queries"`
 }
 
 // batchQueryResponse is the body of a successful POST /v1/query/batch:
 // results index-aligned with the request's queries.
 type batchQueryResponse struct {
-	Release string           `json:"release"`
-	Results []batchQueryItem `json:"results"`
+	Release string              `json:"release"`
+	Results []client.NodeResult `json:"results"`
 }
 
 // isPlain reports whether every entry is a plain node query (no op,
@@ -131,7 +95,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := s.eng.EvalBatch(qs)
-	resp := batchQueryResponse{Release: req.Release, Results: make([]batchQueryItem, len(results))}
+	resp := batchQueryResponse{Release: req.Release, Results: make([]client.NodeResult, len(results))}
 	for i, res := range results {
 		if plain && errors.Is(res.Err, engine.ErrNotCached) {
 			WriteError(w, http.StatusNotFound, "release not cached; POST /v1/release to (re)compute it")
@@ -149,7 +113,7 @@ func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 // default release when it has one. Before any release is read, it
 // refuses a request whose top-coded tables would exceed
 // maxTopCodedCells or whose rank statistics would exceed maxRankStats.
-func lower(release string, entries []batchQueryEntry) ([]plan.Query, error) {
+func lower(release string, entries []client.NodeQuery) ([]plan.Query, error) {
 	// Every entry naming no releases shares one key slice; the planner
 	// only reads it.
 	var def []string
@@ -197,11 +161,11 @@ func lower(release string, entries []batchQueryEntry) ([]plan.Query, error) {
 
 // toBatchItem renders one planner result in the wire shape, echoing the
 // entry's op and release ids as sent.
-func toBatchItem(q batchQueryEntry, res plan.Result) batchQueryItem {
-	item := batchQueryItem{
-		queryResponse: queryResponse{Node: q.Node},
-		Op:            q.Op,
-		Releases:      q.Releases,
+func toBatchItem(q client.NodeQuery, res plan.Result) client.NodeResult {
+	item := client.NodeResult{
+		NodeReport: client.NodeReport{Node: q.Node},
+		Op:         q.Op,
+		Releases:   q.Releases,
 	}
 	if res.Err != nil {
 		item.Error = res.Err.Error()
@@ -209,9 +173,9 @@ func toBatchItem(q batchQueryEntry, res plan.Result) batchQueryItem {
 	}
 	switch {
 	case res.Report != nil:
-		item.queryResponse = reportToQueryResponse(q, *res.Report)
+		item.NodeReport = reportToQueryResponse(q, *res.Report)
 	case res.Series != nil:
-		item.Series = make([]seriesPoint, len(res.Series))
+		item.Series = make([]client.SeriesPoint, len(res.Series))
 		for i, pt := range res.Series {
 			// Echo the wire release id (index-aligned with the entry's
 			// releases), not the engine key the planner worked with.
@@ -219,7 +183,7 @@ func toBatchItem(q batchQueryEntry, res plan.Result) batchQueryItem {
 			if i < len(q.Releases) {
 				rel = q.Releases[i]
 			}
-			item.Series[i] = seriesPoint{Release: rel, queryResponse: reportToQueryResponse(q, pt.Report)}
+			item.Series[i] = client.SeriesPoint{Release: rel, NodeReport: reportToQueryResponse(q, pt.Report)}
 		}
 	case res.Left != nil && res.Right != nil:
 		left := reportToQueryResponse(q, *res.Left)
@@ -235,8 +199,8 @@ func toBatchItem(q batchQueryEntry, res plan.Result) batchQueryItem {
 // reportToQueryResponse converts a query-layer report to the wire shape,
 // re-pairing the rank statistics with the parameters that requested
 // them.
-func reportToQueryResponse(q batchQueryEntry, rep query.Report) queryResponse {
-	resp := queryResponse{
+func reportToQueryResponse(q client.NodeQuery, rep query.Report) client.NodeReport {
+	resp := client.NodeReport{
 		Node:     q.Node,
 		Groups:   rep.Groups,
 		People:   rep.People,
@@ -246,37 +210,12 @@ func reportToQueryResponse(q batchQueryEntry, rep query.Report) queryResponse {
 		TopCoded: rep.TopCoded,
 	}
 	for i, size := range rep.Quantiles {
-		resp.Quantiles = append(resp.Quantiles, quantileValue{Q: q.Quantiles[i], Size: size})
+		resp.Quantiles = append(resp.Quantiles, client.QuantileValue{Q: q.Quantiles[i], Size: size})
 	}
 	for i, size := range rep.KthLargest {
-		resp.KthLargest = append(resp.KthLargest, orderStatValue{K: q.KthLargest[i], Size: size})
+		resp.KthLargest = append(resp.KthLargest, client.OrderStat{K: q.KthLargest[i], Size: size})
 	}
 	return resp
-}
-
-// versionBudget is one version's share of a hierarchy's privacy spend.
-type versionBudget struct {
-	Version      int64   `json:"version"`
-	Fingerprint  string  `json:"fingerprint"`
-	SpentEpsilon float64 `json:"spent_epsilon"`
-}
-
-// budgetStatusResponse is the body of GET /v1/budget/{id}. The
-// top-level spent/remaining fields describe the head version under the
-// per-version -max-epsilon-per-hierarchy bound; versions breaks the
-// spend down per immutable version; the continual_* fields report the
-// cross-version continual-observation account.
-type budgetStatusResponse struct {
-	Hierarchy                 string          `json:"hierarchy"`
-	SpentEpsilon              float64         `json:"spent_epsilon"`
-	RemainingEpsilon          float64         `json:"remaining_epsilon"`
-	MaxEpsilonPerHierarchy    float64         `json:"max_epsilon_per_hierarchy"`
-	Enforced                  bool            `json:"enforced"`
-	Versions                  []versionBudget `json:"versions"`
-	ContinualSpentEpsilon     float64         `json:"continual_spent_epsilon"`
-	ContinualRemainingEpsilon float64         `json:"continual_remaining_epsilon"`
-	MaxEpsilonContinual       float64         `json:"max_epsilon_continual"`
-	ContinualEnforced         bool            `json:"continual_enforced"`
 }
 
 // hierarchyID strips the "h-" prefix hierarchy ids are served with.
@@ -291,6 +230,9 @@ func hierarchyID(id string) string {
 // spending anything: what past computations cost (per version and
 // across all versions), what remains under the per-version and
 // continual-observation bounds, and whether each bound is enforced.
+// The top-level spent/remaining fields describe the head version under
+// the per-version -max-epsilon-per-hierarchy bound; the continual_*
+// fields the cross-version account.
 func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	l, ok := s.logs.Get(hierarchyID(r.PathValue("id")))
 	if !ok {
@@ -299,7 +241,7 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	}
 	head := l.Head()
 	spent, remaining, limit, enforced := s.eng.BudgetStatus(head.Fingerprint)
-	resp := budgetStatusResponse{
+	resp := client.Budget{
 		Hierarchy:              "h-" + l.ID(),
 		SpentEpsilon:           spent,
 		RemainingEpsilon:       remaining,
@@ -308,7 +250,7 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, v := range l.Versions() {
 		vs, _, _, _ := s.eng.BudgetStatus(v.Fingerprint)
-		resp.Versions = append(resp.Versions, versionBudget{
+		resp.Versions = append(resp.Versions, client.VersionBudget{
 			Version:      v.Seq,
 			Fingerprint:  v.Fingerprint,
 			SpentEpsilon: vs,

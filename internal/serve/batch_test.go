@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"hcoc/client"
 	"hcoc/internal/engine"
 )
 
@@ -20,8 +21,8 @@ import (
 func releaseSmall(t *testing.T, ts *httptest.Server) (string, string) {
 	t.Helper()
 	hr := uploadGroups(t, ts, "US", smallGroups())
-	var rr releaseResponse
-	req := releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 7}
+	var rr client.Release
+	req := client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 7}
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, &rr); status != http.StatusOK {
 		t.Fatalf("release: status %d: %s", status, body)
 	}
@@ -45,12 +46,12 @@ func TestServeBatchQuery(t *testing.T) {
 	}
 
 	// Items 0 and 1 must match the single-query endpoint bit for bit.
-	var single queryResponse
+	var single client.NodeReport
 	url := fmt.Sprintf("%s/v1/query/US?release=%s&q=0.5&q=0.9&topcode=4", ts.URL, release)
 	if status, body := getJSON(t, url, &single); status != http.StatusOK {
 		t.Fatalf("single query: status %d: %s", status, body)
 	}
-	got, want := mustJSON(t, resp.Results[0].queryResponse), mustJSON(t, single)
+	got, want := mustJSON(t, resp.Results[0].NodeReport), mustJSON(t, single)
 	if got != want {
 		t.Fatalf("batch item 0 = %s\nsingle query = %s", got, want)
 	}
@@ -79,20 +80,20 @@ func TestServeBatchQuery(t *testing.T) {
 	if status, _ := postJSON(t, ts.URL+"/v1/query/batch", batchQueryRequest{Queries: reqBody.Queries}, nil); status != http.StatusBadRequest {
 		t.Fatalf("missing release: status %d, want 400", status)
 	}
-	big := batchQueryRequest{Release: release, Queries: make([]batchQueryEntry, maxBatchQueries+1)}
+	big := batchQueryRequest{Release: release, Queries: make([]client.NodeQuery, maxBatchQueries+1)}
 	if status, _ := postJSON(t, ts.URL+"/v1/query/batch", big, nil); status != http.StatusBadRequest {
 		t.Fatalf("oversized batch: status %d, want 400", status)
 	}
 	// Top-coded cells sum over the batch and over every release an entry
 	// reports on; a batch over the bound is refused before any lookup.
-	wide := batchQueryRequest{Release: release, Queries: make([]batchQueryEntry, 16)}
+	wide := batchQueryRequest{Release: release, Queries: make([]client.NodeQuery, 16)}
 	for i := range wide.Queries {
-		wide.Queries[i] = batchQueryEntry{Node: "US", TopCode: maxTopCodedCells / 16}
+		wide.Queries[i] = client.NodeQuery{Node: "US", TopCode: maxTopCodedCells / 16}
 	}
 	if status, body := postJSON(t, ts.URL+"/v1/query/batch", wide, nil); status != http.StatusBadRequest || !strings.Contains(body, "top-coded") {
 		t.Fatalf("16 wide top-coded tables: status %d (%s), want 400", status, body)
 	}
-	series := batchQueryRequest{Queries: []batchQueryEntry{
+	series := batchQueryRequest{Queries: []client.NodeQuery{
 		{Op: "series", Releases: []string{release, release}, Node: "US", TopCode: maxTopCodedCells / 2},
 	}}
 	if status, body := postJSON(t, ts.URL+"/v1/query/batch", series, nil); status != http.StatusBadRequest || !strings.Contains(body, "top-coded") {
@@ -104,7 +105,7 @@ func TestServeBatchQuery(t *testing.T) {
 	if status, body := postJSON(t, ts.URL+"/v1/query/batch", ranked, nil); status != http.StatusBadRequest || !strings.Contains(body, "rank statistics") {
 		t.Fatalf("%d rank statistics: status %d (%s), want 400", 2*maxBatchQueries+1, status, body)
 	}
-	seriesRanks := batchQueryRequest{Queries: []batchQueryEntry{
+	seriesRanks := batchQueryRequest{Queries: []client.NodeQuery{
 		{Op: "series", Releases: []string{release, release}, Node: "US", Quantiles: make([]float64, maxRankStats/2+1)},
 	}}
 	if status, body := postJSON(t, ts.URL+"/v1/query/batch", seriesRanks, nil); status != http.StatusBadRequest || !strings.Contains(body, "rank statistics") {
@@ -132,9 +133,9 @@ func TestServeBatchQuery(t *testing.T) {
 
 // rankBatch is n plain entries of two quantiles each.
 func rankBatch(release string, n int) batchQueryRequest {
-	req := batchQueryRequest{Release: release, Queries: make([]batchQueryEntry, n)}
+	req := batchQueryRequest{Release: release, Queries: make([]client.NodeQuery, n)}
 	for i := range req.Queries {
-		req.Queries[i] = batchQueryEntry{Node: "US", Quantiles: []float64{0.5, 0.9}}
+		req.Queries[i] = client.NodeQuery{Node: "US", Quantiles: []float64{0.5, 0.9}}
 	}
 	return req
 }
@@ -144,7 +145,7 @@ func rankBatch(release string, n int) batchQueryRequest {
 func plainBatch(release string) batchQueryRequest {
 	return batchQueryRequest{
 		Release: release,
-		Queries: []batchQueryEntry{
+		Queries: []client.NodeQuery{
 			{Node: "US", Quantiles: []float64{0.5, 0.9}, TopCode: 4},
 			{Node: "US/CA", KthLargest: []int64{1}},
 			{Node: "US/XX"},                          // unknown node
@@ -161,19 +162,19 @@ func TestServeQueryOnePath(t *testing.T) {
 	ts := newTestServer(t, engine.Options{})
 	_, release := releaseSmall(t, ts)
 	const params = "q=0.5&q=0.9&k=1&topcode=4"
-	entry := func(node string) batchQueryEntry {
-		return batchQueryEntry{Node: node, Quantiles: []float64{0.5, 0.9}, KthLargest: []int64{1}, TopCode: 4}
+	entry := func(node string) client.NodeQuery {
+		return client.NodeQuery{Node: node, Quantiles: []float64{0.5, 0.9}, KthLargest: []int64{1}, TopCode: 4}
 	}
 	// ask sends the same node query to release down all three routes:
 	// GET, a plain batch and an extended batch.
 	ask := func(rel, node string) (getStatus int, get string, plainStatus int, plain, extended batchQueryResponse) {
 		getStatus, get = getJSON(t, fmt.Sprintf("%s/v1/query/%s?release=%s&%s", ts.URL, node, rel, params), nil)
 		plainStatus, _ = postJSON(t, ts.URL+"/v1/query/batch",
-			batchQueryRequest{Release: rel, Queries: []batchQueryEntry{entry(node)}}, &plain)
+			batchQueryRequest{Release: rel, Queries: []client.NodeQuery{entry(node)}}, &plain)
 		stats := entry(node)
 		stats.Op, stats.Releases = "stats", []string{rel}
 		if status, body := postJSON(t, ts.URL+"/v1/query/batch",
-			batchQueryRequest{Queries: []batchQueryEntry{stats}}, &extended); status != http.StatusOK || len(extended.Results) != 1 {
+			batchQueryRequest{Queries: []client.NodeQuery{stats}}, &extended); status != http.StatusOK || len(extended.Results) != 1 {
 			t.Fatalf("extended batch for %s on %s: status %d: %s", node, rel, status, body)
 		}
 		return getStatus, get, plainStatus, plain, extended
@@ -184,13 +185,13 @@ func TestServeQueryOnePath(t *testing.T) {
 	if getStatus != http.StatusOK || plainStatus != http.StatusOK {
 		t.Fatalf("known node: GET %d (%s), plain batch %d", getStatus, get, plainStatus)
 	}
-	var single queryResponse
+	var single client.NodeReport
 	if err := json.Unmarshal([]byte(get), &single); err != nil {
 		t.Fatal(err)
 	}
 	want := mustJSON(t, single)
-	for name, item := range map[string]batchQueryItem{"plain": plain.Results[0], "extended": extended.Results[0]} {
-		if got := mustJSON(t, item.queryResponse); item.Error != "" || got != want {
+	for name, item := range map[string]client.NodeResult{"plain": plain.Results[0], "extended": extended.Results[0]} {
+		if got := mustJSON(t, item.NodeReport); item.Error != "" || got != want {
 			t.Fatalf("%s batch item = %s (error %q)\nGET = %s", name, got, item.Error, want)
 		}
 	}
@@ -223,7 +224,7 @@ func TestServeQueryOnePath(t *testing.T) {
 	}
 	var empty batchQueryResponse
 	status, body := postJSON(t, ts.URL+"/v1/query/batch",
-		batchQueryRequest{Release: "r-nope", Queries: []batchQueryEntry{{}, {Quantiles: []float64{0.5}}}}, &empty)
+		batchQueryRequest{Release: "r-nope", Queries: []client.NodeQuery{{}, {Quantiles: []float64{0.5}}}}, &empty)
 	if status != http.StatusOK || len(empty.Results) != 2 || empty.Results[0].Error == "" || empty.Results[1].Error == "" {
 		t.Fatalf("empty-node plain batch on an unknown release: status %d: %s", status, body)
 	}
@@ -236,7 +237,7 @@ func TestServeBudgetEndpoint(t *testing.T) {
 	ts := newTestServer(t, engine.Options{MaxEpsilonPerHierarchy: 1.5})
 	hr := uploadGroups(t, ts, "US", smallGroups())
 
-	var bs budgetStatusResponse
+	var bs client.Budget
 	if status, body := getJSON(t, ts.URL+"/v1/budget/"+hr.ID, &bs); status != http.StatusOK {
 		t.Fatalf("budget: status %d: %s", status, body)
 	}
@@ -244,7 +245,7 @@ func TestServeBudgetEndpoint(t *testing.T) {
 		t.Fatalf("fresh budget: %+v", bs)
 	}
 
-	req := releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 7}
+	req := client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 7}
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, nil); status != http.StatusOK {
 		t.Fatalf("release: status %d: %s", status, body)
 	}
@@ -279,11 +280,11 @@ func TestServeBudgetEndpoint(t *testing.T) {
 func TestServeBudgetUnenforced(t *testing.T) {
 	ts := newTestServer(t, engine.Options{})
 	hr := uploadGroups(t, ts, "US", smallGroups())
-	req := releaseRequest{Hierarchy: hr.ID, Epsilon: 2, K: 50, Seed: 7}
+	req := client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 2, K: 50, Seed: 7}
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, nil); status != http.StatusOK {
 		t.Fatalf("release: status %d: %s", status, body)
 	}
-	var bs budgetStatusResponse
+	var bs client.Budget
 	if _, _ = getJSON(t, ts.URL+"/v1/budget/"+hr.ID, &bs); bs.Enforced || bs.SpentEpsilon != 2 {
 		t.Fatalf("unenforced budget: %+v", bs)
 	}
@@ -295,9 +296,9 @@ func TestServeBudgetUnenforced(t *testing.T) {
 func TestServeGzip(t *testing.T) {
 	ts := newTestServer(t, engine.Options{})
 
-	recs := make([]groupRecord, 0, len(smallGroups()))
+	recs := make([]client.EventGroup, 0, len(smallGroups()))
 	for _, g := range smallGroups() {
-		recs = append(recs, groupRecord{Path: g.Path, Size: g.Size})
+		recs = append(recs, client.EventGroup{Path: g.Path, Size: g.Size})
 	}
 	raw, err := json.Marshal(hierarchyRequest{Root: "US", Groups: recs})
 	if err != nil {
@@ -323,7 +324,7 @@ func TestServeGzip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hr hierarchyResponse
+	var hr client.Hierarchy
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -356,7 +357,7 @@ func TestServeGzip(t *testing.T) {
 	if got := resp.Header.Get("Content-Encoding"); got != "" || resp.Header.Get("Vary") != "Accept-Encoding" {
 		t.Fatalf("small listing: Content-Encoding %q, Vary %q; want identity varying on Accept-Encoding", got, resp.Header.Get("Vary"))
 	}
-	var listed []hierarchyResponse
+	var listed []client.Hierarchy
 	if err := json.Unmarshal(body, &listed); err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +438,7 @@ func TestServeGzip(t *testing.T) {
 func batchOf(release string, n int) batchQueryRequest {
 	req := batchQueryRequest{Release: release}
 	for i := 0; i < n; i++ {
-		req.Queries = append(req.Queries, batchQueryEntry{Node: "US/CA", Quantiles: []float64{0.5, 0.9}, KthLargest: []int64{1}, TopCode: 4})
+		req.Queries = append(req.Queries, client.NodeQuery{Node: "US/CA", Quantiles: []float64{0.5, 0.9}, KthLargest: []int64{1}, TopCode: 4})
 	}
 	return req
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"hcoc/client"
 	"hcoc/internal/engine"
 )
 
@@ -20,8 +21,8 @@ func releasePair(t *testing.T, ts *httptest.Server) (string, string) {
 	hr := uploadGroups(t, ts, "US", smallGroups())
 	ids := make([]string, 2)
 	for i, seed := range []int64{7, 8} {
-		var rr releaseResponse
-		req := releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: seed}
+		var rr client.Release
+		req := client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: seed}
 		if status, body := postJSON(t, ts.URL+"/v1/release", req, &rr); status != http.StatusOK {
 			t.Fatalf("release seed %d: status %d: %s", seed, status, body)
 		}
@@ -82,11 +83,11 @@ func TestServeCrossReleaseBatch(t *testing.T) {
 	if stats.Error != "" {
 		t.Fatalf("stats item error: %q", stats.Error)
 	}
-	var single queryResponse
+	var single client.NodeReport
 	if status, body := getJSON(t, fmt.Sprintf("%s/v1/query/US?release=%s", ts.URL, rel1), &single); status != http.StatusOK {
 		t.Fatalf("single query: status %d: %s", status, body)
 	}
-	if got, want := mustJSON(t, stats.queryResponse), mustJSON(t, single); got != want {
+	if got, want := mustJSON(t, stats.NodeReport), mustJSON(t, single); got != want {
 		t.Fatalf("stats item = %s\nsingle query = %s", got, want)
 	}
 
@@ -100,12 +101,12 @@ func TestServeCrossReleaseBatch(t *testing.T) {
 
 	// A series result equals querying each release separately.
 	for i, rel := range []string{rel1, rel2} {
-		var one queryResponse
+		var one client.NodeReport
 		url := fmt.Sprintf("%s/v1/query/US?release=%s&q=0.9", ts.URL, rel)
 		if status, body := getJSON(t, url, &one); status != http.StatusOK {
 			t.Fatalf("single query %s: status %d: %s", rel, status, body)
 		}
-		if got, want := mustJSON(t, series.Series[i].queryResponse), mustJSON(t, one); got != want {
+		if got, want := mustJSON(t, series.Series[i].NodeReport), mustJSON(t, one); got != want {
 			t.Fatalf("series[%d] = %s\nsingle = %s", i, got, want)
 		}
 	}
@@ -128,7 +129,7 @@ func TestServeCrossReleaseBatch(t *testing.T) {
 func crossBatch(rel1, rel2 string) batchQueryRequest {
 	return batchQueryRequest{
 		Release: rel1,
-		Queries: []batchQueryEntry{
+		Queries: []client.NodeQuery{
 			{Op: "emd", Releases: []string{rel1, rel2}, Node: "US"},
 			{Op: "delta", Releases: []string{rel1, rel2}, Node: "US/CA"},
 			{Op: "series", Releases: []string{rel1, rel2}, Node: "US", Quantiles: []float64{0.9}},
@@ -143,7 +144,7 @@ func crossBatch(rel1, rel2 string) batchQueryRequest {
 // mixedBatch is an extended batch naming no default release: its stats
 // entry fails on its own item, its emd entry answers.
 func mixedBatch(rel1, rel2 string) batchQueryRequest {
-	return batchQueryRequest{Queries: []batchQueryEntry{
+	return batchQueryRequest{Queries: []client.NodeQuery{
 		{Op: "stats", Node: "US"},
 		{Op: "emd", Releases: []string{rel1, rel2}, Node: "US"},
 	}}
@@ -160,16 +161,16 @@ func benchServer(b *testing.B) (*httptest.Server, string, string) {
 	ts := httptest.NewServer(srv)
 	b.Cleanup(ts.Close)
 
-	recs := make([]groupRecord, 0, len(smallGroups()))
+	recs := make([]client.EventGroup, 0, len(smallGroups()))
 	for _, g := range smallGroups() {
-		recs = append(recs, groupRecord{Path: g.Path, Size: g.Size})
+		recs = append(recs, client.EventGroup{Path: g.Path, Size: g.Size})
 	}
-	var hr hierarchyResponse
+	var hr client.Hierarchy
 	benchPost(b, ts.URL+"/v1/hierarchy", hierarchyRequest{Root: "US", Groups: recs}, &hr)
 	ids := make([]string, 2)
 	for i, seed := range []int64{7, 8} {
-		var rr releaseResponse
-		benchPost(b, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: seed}, &rr)
+		var rr client.Release
+		benchPost(b, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: seed}, &rr)
 		ids[i] = rr.Release
 	}
 	return ts, ids[0], ids[1]
@@ -202,20 +203,20 @@ func benchPost(b *testing.B, url string, body any, out any) {
 
 // crossEntries builds the benchmark workload: 16 queries spanning two
 // releases, mixing every aggregate.
-func crossEntries(rel1, rel2 string) []batchQueryEntry {
+func crossEntries(rel1, rel2 string) []client.NodeQuery {
 	nodes := []string{"US", "US/CA", "US/WA", "US/CA"}
-	entries := make([]batchQueryEntry, 16)
+	entries := make([]client.NodeQuery, 16)
 	for i := range entries {
 		n := nodes[i%len(nodes)]
 		switch i % 4 {
 		case 0:
-			entries[i] = batchQueryEntry{Op: "emd", Releases: []string{rel1, rel2}, Node: n}
+			entries[i] = client.NodeQuery{Op: "emd", Releases: []string{rel1, rel2}, Node: n}
 		case 1:
-			entries[i] = batchQueryEntry{Op: "delta", Releases: []string{rel1, rel2}, Node: n}
+			entries[i] = client.NodeQuery{Op: "delta", Releases: []string{rel1, rel2}, Node: n}
 		case 2:
-			entries[i] = batchQueryEntry{Op: "series", Releases: []string{rel1, rel2}, Node: n, Quantiles: []float64{0.5}}
+			entries[i] = client.NodeQuery{Op: "series", Releases: []string{rel1, rel2}, Node: n, Quantiles: []float64{0.5}}
 		default:
-			entries[i] = batchQueryEntry{Op: "compare", Releases: []string{rel1, rel2}, Node: n}
+			entries[i] = client.NodeQuery{Op: "compare", Releases: []string{rel1, rel2}, Node: n}
 		}
 	}
 	return entries
@@ -243,7 +244,7 @@ func BenchmarkCrossReleaseBatch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, e := range entries {
 				var resp batchQueryResponse
-				benchPost(b, ts.URL+"/v1/query/batch", batchQueryRequest{Queries: []batchQueryEntry{e}}, &resp)
+				benchPost(b, ts.URL+"/v1/query/batch", batchQueryRequest{Queries: []client.NodeQuery{e}}, &resp)
 				if resp.Results[0].Error != "" {
 					b.Fatal(resp.Results[0].Error)
 				}

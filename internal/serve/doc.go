@@ -3,6 +3,13 @@
 // transport over the release engine (internal/engine) and the durable
 // store (internal/store).
 //
+// Request and answer bodies are the exported types of the client SDK
+// (hcoc/client), the one Go definition of the /v1 schema; handlers
+// decode into them and encode from them, so the SDK and the daemon
+// cannot drift apart. Only the envelopes the SDK builds inline, the
+// /healthz answer and the error bodies have types of their own here.
+// TestWireGolden pins the bytes of every JSON route.
+//
 // The package exists separately from cmd/hcoc-serve so the full
 // serving stack can be run in-process — httptest servers in the client
 // SDK's tests and examples, cmd/hcoc-load's tests, and benchmarks all

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hcoc"
+	"hcoc/client"
 	"hcoc/internal/engine"
 )
 
@@ -19,8 +20,8 @@ import (
 func releaseOnServer(t *testing.T, ts *httptest.Server) string {
 	t.Helper()
 	hr := uploadGroups(t, ts, "Manhattan", taxiGroups(t))
-	var rr releaseResponse
-	req := releaseRequest{Hierarchy: hr.ID, Algorithm: "topdown", Epsilon: 1, K: 2000, Seed: 7}
+	var rr client.Release
+	req := client.ReleaseRequest{Hierarchy: hr.ID, Algorithm: "topdown", Epsilon: 1, K: 2000, Seed: 7}
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, &rr); status != http.StatusOK {
 		t.Fatalf("release: status %d: %s", status, body)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hcoc"
+	"hcoc/client"
 	"hcoc/internal/engine"
 )
 
@@ -62,13 +63,13 @@ func TestServeAppendEventsAndVersions(t *testing.T) {
 		t.Fatalf("snapshot upload = version %d fingerprint %q, want version 1", hr.Version, hr.Fingerprint)
 	}
 
-	status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []eventRecord{
-		{Type: "delta", Add: []groupRecord{{Path: []string{"OR"}, Size: 3}}},
+	status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []client.Event{
+		{Type: "delta", Add: []client.EventGroup{{Path: []string{"OR"}, Size: 3}}},
 	}}, "")
 	if status != http.StatusOK {
 		t.Fatalf("append: status %d: %s", status, body)
 	}
-	var ar appendEventsResponse
+	var ar client.AppendResult
 	if err := json.Unmarshal([]byte(body), &ar); err != nil {
 		t.Fatalf("parsing append response %q: %v", body, err)
 	}
@@ -97,7 +98,7 @@ func TestServeAppendEventsAndVersions(t *testing.T) {
 	}
 
 	// The hierarchy listing reflects the new head, same id.
-	var list []hierarchyResponse
+	var list []client.Hierarchy
 	if status, body := getJSON(t, ts.URL+"/v1/hierarchy", &list); status != http.StatusOK {
 		t.Fatalf("list: status %d: %s", status, body)
 	}
@@ -115,8 +116,8 @@ func TestServeAppendEventsIfMatch(t *testing.T) {
 	hr := uploadGroups(t, ts, "US", smallGroups())
 
 	// Stale precondition: conflict, log untouched.
-	status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []eventRecord{
-		{Type: "delta", Add: []groupRecord{{Path: []string{"OR"}, Size: 1}}},
+	status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []client.Event{
+		{Type: "delta", Add: []client.EventGroup{{Path: []string{"OR"}, Size: 1}}},
 	}}, `"deadbeef"`)
 	if status != http.StatusConflict {
 		t.Fatalf("stale If-Match: status %d: %s", status, body)
@@ -137,14 +138,14 @@ func TestServeAppendEventsIfMatch(t *testing.T) {
 
 	// Matching quoted precondition admits a two-event batch: the header
 	// conditions the first event; the second chains unconditionally.
-	status, body = postEvents(t, ts, hr.ID, appendEventsRequest{Events: []eventRecord{
-		{Type: "delta", Add: []groupRecord{{Path: []string{"OR"}, Size: 1}}},
-		{Type: "delta", Add: []groupRecord{{Path: []string{"NV"}, Size: 2}}},
+	status, body = postEvents(t, ts, hr.ID, appendEventsRequest{Events: []client.Event{
+		{Type: "delta", Add: []client.EventGroup{{Path: []string{"OR"}, Size: 1}}},
+		{Type: "delta", Add: []client.EventGroup{{Path: []string{"NV"}, Size: 2}}},
 	}}, `"`+hr.Fingerprint+`"`)
 	if status != http.StatusOK {
 		t.Fatalf("matching If-Match: status %d: %s", status, body)
 	}
-	var ar appendEventsResponse
+	var ar client.AppendResult
 	if err := json.Unmarshal([]byte(body), &ar); err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +161,8 @@ func TestServeAppendEventsErrors(t *testing.T) {
 	ts := newTestServer(t, engine.Options{})
 	hr := uploadGroups(t, ts, "US", smallGroups())
 
-	status, body := postEvents(t, ts, "h-missing", appendEventsRequest{Events: []eventRecord{
-		{Type: "delta", Add: []groupRecord{{Path: []string{"OR"}, Size: 1}}},
+	status, body := postEvents(t, ts, "h-missing", appendEventsRequest{Events: []client.Event{
+		{Type: "delta", Add: []client.EventGroup{{Path: []string{"OR"}, Size: 1}}},
 	}}, "")
 	if status != http.StatusNotFound || !strings.Contains(body, "not_found") {
 		t.Fatalf("unknown hierarchy: status %d: %s", status, body)
@@ -174,8 +175,8 @@ func TestServeAppendEventsErrors(t *testing.T) {
 
 	// Event 0 applies, event 1 is rejected: the error names the index
 	// and the log keeps the version event 0 produced.
-	status, body = postEvents(t, ts, hr.ID, appendEventsRequest{Events: []eventRecord{
-		{Type: "delta", Add: []groupRecord{{Path: []string{"OR"}, Size: 1}}},
+	status, body = postEvents(t, ts, hr.ID, appendEventsRequest{Events: []client.Event{
+		{Type: "delta", Add: []client.EventGroup{{Path: []string{"OR"}, Size: 1}}},
 		{Type: "bogus"},
 	}}, "")
 	if status != http.StatusBadRequest || !strings.Contains(body, "event 1") {
@@ -187,13 +188,13 @@ func TestServeAppendEventsErrors(t *testing.T) {
 
 	// Sizes above hcoc.MaxGroupSize and region names containing "/" are
 	// refused before the log sees them; the head does not move.
-	for name, ev := range map[string]eventRecord{
-		"add above the size bound":   {Type: "delta", Add: []groupRecord{{Path: []string{"OR"}, Size: hcoc.MaxGroupSize + 1}}},
-		"drift above the size bound": {Type: "delta", Drift: []driftRecord{{Path: []string{"OR"}, From: 1, To: hcoc.MaxGroupSize + 1, Count: 1}}},
-		"region name with a slash":   {Type: "delta", Add: []groupRecord{{Path: []string{"OR/Lane"}, Size: 1}}},
-		"snapshot name with a slash": {Type: "snapshot", Root: "US", Groups: []groupRecord{{Path: []string{"OR/Lane"}, Size: 1}}},
+	for name, ev := range map[string]client.Event{
+		"add above the size bound":   {Type: "delta", Add: []client.EventGroup{{Path: []string{"OR"}, Size: hcoc.MaxGroupSize + 1}}},
+		"drift above the size bound": {Type: "delta", Drift: []client.EventDrift{{Path: []string{"OR"}, From: 1, To: hcoc.MaxGroupSize + 1, Count: 1}}},
+		"region name with a slash":   {Type: "delta", Add: []client.EventGroup{{Path: []string{"OR/Lane"}, Size: 1}}},
+		"snapshot name with a slash": {Type: "snapshot", Root: "US", Groups: []client.EventGroup{{Path: []string{"OR/Lane"}, Size: 1}}},
 	} {
-		status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []eventRecord{ev}}, "")
+		status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []client.Event{ev}}, "")
 		if status != http.StatusBadRequest || !strings.Contains(body, "event 0") {
 			t.Errorf("%s: status %d: %s", name, status, body)
 		}
@@ -212,8 +213,8 @@ func TestServeVersionPinnedRelease(t *testing.T) {
 	ts := newTestServer(t, engine.Options{})
 	hr := uploadGroups(t, ts, "US", smallGroups())
 
-	req := releaseRequest{Hierarchy: hr.ID, Algorithm: "topdown", Epsilon: 1, K: 50, Seed: 42}
-	var first releaseResponse
+	req := client.ReleaseRequest{Hierarchy: hr.ID, Algorithm: "topdown", Epsilon: 1, K: 50, Seed: 42}
+	var first client.Release
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, &first); status != http.StatusOK {
 		t.Fatalf("head release: status %d: %s", status, body)
 	}
@@ -221,8 +222,8 @@ func TestServeVersionPinnedRelease(t *testing.T) {
 		t.Fatalf("first release = %+v, want version 1 from scratch", first)
 	}
 
-	if status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []eventRecord{
-		{Type: "delta", Add: []groupRecord{{Path: []string{"CA"}, Size: 3}}},
+	if status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []client.Event{
+		{Type: "delta", Add: []client.EventGroup{{Path: []string{"CA"}, Size: 3}}},
 	}}, ""); status != http.StatusOK {
 		t.Fatalf("append: status %d: %s", status, body)
 	}
@@ -231,7 +232,7 @@ func TestServeVersionPinnedRelease(t *testing.T) {
 	// artifact: identical key, cache hit, no recompute.
 	pinned := req
 	pinned.Version = 1
-	var repin releaseResponse
+	var repin client.Release
 	if status, body := postJSON(t, ts.URL+"/v1/release", pinned, &repin); status != http.StatusOK {
 		t.Fatalf("pinned release: status %d: %s", status, body)
 	}
@@ -241,7 +242,7 @@ func TestServeVersionPinnedRelease(t *testing.T) {
 
 	// The new head releases incrementally off version 1's retained
 	// state: only the changed subtree (CA and the root) is re-estimated.
-	var head releaseResponse
+	var head client.Release
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, &head); status != http.StatusOK {
 		t.Fatalf("head release after delta: status %d: %s", status, body)
 	}
@@ -277,25 +278,25 @@ func TestServeVersionPinnedQuery(t *testing.T) {
 	ts := newTestServer(t, engine.Options{Store: st})
 	hr := uploadGroups(t, ts, "US", smallGroups())
 
-	req := releaseRequest{Hierarchy: hr.ID, Algorithm: "topdown", Epsilon: 1, K: 50, Seed: 7}
-	var first releaseResponse
+	req := client.ReleaseRequest{Hierarchy: hr.ID, Algorithm: "topdown", Epsilon: 1, K: 50, Seed: 7}
+	var first client.Release
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, &first); status != http.StatusOK {
 		t.Fatalf("release: status %d: %s", status, body)
 	}
 
 	pin := ts.URL + "/v1/query/US/CA?hierarchy=" + hr.ID + "&version=1&q=0.5"
-	var before queryResponse
+	var before client.NodeReport
 	if status, body := getJSON(t, pin, &before); status != http.StatusOK {
 		t.Fatalf("pinned query: status %d: %s", status, body)
 	}
 
 	// Move the hierarchy ahead; the pinned answer must not move.
-	if status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []eventRecord{
-		{Type: "delta", Add: []groupRecord{{Path: []string{"CA"}, Size: 5}}},
+	if status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []client.Event{
+		{Type: "delta", Add: []client.EventGroup{{Path: []string{"CA"}, Size: 5}}},
 	}}, ""); status != http.StatusOK {
 		t.Fatalf("append: status %d: %s", status, body)
 	}
-	var after queryResponse
+	var after client.NodeReport
 	if status, body := getJSON(t, pin, &after); status != http.StatusOK {
 		t.Fatalf("pinned query after delta: status %d: %s", status, body)
 	}
@@ -316,7 +317,7 @@ func TestServeVersionPinnedQuery(t *testing.T) {
 	}
 
 	// Release listing: version 1 has the artifact, version 2 nothing.
-	var entries []releaseListEntry
+	var entries []client.ReleaseArtifact
 	if status, body := getJSON(t, ts.URL+"/v1/release?hierarchy="+hr.ID+"&version=1", &entries); status != http.StatusOK {
 		t.Fatalf("filtered listing: status %d: %s", status, body)
 	}
@@ -349,7 +350,7 @@ func TestServeContinualBudget(t *testing.T) {
 	t.Cleanup(ts.Close)
 	hr := uploadGroups(t, ts, "US", smallGroups())
 
-	req := releaseRequest{Hierarchy: hr.ID, Algorithm: "topdown", Epsilon: 1, K: 50, Seed: 1}
+	req := client.ReleaseRequest{Hierarchy: hr.ID, Algorithm: "topdown", Epsilon: 1, K: 50, Seed: 1}
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, nil); status != http.StatusOK {
 		t.Fatalf("first release: status %d: %s", status, body)
 	}
@@ -360,8 +361,8 @@ func TestServeContinualBudget(t *testing.T) {
 	}
 
 	// A new version draws fresh noise against the same shared account.
-	if status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []eventRecord{
-		{Type: "delta", Add: []groupRecord{{Path: []string{"OR"}, Size: 2}}},
+	if status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []client.Event{
+		{Type: "delta", Add: []client.EventGroup{{Path: []string{"OR"}, Size: 2}}},
 	}}, ""); status != http.StatusOK {
 		t.Fatalf("append: status %d: %s", status, body)
 	}
@@ -396,7 +397,7 @@ func TestServeContinualBudget(t *testing.T) {
 	}
 
 	// The budget endpoint accounts per version and for the shared pool.
-	var bs budgetStatusResponse
+	var bs client.Budget
 	if status, body := getJSON(t, ts.URL+"/v1/budget/"+hr.ID, &bs); status != http.StatusOK {
 		t.Fatalf("budget status: status %d: %s", status, body)
 	}
@@ -419,9 +420,9 @@ func TestServeContinualBudget(t *testing.T) {
 func TestServeLegacyHierarchyDeprecated(t *testing.T) {
 	ts := newTestServer(t, engine.Options{})
 
-	recs := make([]groupRecord, 0, len(smallGroups()))
+	recs := make([]client.EventGroup, 0, len(smallGroups()))
 	for _, g := range smallGroups() {
-		recs = append(recs, groupRecord{Path: g.Path, Size: g.Size})
+		recs = append(recs, client.EventGroup{Path: g.Path, Size: g.Size})
 	}
 	raw, err := json.Marshal(hierarchyRequest{Root: "US", Groups: recs})
 	if err != nil {
@@ -439,7 +440,7 @@ func TestServeLegacyHierarchyDeprecated(t *testing.T) {
 	if resp.Header.Get("Deprecation") != "true" {
 		t.Fatalf("legacy upload Deprecation header = %q, want \"true\"", resp.Header.Get("Deprecation"))
 	}
-	var hr hierarchyResponse
+	var hr client.Hierarchy
 	if err := json.Unmarshal(data, &hr); err != nil {
 		t.Fatal(err)
 	}
@@ -450,8 +451,8 @@ func TestServeLegacyHierarchyDeprecated(t *testing.T) {
 
 	// Advance the log, then re-upload the identical snapshot: same id,
 	// and the deltas survive — the response reports the current head.
-	if status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []eventRecord{
-		{Type: "delta", Add: []groupRecord{{Path: []string{"OR"}, Size: 1}}},
+	if status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []client.Event{
+		{Type: "delta", Add: []client.EventGroup{{Path: []string{"OR"}, Size: 1}}},
 	}}, ""); status != http.StatusOK {
 		t.Fatalf("append: status %d: %s", status, body)
 	}
@@ -483,9 +484,9 @@ func TestServeErrorEnvelopeCodes(t *testing.T) {
 
 	_, body := getJSON(t, ts.URL+"/v1/hierarchy/h-missing/versions", nil)
 	check("unknown versions", body, "not_found")
-	_, body = postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: "h-missing", Epsilon: 1}, nil)
+	_, body = postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: "h-missing", Epsilon: 1}, nil)
 	check("unknown release", body, "not_found")
 	hr := uploadGroups(t, ts, "US", smallGroups())
-	_, body = postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: -1}, nil)
+	_, body = postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: -1}, nil)
 	check("bad epsilon", body, "bad_request")
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hcoc"
+	"hcoc/client"
 	"hcoc/internal/engine"
 )
 
@@ -45,11 +46,11 @@ func newSmallLogServer(tb testing.TB) (*Server, string) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	recs := make([]groupRecord, 0, len(smallGroups()))
+	recs := make([]client.EventGroup, 0, len(smallGroups()))
 	for _, g := range smallGroups() {
-		recs = append(recs, groupRecord{Path: g.Path, Size: g.Size})
+		recs = append(recs, client.EventGroup{Path: g.Path, Size: g.Size})
 	}
-	var hr hierarchyResponse
+	var hr client.Hierarchy
 	postOK(tb, srv, "/v1/hierarchy", hierarchyRequest{Root: "US", Groups: recs}, &hr)
 	return srv, hr.ID
 }
@@ -63,24 +64,24 @@ func newSmallLogServer(tb testing.TB) (*Server, string) {
 // rank-statistic bound.
 func FuzzBatchQuery(f *testing.F) {
 	srv, id := newSmallLogServer(f)
-	var rr releaseResponse
-	postOK(f, srv, "/v1/release", releaseRequest{Hierarchy: id, Epsilon: 1, K: 50, Seed: 7}, &rr)
+	var rr client.Release
+	postOK(f, srv, "/v1/release", client.ReleaseRequest{Hierarchy: id, Epsilon: 1, K: 50, Seed: 7}, &rr)
 	rel := rr.Release
 
-	wide := batchQueryRequest{Release: rel, Queries: make([]batchQueryEntry, 16)}
+	wide := batchQueryRequest{Release: rel, Queries: make([]client.NodeQuery, 16)}
 	for i := range wide.Queries {
-		wide.Queries[i] = batchQueryEntry{Node: "US", TopCode: maxTopCodedCells / 16}
+		wide.Queries[i] = client.NodeQuery{Node: "US", TopCode: maxTopCodedCells / 16}
 	}
-	ranked := batchQueryRequest{Release: rel, Queries: []batchQueryEntry{{Node: "US", Quantiles: make([]float64, maxRankStats+1)}}}
+	ranked := batchQueryRequest{Release: rel, Queries: []client.NodeQuery{{Node: "US", Quantiles: make([]float64, maxRankStats+1)}}}
 	for _, body := range []batchQueryRequest{
 		plainBatch(rel),
 		plainBatch("r-nope"),
 		{Release: rel},
 		{Queries: plainBatch(rel).Queries},
-		{Release: rel, Queries: make([]batchQueryEntry, maxBatchQueries+1)},
+		{Release: rel, Queries: make([]client.NodeQuery, maxBatchQueries+1)},
 		wide,
 		ranked,
-		{Queries: []batchQueryEntry{{Op: "series", Releases: []string{rel, rel}, Node: "US", TopCode: maxTopCodedCells / 2}}},
+		{Queries: []client.NodeQuery{{Op: "series", Releases: []string{rel, rel}, Node: "US", TopCode: maxTopCodedCells / 2}}},
 		crossBatch(rel, rel),
 		mixedBatch(rel, rel),
 	} {
@@ -122,16 +123,16 @@ func FuzzBatchQuery(f *testing.F) {
 // TestServeAppendEventsAndVersions and TestServeAppendEventsErrors
 // send, plus a drift event.
 func FuzzAppendEvents(f *testing.F) {
-	or := func(size int64) []groupRecord { return []groupRecord{{Path: []string{"OR"}, Size: size}} }
+	or := func(size int64) []client.EventGroup { return []client.EventGroup{{Path: []string{"OR"}, Size: size}} }
 	for _, body := range []appendEventsRequest{
-		{Events: []eventRecord{{Type: "delta", Add: or(3)}}},
+		{Events: []client.Event{{Type: "delta", Add: or(3)}}},
 		{},
-		{Events: []eventRecord{{Type: "delta", Add: or(1)}, {Type: "bogus"}}},
-		{Events: []eventRecord{{Type: "delta", Add: or(hcoc.MaxGroupSize + 1)}}},
-		{Events: []eventRecord{{Type: "delta", Drift: []driftRecord{{Path: []string{"OR"}, From: 1, To: hcoc.MaxGroupSize + 1, Count: 1}}}}},
-		{Events: []eventRecord{{Type: "delta", Add: []groupRecord{{Path: []string{"OR/Lane"}, Size: 1}}}}},
-		{Events: []eventRecord{{Type: "snapshot", Root: "US", Groups: []groupRecord{{Path: []string{"OR/Lane"}, Size: 1}}}}},
-		{Events: []eventRecord{{Type: "delta", Drift: []driftRecord{{Path: []string{"CA"}, From: 1, To: 2, Count: 3}}}}},
+		{Events: []client.Event{{Type: "delta", Add: or(1)}, {Type: "bogus"}}},
+		{Events: []client.Event{{Type: "delta", Add: or(hcoc.MaxGroupSize + 1)}}},
+		{Events: []client.Event{{Type: "delta", Drift: []client.EventDrift{{Path: []string{"OR"}, From: 1, To: hcoc.MaxGroupSize + 1, Count: 1}}}}},
+		{Events: []client.Event{{Type: "delta", Add: []client.EventGroup{{Path: []string{"OR/Lane"}, Size: 1}}}}},
+		{Events: []client.Event{{Type: "snapshot", Root: "US", Groups: []client.EventGroup{{Path: []string{"OR/Lane"}, Size: 1}}}}},
+		{Events: []client.Event{{Type: "delta", Drift: []client.EventDrift{{Path: []string{"CA"}, From: 1, To: 2, Count: 3}}}}},
 	} {
 		raw, err := json.Marshal(body)
 		if err != nil {
@@ -149,7 +150,7 @@ func FuzzAppendEvents(f *testing.F) {
 		default:
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
-		var rr releaseResponse
-		postOK(t, srv, "/v1/release", releaseRequest{Hierarchy: id, Epsilon: 1, K: 50, Seed: 1}, &rr)
+		var rr client.Release
+		postOK(t, srv, "/v1/release", client.ReleaseRequest{Hierarchy: id, Epsilon: 1, K: 50, Seed: 1}, &rr)
 	})
 }

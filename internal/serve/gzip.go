@@ -58,7 +58,7 @@ const gzipMinSize = 1 << 10
 // 32 KB flate window, and the buffer it reads the body through (a
 // gzip reader over a source without ReadByte allocates one per Reset).
 // It mirrors the SDK's response decompressor instead of sharing it:
-// the SDK depends on nothing but hcoc and the standard library.
+// the SDK keeps its decompressor unexported.
 type gzipReader struct {
 	br *bufio.Reader
 	zr gzip.Reader

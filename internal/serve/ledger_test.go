@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hcoc/client"
 	"hcoc/internal/engine"
 	"hcoc/internal/store"
 )
@@ -19,7 +20,7 @@ import (
 // GET /v1/budget/{id}.
 func continualSpent(t *testing.T, ts *httptest.Server, id string) float64 {
 	t.Helper()
-	var bs budgetStatusResponse
+	var bs client.Budget
 	if status, body := getJSON(t, ts.URL+"/v1/budget/"+id, &bs); status != http.StatusOK {
 		t.Fatalf("budget: status %d: %s", status, body)
 	}
@@ -45,13 +46,13 @@ func TestServeContinualRevertCountsOnce(t *testing.T) {
 	ts1 := httptest.NewServer(srv1)
 	hr := uploadGroups(t, ts1, "US", smallGroups())
 
-	req := releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1}
+	req := client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1}
 	if status, body := postJSON(t, ts1.URL+"/v1/release", req, nil); status != http.StatusOK {
 		t.Fatalf("version-1 release: status %d: %s", status, body)
 	}
-	extra := []groupRecord{{Path: []string{"CA"}, Size: 2}}
-	for _, ev := range []eventRecord{{Type: "delta", Add: extra}, {Type: "delta", Remove: extra}} {
-		if status, body := postEvents(t, ts1, hr.ID, appendEventsRequest{Events: []eventRecord{ev}}, ""); status != http.StatusOK {
+	extra := []client.EventGroup{{Path: []string{"CA"}, Size: 2}}
+	for _, ev := range []client.Event{{Type: "delta", Add: extra}, {Type: "delta", Remove: extra}} {
+		if status, body := postEvents(t, ts1, hr.ID, appendEventsRequest{Events: []client.Event{ev}}, ""); status != http.StatusOK {
 			t.Fatalf("append: status %d: %s", status, body)
 		}
 	}
@@ -89,11 +90,11 @@ func TestServeContinualRevertCountsOnce(t *testing.T) {
 func TestServeContinualRepeatIsFree(t *testing.T) {
 	ts := newTestServer(t, engine.Options{MaxEpsilonContinual: 1})
 	hr := uploadGroups(t, ts, "US", smallGroups())
-	req := releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1}
+	req := client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1}
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, nil); status != http.StatusOK {
 		t.Fatalf("first release: status %d: %s", status, body)
 	}
-	var rr releaseResponse
+	var rr client.Release
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, &rr); status != http.StatusOK || !rr.CacheHit {
 		t.Fatalf("identical repeat: status %d cache_hit=%v: %s", status, rr.CacheHit, body)
 	}
@@ -109,8 +110,8 @@ func TestServeContinualConcurrent(t *testing.T) {
 	ts := newTestServer(t, engine.Options{MaxEpsilonContinual: 5})
 	hr := uploadGroups(t, ts, "US", smallGroups())
 	for _, state := range []string{"OR", "NV", "ID"} {
-		ev := eventRecord{Type: "delta", Add: []groupRecord{{Path: []string{state}, Size: 2}}}
-		if status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []eventRecord{ev}}, ""); status != http.StatusOK {
+		ev := client.Event{Type: "delta", Add: []client.EventGroup{{Path: []string{state}, Size: 2}}}
+		if status, body := postEvents(t, ts, hr.ID, appendEventsRequest{Events: []client.Event{ev}}, ""); status != http.StatusOK {
 			t.Fatalf("append: status %d: %s", status, body)
 		}
 	}
@@ -124,7 +125,7 @@ func TestServeContinualConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			raw, _ := json.Marshal(releaseRequest{Hierarchy: hr.ID, Version: int64(i%4 + 1), Epsilon: 1, K: 50, Seed: int64(i + 1)})
+			raw, _ := json.Marshal(client.ReleaseRequest{Hierarchy: hr.ID, Version: int64(i%4 + 1), Epsilon: 1, K: 50, Seed: int64(i + 1)})
 			resp, err := http.Post(ts.URL+"/v1/release", "application/json", bytes.NewReader(raw))
 			if err != nil {
 				errs[i] = err
@@ -167,14 +168,14 @@ func TestServeContinualConcurrent(t *testing.T) {
 func TestServeContinualAsyncOverBound(t *testing.T) {
 	ts := newTestServer(t, engine.Options{MaxEpsilonContinual: 1})
 	hr := uploadGroups(t, ts, "US", smallGroups())
-	if status, body := postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1}, nil); status != http.StatusOK {
+	if status, body := postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1}, nil); status != http.StatusOK {
 		t.Fatalf("first release: status %d: %s", status, body)
 	}
-	status, body := postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 2, Async: true}, nil)
+	status, body := postJSON(t, ts.URL+"/v1/release", asyncRelease{client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 2}, true}, nil)
 	if status != http.StatusAccepted {
 		t.Fatalf("async release over the bound: status %d: %s", status, body)
 	}
-	var job jobResponse
+	var job client.Job
 	if err := json.Unmarshal([]byte(body), &job); err != nil {
 		t.Fatal(err)
 	}

@@ -121,9 +121,10 @@ func TestOpenAPICoversRoutes(t *testing.T) {
 	}
 }
 
-// TestOpenAPIExampleDrift spot-checks that response fields named in
-// the spec exist in the wire structs, catching silent renames of
-// load-bearing fields.
+// TestOpenAPIExampleDrift spot-checks that docs/openapi.yaml still
+// names load-bearing response fields and statuses, catching their
+// silent removal from the spec. It reads only the spec; TestWireGolden
+// pins what the server sends.
 func TestOpenAPIExampleDrift(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "docs", "openapi.yaml"))
 	if err != nil {

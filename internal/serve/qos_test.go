@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"hcoc/client"
 	"hcoc/internal/engine"
 	"hcoc/internal/sched"
 )
@@ -65,7 +66,7 @@ func waitTenantQueued(t *testing.T, eng *engine.Engine, n int) {
 
 // postRelease fires one release request without touching testing.T, so
 // it is safe inside goroutines; it reports -1 on transport errors.
-func postRelease(url string, req releaseRequest) int {
+func postRelease(url string, req client.ReleaseRequest) int {
 	raw, err := json.Marshal(req)
 	if err != nil {
 		return -1
@@ -100,7 +101,7 @@ func TestReadLaneStarvationRegression(t *testing.T) {
 	// be pending after every query below has been answered.
 	relStatus := make(chan int, 1)
 	go func() {
-		relStatus <- postRelease(ts.URL, releaseRequest{Hierarchy: hrID, Epsilon: 1, K: 50, Seed: 99})
+		relStatus <- postRelease(ts.URL, client.ReleaseRequest{Hierarchy: hrID, Epsilon: 1, K: 50, Seed: 99})
 	}()
 	waitTenantQueued(t, eng, 1)
 
@@ -110,7 +111,7 @@ func TestReadLaneStarvationRegression(t *testing.T) {
 		start := time.Now()
 		status, body := postJSON(t, ts.URL+"/v1/query/batch", batchQueryRequest{
 			Release: release,
-			Queries: []batchQueryEntry{{Node: "US", Quantiles: []float64{0.5}}},
+			Queries: []client.NodeQuery{{Node: "US", Quantiles: []float64{0.5}}},
 		}, nil)
 		lat = append(lat, time.Since(start))
 		if status != http.StatusOK {
@@ -169,12 +170,12 @@ func TestReleaseOverload429(t *testing.T) {
 	// First distinct release occupies the depth-1 queue.
 	pending := make(chan int, 1)
 	go func() {
-		pending <- postRelease(ts.URL, releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1})
+		pending <- postRelease(ts.URL, client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1})
 	}()
 	waitTenantQueued(t, eng, 1)
 
 	// Second distinct release overflows it.
-	raw, err := json.Marshal(releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 2})
+	raw, err := json.Marshal(client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,17 +218,17 @@ func TestTenantsEndpoint(t *testing.T) {
 
 	// One cache hit and one read to populate the ledger.
 	if status, body := postJSON(t, ts.URL+"/v1/release",
-		releaseRequest{Hierarchy: hrID, Epsilon: 1, K: 50, Seed: 7}, nil); status != http.StatusOK {
+		client.ReleaseRequest{Hierarchy: hrID, Epsilon: 1, K: 50, Seed: 7}, nil); status != http.StatusOK {
 		t.Fatalf("cache-hit release: %d: %s", status, body)
 	}
 	if status, body := postJSON(t, ts.URL+"/v1/query/batch", batchQueryRequest{
 		Release: release,
-		Queries: []batchQueryEntry{{Node: "US"}},
+		Queries: []client.NodeQuery{{Node: "US"}},
 	}, nil); status != http.StatusOK {
 		t.Fatalf("batch query: %d: %s", status, body)
 	}
 
-	var resp tenantsResponse
+	var resp client.TenantsStatus
 	if status, body := getJSON(t, ts.URL+"/v1/tenants", &resp); status != http.StatusOK {
 		t.Fatalf("tenants: %d: %s", status, body)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hcoc"
+	"hcoc/client"
 	"hcoc/internal/engine"
 	"hcoc/internal/eventlog"
 	"hcoc/internal/noise"
@@ -279,12 +280,6 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// groupRecord is the JSON shape of one group in a hierarchy upload.
-type groupRecord struct {
-	Path []string `json:"path"`
-	Size int64    `json:"size"`
-}
-
 // checkGroup reports why a group named in a request is refused, or
 // nil: its size must lie in [0, hcoc.MaxGroupSize], and no region name
 // may contain "/", the separator of node paths. Only request input is
@@ -325,8 +320,8 @@ func CheckUpload(groups []hcoc.Group) error {
 }
 
 // checkEvent applies checkGroup to every group an event names.
-func checkEvent(rec eventRecord) error {
-	for _, gs := range [][]groupRecord{rec.Groups, rec.Remove, rec.Add} {
+func checkEvent(rec client.Event) error {
+	for _, gs := range [][]client.EventGroup{rec.Groups, rec.Remove, rec.Add} {
 		for _, g := range gs {
 			if err := checkGroup(g.Path, g.Size); err != nil {
 				return err
@@ -346,20 +341,8 @@ func checkEvent(rec eventRecord) error {
 
 // hierarchyRequest is the body of POST /v1/hierarchy.
 type hierarchyRequest struct {
-	Root   string        `json:"root"`
-	Groups []groupRecord `json:"groups"`
-}
-
-// hierarchyResponse describes a hierarchy (an event log) at its head
-// version.
-type hierarchyResponse struct {
-	ID          string `json:"id"`
-	Depth       int    `json:"depth"`
-	Nodes       int    `json:"nodes"`
-	Groups      int64  `json:"groups"`
-	People      int64  `json:"people"`
-	Version     int64  `json:"version"`
-	Fingerprint string `json:"fingerprint"`
+	Root   string              `json:"root"`
+	Groups []client.EventGroup `json:"groups"`
 }
 
 // handleHierarchy is the legacy snapshot upload, kept as a deprecated
@@ -401,10 +384,10 @@ func (s *Server) handleHierarchy(w http.ResponseWriter, r *http.Request) {
 }
 
 // logResponse renders a log's head-version summary.
-func logResponse(l *eventlog.Log) hierarchyResponse {
+func logResponse(l *eventlog.Log) client.Hierarchy {
 	head := l.Head()
 	tree := l.HeadTree()
-	return hierarchyResponse{
+	return client.Hierarchy{
 		ID:          "h-" + l.ID(),
 		Depth:       tree.Depth(),
 		Nodes:       len(tree.Nodes()),
@@ -417,7 +400,7 @@ func logResponse(l *eventlog.Log) hierarchyResponse {
 
 func (s *Server) handleListHierarchies(w http.ResponseWriter, r *http.Request) {
 	logs := s.logs.Logs()
-	out := make([]hierarchyResponse, 0, len(logs))
+	out := make([]client.Hierarchy, 0, len(logs))
 	for _, l := range logs {
 		out = append(out, logResponse(l))
 	}
@@ -425,44 +408,13 @@ func (s *Server) handleListHierarchies(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, out)
 }
 
-// driftRecord is the wire shape of one count-drift entry in a delta
-// event: count groups at path move from size from to size to.
-type driftRecord struct {
-	Path  []string `json:"path"`
-	From  int64    `json:"from"`
-	To    int64    `json:"to"`
-	Count int64    `json:"count"`
-}
-
-// eventRecord is the wire shape of one hierarchy event. Type selects
-// which fields apply: "snapshot" uses root+groups, "delta" uses
-// add/remove/drift.
-type eventRecord struct {
-	Type   string        `json:"type"`
-	Root   string        `json:"root,omitempty"`
-	Groups []groupRecord `json:"groups,omitempty"`
-	Add    []groupRecord `json:"add,omitempty"`
-	Remove []groupRecord `json:"remove,omitempty"`
-	Drift  []driftRecord `json:"drift,omitempty"`
-}
-
 // appendEventsRequest is the body of POST /v1/hierarchy/{id}/events.
 type appendEventsRequest struct {
-	Events []eventRecord `json:"events"`
+	Events []client.Event `json:"events"`
 }
 
-// versionInfo is the wire shape of one immutable hierarchy version.
-type versionInfo struct {
-	Version     int64     `json:"version"`
-	Fingerprint string    `json:"fingerprint"`
-	CreatedAt   time.Time `json:"created_at"`
-	Type        string    `json:"type"`
-	Nodes       int       `json:"nodes"`
-	Groups      int64     `json:"groups"`
-}
-
-func toVersionInfo(v eventlog.Version) versionInfo {
-	return versionInfo{
+func toVersionInfo(v eventlog.Version) client.HierarchyVersion {
+	return client.HierarchyVersion{
 		Version:     v.Seq,
 		Fingerprint: v.Fingerprint,
 		CreatedAt:   v.CreatedAt,
@@ -470,14 +422,6 @@ func toVersionInfo(v eventlog.Version) versionInfo {
 		Nodes:       v.Nodes,
 		Groups:      v.Groups,
 	}
-}
-
-// appendEventsResponse reports where the log's head landed after the
-// appends.
-type appendEventsResponse struct {
-	Hierarchy string      `json:"hierarchy"`
-	Applied   int         `json:"applied"`
-	Head      versionInfo `json:"head"`
 }
 
 // conflictResponse is the 409 body of a failed If-Match precondition:
@@ -492,8 +436,8 @@ type conflictResponse struct {
 }
 
 // eventFromRecord lowers a wire event into the log's type.
-func eventFromRecord(rec eventRecord) eventlog.Event {
-	conv := func(gs []groupRecord) []eventlog.Group {
+func eventFromRecord(rec client.Event) eventlog.Event {
+	conv := func(gs []client.EventGroup) []eventlog.Group {
 		if len(gs) == 0 {
 			return nil
 		}
@@ -568,7 +512,7 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		head = v
 	}
-	WriteJSON(w, http.StatusOK, appendEventsResponse{
+	WriteJSON(w, http.StatusOK, client.AppendResult{
 		Hierarchy: "h-" + l.ID(),
 		Applied:   len(req.Events),
 		Head:      toVersionInfo(head),
@@ -577,10 +521,10 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) {
 
 // versionsResponse is the body of GET /v1/hierarchy/{id}/versions.
 type versionsResponse struct {
-	Hierarchy string        `json:"hierarchy"`
-	Root      string        `json:"root"`
-	Head      int64         `json:"head"`
-	Versions  []versionInfo `json:"versions"`
+	Hierarchy string                    `json:"hierarchy"`
+	Root      string                    `json:"root"`
+	Head      int64                     `json:"head"`
+	Versions  []client.HierarchyVersion `json:"versions"`
 }
 
 // handleVersions lists a hierarchy's immutable versions, oldest first.
@@ -595,51 +539,12 @@ func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 		Hierarchy: "h-" + l.ID(),
 		Root:      l.Root(),
 		Head:      vs[len(vs)-1].Seq,
-		Versions:  make([]versionInfo, len(vs)),
+		Versions:  make([]client.HierarchyVersion, len(vs)),
 	}
 	for i, v := range vs {
 		out.Versions[i] = toVersionInfo(v)
 	}
 	WriteJSON(w, http.StatusOK, out)
-}
-
-// releaseRequest is the body of POST /v1/release. With "async": true
-// the request returns 202 Accepted immediately with a job id; poll
-// GET /v1/jobs/{id} for completion. Version pins which immutable
-// hierarchy version is released; 0 (or absent) means the current head.
-type releaseRequest struct {
-	Hierarchy string   `json:"hierarchy"`
-	Version   int64    `json:"version"`
-	Algorithm string   `json:"algorithm"`
-	Epsilon   float64  `json:"epsilon"`
-	K         int      `json:"k"`
-	Methods   []string `json:"methods"`
-	Merge     string   `json:"merge"`
-	Seed      int64    `json:"seed"`
-	Workers   int      `json:"workers"`
-	Async     bool     `json:"async"`
-}
-
-// releaseResponse describes how a release request was satisfied.
-// Incremental reports that the computation reused retained state from a
-// prior version's release, recomputing only the changed subtrees; the
-// nodes_estimated/nodes_total pair says how much work that saved. The
-// artifact is bit-identical either way.
-type releaseResponse struct {
-	Release        string  `json:"release"`
-	Hierarchy      string  `json:"hierarchy"`
-	Version        int64   `json:"version"`
-	Fingerprint    string  `json:"fingerprint"`
-	Algorithm      string  `json:"algorithm"`
-	Epsilon        float64 `json:"epsilon"`
-	Nodes          int     `json:"nodes"`
-	CacheHit       bool    `json:"cache_hit"`
-	StoreHit       bool    `json:"store_hit"`
-	Deduped        bool    `json:"deduped"`
-	Incremental    bool    `json:"incremental"`
-	NodesEstimated int     `json:"nodes_estimated"`
-	NodesTotal     int     `json:"nodes_total"`
-	DurationMS     float64 `json:"duration_ms"`
 }
 
 // budgetResponse is the 429 body when a release would exceed an
@@ -757,8 +662,15 @@ func parseMerge(name string) (hcoc.MergeStrategy, error) {
 	}
 }
 
+// handleRelease answers POST /v1/release. With "async": true (the body
+// client.ReleaseAsync sends) it answers 202 Accepted at once with a job
+// id to poll at GET /v1/jobs/{id}. Version pins which immutable
+// hierarchy version is released; 0 (or absent) means the current head.
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req releaseRequest
+	var req struct {
+		client.ReleaseRequest
+		Async bool `json:"async"`
+	}
 	if !DecodeJSON(w, r, &req) {
 		return
 	}
@@ -828,7 +740,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Location", "/v1/jobs/j-"+job.ID)
-		WriteJSON(w, http.StatusAccepted, jobResponse{
+		WriteJSON(w, http.StatusAccepted, client.Job{
 			Job:       "j-" + job.ID,
 			Status:    string(job.State),
 			Hierarchy: req.Hierarchy,
@@ -845,7 +757,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		s.writeReleaseError(w, l, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, releaseResponse{
+	WriteJSON(w, http.StatusOK, client.Release{
 		Release:        "r-" + res.Key,
 		Hierarchy:      "h-" + l.ID(),
 		Version:        ver.Seq,
@@ -863,22 +775,6 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// jobResponse is the JSON shape of an async release job.
-type jobResponse struct {
-	Job        string  `json:"job"`
-	Status     string  `json:"status"`
-	Hierarchy  string  `json:"hierarchy,omitempty"`
-	Release    string  `json:"release,omitempty"`
-	Error      string  `json:"error,omitempty"`
-	CacheHit   bool    `json:"cache_hit"`
-	StoreHit   bool    `json:"store_hit"`
-	Deduped    bool    `json:"deduped"`
-	DurationMS float64 `json:"duration_ms"`
-	CreatedAt  string  `json:"created_at,omitempty"`
-	StartedAt  string  `json:"started_at,omitempty"`
-	FinishedAt string  `json:"finished_at,omitempty"`
-}
-
 // jobID strips the "j-" prefix job ids are served with.
 func jobID(id string) string {
 	if len(id) > 2 && id[:2] == "j-" {
@@ -893,7 +789,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "unknown job; it may have been evicted after completion")
 		return
 	}
-	resp := jobResponse{
+	resp := client.Job{
 		Job:        "j-" + j.ID,
 		Status:     string(j.State),
 		Error:      j.Err,
@@ -913,17 +809,6 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		resp.FinishedAt = j.Finished.UTC().Format(time.RFC3339Nano)
 	}
 	WriteJSON(w, http.StatusOK, resp)
-}
-
-// releaseListEntry is one durable artifact in GET /v1/release.
-type releaseListEntry struct {
-	Release    string    `json:"release"`
-	Hierarchy  string    `json:"hierarchy"`
-	Algorithm  string    `json:"algorithm"`
-	Epsilon    float64   `json:"epsilon"`
-	CostBytes  int64     `json:"cost_bytes"`
-	DurationMS float64   `json:"duration_ms"`
-	CreatedAt  time.Time `json:"created_at"`
 }
 
 // handleListReleases lists the durable artifacts: what survives a
@@ -962,13 +847,13 @@ func (s *Server) handleListReleases(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "version filter requires a hierarchy filter")
 		return
 	}
-	out := []releaseListEntry{}
+	out := []client.ReleaseArtifact{}
 	if s.st != nil {
 		for _, m := range s.st.List() {
 			if filter != nil && !filter[m.Hierarchy] {
 				continue
 			}
-			out = append(out, releaseListEntry{
+			out = append(out, client.ReleaseArtifact{
 				Release:    "r-" + m.Key,
 				Hierarchy:  "h-" + m.Hierarchy,
 				Algorithm:  m.Algorithm,
@@ -1062,29 +947,6 @@ func (s *Server) handleGetRelease(w http.ResponseWriter, r *http.Request) {
 	ServeArtifact(w, r, releaseETag(key, format), time.Time{}, bytes.NewReader(buf.Bytes()))
 }
 
-// queryResponse is the JSON shape of a node query.
-type queryResponse struct {
-	Node       string           `json:"node"`
-	Groups     int64            `json:"groups"`
-	People     int64            `json:"people"`
-	Mean       float64          `json:"mean"`
-	Median     int64            `json:"median"`
-	Gini       float64          `json:"gini"`
-	Quantiles  []quantileValue  `json:"quantiles,omitempty"`
-	KthLargest []orderStatValue `json:"kth_largest,omitempty"`
-	TopCoded   hcoc.Histogram   `json:"topcoded,omitempty"`
-}
-
-type quantileValue struct {
-	Q    float64 `json:"q"`
-	Size int64   `json:"size"`
-}
-
-type orderStatValue struct {
-	K    int64 `json:"k"`
-	Size int64 `json:"size"`
-}
-
 // parseQueryParams parses the q/k/topcode statistics selectors of a
 // node query, writing the 400 itself on bad input; ok reports whether
 // the handler should proceed.
@@ -1176,8 +1038,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	entry := batchQueryEntry{Node: node, Quantiles: quantiles, KthLargest: kth, TopCode: topCode}
-	qs, err := lower(key, []batchQueryEntry{entry})
+	entry := client.NodeQuery{Node: node, Quantiles: quantiles, KthLargest: kth, TopCode: topCode}
+	qs, err := lower(key, []client.NodeQuery{entry})
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1195,38 +1057,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, reportToQueryResponse(entry, *res.Report))
 }
 
-// tenantStatus is one tenant (hierarchy) in GET /v1/tenants: its QoS
-// scheduling state merged with its request ledger and privacy spend.
-type tenantStatus struct {
-	Tenant       string  `json:"tenant"`
-	Weight       float64 `json:"weight"`
-	Active       int     `json:"active"`
-	Queued       int     `json:"queued"`
-	Granted      uint64  `json:"granted"`
-	Rejected     uint64  `json:"rejected"`
-	Cancelled    uint64  `json:"cancelled"`
-	QueueWaitMS  float64 `json:"queue_wait_ms"`
-	Requests     uint64  `json:"requests"`
-	CacheHits    uint64  `json:"cache_hits"`
-	Deduped      uint64  `json:"deduped"`
-	StoreHits    uint64  `json:"store_hits"`
-	Computed     uint64  `json:"computed"`
-	EpsilonSpent float64 `json:"epsilon_spent"`
-}
-
-// tenantsResponse is the body of GET /v1/tenants: the compute
-// scheduler's aggregate state plus every known tenant.
-type tenantsResponse struct {
-	ComputeSlots int            `json:"compute_slots"`
-	InUse        int            `json:"in_use"`
-	QueueDepth   int            `json:"queue_depth"`
-	Queued       int            `json:"queued"`
-	Rejected     uint64         `json:"rejected"`
-	ActiveReads  uint64         `json:"active_reads"`
-	Reads        uint64         `json:"reads"`
-	Tenants      []tenantStatus `json:"tenants"`
-}
-
 // handleTenants reports the QoS state per tenant: weights, live queue
 // occupancy, admission counters, and how each tenant's requests were
 // satisfied. Operators watch it to decide when a tenant needs its
@@ -1234,7 +1064,7 @@ type tenantsResponse struct {
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	snap := s.eng.Scheduler().Snapshot()
 	stats := s.eng.TenantStats()
-	resp := tenantsResponse{
+	resp := client.TenantsStatus{
 		ComputeSlots: snap.Slots,
 		InUse:        snap.InUse,
 		QueueDepth:   snap.QueueDepth,
@@ -1242,10 +1072,10 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		Rejected:     snap.Rejected,
 		ActiveReads:  snap.ActiveReads,
 		Reads:        snap.Reads,
-		Tenants:      make([]tenantStatus, 0, len(stats)),
+		Tenants:      make([]client.TenantStatus, 0, len(stats)),
 	}
 	for _, ts := range stats {
-		resp.Tenants = append(resp.Tenants, tenantStatus{
+		resp.Tenants = append(resp.Tenants, client.TenantStatus{
 			Tenant:       "h-" + ts.Tenant,
 			Weight:       ts.Weight,
 			Active:       ts.Active,

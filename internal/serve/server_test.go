@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hcoc"
+	"hcoc/client"
 	"hcoc/internal/dataset"
 	"hcoc/internal/engine"
 	"hcoc/internal/noise"
@@ -96,13 +97,20 @@ func getJSON(t *testing.T, url string, out any) (int, string) {
 	return resp.StatusCode, string(data)
 }
 
-func uploadGroups(t *testing.T, ts *httptest.Server, root string, groups []hcoc.Group) hierarchyResponse {
+// asyncRelease is the body client.ReleaseAsync sends: a release
+// request with "async" set.
+type asyncRelease struct {
+	client.ReleaseRequest
+	Async bool `json:"async"`
+}
+
+func uploadGroups(t *testing.T, ts *httptest.Server, root string, groups []hcoc.Group) client.Hierarchy {
 	t.Helper()
-	recs := make([]groupRecord, len(groups))
+	recs := make([]client.EventGroup, len(groups))
 	for i, g := range groups {
-		recs[i] = groupRecord{Path: g.Path, Size: g.Size}
+		recs[i] = client.EventGroup{Path: g.Path, Size: g.Size}
 	}
-	var hr hierarchyResponse
+	var hr client.Hierarchy
 	status, body := postJSON(t, ts.URL+"/v1/hierarchy", hierarchyRequest{Root: root, Groups: recs}, &hr)
 	if status != http.StatusOK {
 		t.Fatalf("hierarchy upload: status %d: %s", status, body)
@@ -122,10 +130,10 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("implausible hierarchy: %+v", hr)
 	}
 
-	relReq := releaseRequest{
+	relReq := client.ReleaseRequest{
 		Hierarchy: hr.ID, Algorithm: "topdown", Epsilon: 1, K: 2000, Seed: 42,
 	}
-	var first releaseResponse
+	var first client.Release
 	if status, body := postJSON(t, ts.URL+"/v1/release", relReq, &first); status != http.StatusOK {
 		t.Fatalf("release: status %d: %s", status, body)
 	}
@@ -146,7 +154,7 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := tree.ByLevel[1][0].Path
-	var qr queryResponse
+	var qr client.NodeReport
 	url := fmt.Sprintf("%s/v1/query/%s?release=%s&q=0.5&q=0.9&k=1&topcode=8", ts.URL, node, first.Release)
 	if status, body := getJSON(t, url, &qr); status != http.StatusOK {
 		t.Fatalf("query: status %d: %s", status, body)
@@ -166,7 +174,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Second identical release: served from cache.
-	var second releaseResponse
+	var second client.Release
 	if status, body := postJSON(t, ts.URL+"/v1/release", relReq, &second); status != http.StatusOK {
 		t.Fatalf("second release: status %d: %s", status, body)
 	}
@@ -207,8 +215,8 @@ func TestServeReleaseArtifact(t *testing.T) {
 	ts := newTestServer(t, engine.Options{})
 	hr := uploadGroups(t, ts, "US", smallGroups())
 
-	var rr releaseResponse
-	req := releaseRequest{Hierarchy: hr.ID, Epsilon: 2, K: 50, Seed: 7}
+	var rr client.Release
+	req := client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 2, K: 50, Seed: 7}
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, &rr); status != http.StatusOK {
 		t.Fatalf("release: status %d: %s", status, body)
 	}
@@ -272,20 +280,20 @@ func smallGroups() []hcoc.Group {
 func TestServeEpsilonFloor(t *testing.T) {
 	ts := newTestServer(t, engine.Options{MaxEpsilonPerHierarchy: 4})
 	hr := uploadGroups(t, ts, "US", smallGroups())
-	if status, body := postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1}, nil); status != http.StatusOK {
+	if status, body := postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1}, nil); status != http.StatusOK {
 		t.Fatalf("release: status %d: %s", status, body)
 	}
 	split := 1.5 * noise.MinEpsilon
-	for _, req := range []releaseRequest{
-		{Hierarchy: hr.ID, Epsilon: 1e-17, K: 50, Seed: 2},
-		{Hierarchy: hr.ID, Epsilon: 1e-17, K: 50, Seed: 2, Async: true},
-		{Hierarchy: hr.ID, Epsilon: split, K: 50, Seed: 2},
+	for _, req := range []asyncRelease{
+		{ReleaseRequest: client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1e-17, K: 50, Seed: 2}},
+		{ReleaseRequest: client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1e-17, K: 50, Seed: 2}, Async: true},
+		{ReleaseRequest: client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: split, K: 50, Seed: 2}},
 	} {
 		if status, body := postJSON(t, ts.URL+"/v1/release", req, nil); status != http.StatusBadRequest || !strings.Contains(body, "2^-40") {
 			t.Errorf("epsilon %g async %v: status %d, want 400 naming the floor: %s", req.Epsilon, req.Async, status, body)
 		}
 	}
-	var bs budgetStatusResponse
+	var bs client.Budget
 	if status, body := getJSON(t, ts.URL+"/v1/budget/"+hr.ID, &bs); status != http.StatusOK || bs.SpentEpsilon != 1 {
 		t.Errorf("budget after refusals: status %d: %s", status, body)
 	}
@@ -303,7 +311,7 @@ func TestServeEpsilonFloor(t *testing.T) {
 			t.Errorf("metrics missing %q after refusals", want)
 		}
 	}
-	bottomUp := releaseRequest{Hierarchy: hr.ID, Epsilon: split, K: 50, Seed: 2, Algorithm: "bottomup"}
+	bottomUp := client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: split, K: 50, Seed: 2, Algorithm: "bottomup"}
 	if status, body := postJSON(t, ts.URL+"/v1/release", bottomUp, nil); status != http.StatusOK {
 		t.Errorf("bottom-up at 1.5 * 2^-40: status %d: %s", status, body)
 	}
@@ -316,7 +324,7 @@ func TestServeHierarchyIdempotent(t *testing.T) {
 	if a.ID != b.ID {
 		t.Fatalf("same upload got different ids: %q vs %q", a.ID, b.ID)
 	}
-	var list []hierarchyResponse
+	var list []client.Hierarchy
 	if status, body := getJSON(t, ts.URL+"/v1/hierarchy", &list); status != http.StatusOK {
 		t.Fatalf("list: status %d: %s", status, body)
 	}
@@ -335,48 +343,48 @@ func TestServeErrors(t *testing.T) {
 		want int
 	}{
 		{"unknown hierarchy", func() (int, string) {
-			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: "h-missing", Epsilon: 1}, nil)
+			return postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: "h-missing", Epsilon: 1}, nil)
 		}, http.StatusNotFound},
 		{"bad epsilon", func() (int, string) {
-			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 0}, nil)
+			return postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 0}, nil)
 		}, http.StatusBadRequest},
 		{"epsilon below the floor", func() (int, string) {
-			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1e-17}, nil)
+			return postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1e-17}, nil)
 		}, http.StatusBadRequest},
 		{"negative k", func() (int, string) {
-			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: -1}, nil)
+			return postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: -1}, nil)
 		}, http.StatusBadRequest},
 		{"bad algorithm", func() (int, string) {
-			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, Algorithm: "sideways"}, nil)
+			return postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, Algorithm: "sideways"}, nil)
 		}, http.StatusBadRequest},
 		{"bad method", func() (int, string) {
-			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, Methods: []string{"psychic"}}, nil)
+			return postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, Methods: []string{"psychic"}}, nil)
 		}, http.StatusBadRequest},
 		{"empty upload", func() (int, string) {
 			return postJSON(t, ts.URL+"/v1/hierarchy", hierarchyRequest{Root: "US"}, nil)
 		}, http.StatusBadRequest},
 		{"negative size", func() (int, string) {
 			return postJSON(t, ts.URL+"/v1/hierarchy", hierarchyRequest{
-				Root: "US", Groups: []groupRecord{{Path: []string{"CA"}, Size: -3}},
+				Root: "US", Groups: []client.EventGroup{{Path: []string{"CA"}, Size: -3}},
 			}, nil)
 		}, http.StatusBadRequest},
 		{"group above the size bound", func() (int, string) {
 			return postJSON(t, ts.URL+"/v1/hierarchy", hierarchyRequest{
-				Root: "US", Groups: []groupRecord{{Path: []string{"CA"}, Size: hcoc.MaxGroupSize + 1}},
+				Root: "US", Groups: []client.EventGroup{{Path: []string{"CA"}, Size: hcoc.MaxGroupSize + 1}},
 			}, nil)
 		}, http.StatusBadRequest},
 		{"region name with a slash", func() (int, string) {
 			return postJSON(t, ts.URL+"/v1/hierarchy", hierarchyRequest{
-				Root: "US", Groups: []groupRecord{{Path: []string{"a/b"}, Size: 1}, {Path: []string{"c"}, Size: 2}},
+				Root: "US", Groups: []client.EventGroup{{Path: []string{"a/b"}, Size: 1}, {Path: []string{"c"}, Size: 2}},
 			}, nil)
 		}, http.StatusBadRequest},
 		{"empty group path", func() (int, string) {
 			return postJSON(t, ts.URL+"/v1/hierarchy", hierarchyRequest{
-				Root: "US", Groups: []groupRecord{{Path: []string{}, Size: 1}},
+				Root: "US", Groups: []client.EventGroup{{Path: []string{}, Size: 1}},
 			}, nil)
 		}, http.StatusBadRequest},
 		{"k above the size bound", func() (int, string) {
-			return postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: hcoc.MaxGroupSize + 1}, nil)
+			return postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: hcoc.MaxGroupSize + 1}, nil)
 		}, http.StatusBadRequest},
 		{"query without release", func() (int, string) {
 			return getJSON(t, ts.URL+"/v1/query/US/CA", nil)
@@ -411,8 +419,8 @@ func TestServeErrors(t *testing.T) {
 	}
 
 	// Query errors against a real release.
-	var rr releaseResponse
-	if status, body := postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50}, &rr); status != http.StatusOK {
+	var rr client.Release
+	if status, body := postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50}, &rr); status != http.StatusOK {
 		t.Fatalf("release: status %d: %s", status, body)
 	}
 	if status, _ := getJSON(t, ts.URL+"/v1/query/US/NV?release="+rr.Release, nil); status != http.StatusBadRequest {
@@ -457,7 +465,7 @@ func TestServeHierarchyStoreBounded(t *testing.T) {
 		t.Fatalf("idempotent re-upload changed id: %q vs %q", again.ID, first.ID)
 	}
 	status, body := postJSON(t, ts.URL+"/v1/hierarchy", hierarchyRequest{
-		Root: "EU", Groups: []groupRecord{{Path: []string{"FR"}, Size: 2}},
+		Root: "EU", Groups: []client.EventGroup{{Path: []string{"FR"}, Size: 2}},
 	}, nil)
 	if status != http.StatusInsufficientStorage {
 		t.Fatalf("upload past capacity: status %d (%s), want 507", status, body)
@@ -481,12 +489,12 @@ func TestServeRestartDurability(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(srv1)
 	hr := uploadGroups(t, ts1, "US", smallGroups())
-	var first releaseResponse
-	req := releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 11}
+	var first client.Release
+	req := client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 11}
 	if status, body := postJSON(t, ts1.URL+"/v1/release", req, &first); status != http.StatusOK {
 		t.Fatalf("release: status %d: %s", status, body)
 	}
-	var query1 queryResponse
+	var query1 client.NodeReport
 	if status, body := getJSON(t, ts1.URL+"/v1/query/US/CA?release="+first.Release+"&q=0.5", &query1); status != http.StatusOK {
 		t.Fatalf("query: status %d: %s", status, body)
 	}
@@ -506,7 +514,7 @@ func TestServeRestartDurability(t *testing.T) {
 	t.Cleanup(ts2.Close)
 
 	// The hierarchy survived: listed, and usable without re-upload.
-	var hierarchies []hierarchyResponse
+	var hierarchies []client.Hierarchy
 	if status, body := getJSON(t, ts2.URL+"/v1/hierarchy", &hierarchies); status != http.StatusOK {
 		t.Fatalf("list hierarchies: status %d: %s", status, body)
 	}
@@ -515,7 +523,7 @@ func TestServeRestartDurability(t *testing.T) {
 	}
 
 	// The artifact is listed as durable.
-	var artifacts []releaseListEntry
+	var artifacts []client.ReleaseArtifact
 	if status, body := getJSON(t, ts2.URL+"/v1/release", &artifacts); status != http.StatusOK {
 		t.Fatalf("list releases: status %d: %s", status, body)
 	}
@@ -526,7 +534,7 @@ func TestServeRestartDurability(t *testing.T) {
 	// An identical release request is a store hit: no recomputation.
 	// (Probed first: any artifact or query read would admit the stored
 	// release into the fresh LRU and turn this into a cache hit.)
-	var again releaseResponse
+	var again client.Release
 	if status, body := postJSON(t, ts2.URL+"/v1/release", req, &again); status != http.StatusOK {
 		t.Fatalf("release after restart: status %d: %s", status, body)
 	}
@@ -551,7 +559,7 @@ func TestServeRestartDurability(t *testing.T) {
 	}
 
 	// Queries serve from disk with the same answers.
-	var query2 queryResponse
+	var query2 client.NodeReport
 	if status, body := getJSON(t, ts2.URL+"/v1/query/US/CA?release="+first.Release+"&q=0.5", &query2); status != http.StatusOK {
 		t.Fatalf("query after restart: status %d: %s", status, body)
 	}
@@ -586,8 +594,8 @@ func TestServeAsyncJob(t *testing.T) {
 	ts := newTestServer(t, engine.Options{})
 	hr := uploadGroups(t, ts, "US", smallGroups())
 
-	var accepted jobResponse
-	req := releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 5, Async: true}
+	var accepted client.Job
+	req := asyncRelease{client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 5}, true}
 	status, body := postJSON(t, ts.URL+"/v1/release", req, nil)
 	if status != http.StatusAccepted {
 		t.Fatalf("async release: status %d: %s", status, body)
@@ -602,7 +610,7 @@ func TestServeAsyncJob(t *testing.T) {
 		t.Fatalf("202 status = %q", accepted.Status)
 	}
 
-	var done jobResponse
+	var done client.Job
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if status, body := getJSON(t, ts.URL+"/v1/jobs/"+accepted.Job, &done); status != http.StatusOK {
@@ -624,7 +632,7 @@ func TestServeAsyncJob(t *testing.T) {
 	}
 
 	// The job's release key answers queries.
-	var qr queryResponse
+	var qr client.NodeReport
 	if status, body := getJSON(t, ts.URL+"/v1/query/US/CA?release="+done.Release+"&q=0.5", &qr); status != http.StatusOK {
 		t.Fatalf("query of async release: status %d: %s", status, body)
 	}
@@ -632,8 +640,8 @@ func TestServeAsyncJob(t *testing.T) {
 		t.Fatal("async release served an empty node")
 	}
 	// A sync repeat of the same request is now a cache hit.
-	sync := releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 5}
-	var rr releaseResponse
+	sync := client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 5}
+	var rr client.Release
 	if status, body := postJSON(t, ts.URL+"/v1/release", sync, &rr); status != http.StatusOK {
 		t.Fatalf("sync repeat: status %d: %s", status, body)
 	}
@@ -653,16 +661,16 @@ func TestServeBudgetExhaustion(t *testing.T) {
 	ts := newTestServer(t, engine.Options{MaxEpsilonPerHierarchy: 1.5})
 	hr := uploadGroups(t, ts, "US", smallGroups())
 
-	var first releaseResponse
-	if status, body := postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1}, &first); status != http.StatusOK {
+	var first client.Release
+	if status, body := postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1}, &first); status != http.StatusOK {
 		t.Fatalf("first release: status %d: %s", status, body)
 	}
 	// Identical request: cache hit, free, still 200.
-	if status, body := postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1}, nil); status != http.StatusOK {
+	if status, body := postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 1}, nil); status != http.StatusOK {
 		t.Fatalf("cache-hit release: status %d: %s", status, body)
 	}
 	// A distinct computation needing 1.0 with 0.5 left: 429.
-	status, body := postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 2}, nil)
+	status, body := postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 2}, nil)
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("over-budget release: status %d: %s", status, body)
 	}
@@ -677,7 +685,7 @@ func TestServeBudgetExhaustion(t *testing.T) {
 		t.Fatalf("remaining epsilon = %g, want 0.5", br.RemainingEpsilon)
 	}
 	// A request within the remaining budget still works.
-	if status, body := postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 0.5, K: 50, Seed: 3}, nil); status != http.StatusOK {
+	if status, body := postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 0.5, K: 50, Seed: 3}, nil); status != http.StatusOK {
 		t.Fatalf("within-budget release: status %d: %s", status, body)
 	}
 }
@@ -742,10 +750,10 @@ func TestServeBodyStatuses(t *testing.T) {
 func TestServeListReleasesWithoutStore(t *testing.T) {
 	ts := newTestServer(t, engine.Options{})
 	hr := uploadGroups(t, ts, "US", smallGroups())
-	if status, body := postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50}, nil); status != http.StatusOK {
+	if status, body := postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50}, nil); status != http.StatusOK {
 		t.Fatalf("release: status %d: %s", status, body)
 	}
-	var artifacts []releaseListEntry
+	var artifacts []client.ReleaseArtifact
 	if status, body := getJSON(t, ts.URL+"/v1/release", &artifacts); status != http.StatusOK {
 		t.Fatalf("list: status %d: %s", status, body)
 	}
@@ -775,8 +783,8 @@ func TestServeHealthz(t *testing.T) {
 func TestReleaseImportClosed(t *testing.T) {
 	src := newTestServer(t, engine.Options{})
 	hr := uploadGroups(t, src, "US", smallGroups())
-	var rel releaseResponse
-	if status, body := postJSON(t, src.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 9}, &rel); status != http.StatusOK {
+	var rel client.Release
+	if status, body := postJSON(t, src.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 9}, &rel); status != http.StatusOK {
 		t.Fatalf("release: status %d: %s", status, body)
 	}
 	artifact := getBody(t, src.URL+"/v1/release/"+rel.Release)
@@ -838,11 +846,11 @@ func TestServeBottomUp(t *testing.T) {
 	ts := newTestServer(t, engine.Options{})
 	hr := uploadGroups(t, ts, "US", smallGroups())
 
-	var td, bu releaseResponse
-	if status, body := postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 3}, &td); status != http.StatusOK {
+	var td, bu client.Release
+	if status, body := postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 3}, &td); status != http.StatusOK {
 		t.Fatalf("topdown: status %d: %s", status, body)
 	}
-	if status, body := postJSON(t, ts.URL+"/v1/release", releaseRequest{Hierarchy: hr.ID, Algorithm: "bottomup", Epsilon: 1, K: 50, Seed: 3}, &bu); status != http.StatusOK {
+	if status, body := postJSON(t, ts.URL+"/v1/release", client.ReleaseRequest{Hierarchy: hr.ID, Algorithm: "bottomup", Epsilon: 1, K: 50, Seed: 3}, &bu); status != http.StatusOK {
 		t.Fatalf("bottomup: status %d: %s", status, body)
 	}
 	if bu.CacheHit || bu.Release == td.Release {
@@ -878,8 +886,8 @@ func TestServeVersionPinnedQueryCost(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	hr := uploadGroups(t, ts, "US", smallGroups())
-	var rr releaseResponse
-	req := releaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 7}
+	var rr client.Release
+	req := client.ReleaseRequest{Hierarchy: hr.ID, Epsilon: 1, K: 50, Seed: 7}
 	if status, body := postJSON(t, ts.URL+"/v1/release", req, &rr); status != http.StatusOK {
 		t.Fatalf("release: status %d: %s", status, body)
 	}
