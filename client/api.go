@@ -343,7 +343,7 @@ func (c *Client) Releases(ctx context.Context) ([]ReleaseArtifact, error) {
 func (c *Client) DownloadRelease(ctx context.Context, id string) (hcoc.SparseHistograms, float64, error) {
 	var rel hcoc.SparseHistograms
 	var epsilon float64
-	err := c.download(ctx, "/v1/release/"+url.PathEscape(id), func(r io.Reader) error {
+	err := c.do(ctx, http.MethodGet, "/v1/release/"+url.PathEscape(id), nil, func(r io.Reader) error {
 		var err error
 		rel, epsilon, err = hcoc.ReadReleaseSparse(r)
 		return err
@@ -361,7 +361,7 @@ func (c *Client) DownloadReleaseBytes(ctx context.Context, id, format string) ([
 		path += "?format=" + url.QueryEscape(format)
 	}
 	var out []byte
-	err := c.download(ctx, path, func(r io.Reader) error {
+	err := c.do(ctx, http.MethodGet, path, nil, func(r io.Reader) error {
 		var err error
 		out, err = io.ReadAll(r)
 		return err
@@ -374,41 +374,12 @@ func (c *Client) DownloadReleaseBytes(ctx context.Context, id, format string) ([
 func (c *Client) DownloadReleaseDense(ctx context.Context, id string) (hcoc.Histograms, float64, error) {
 	var rel hcoc.Histograms
 	var epsilon float64
-	err := c.download(ctx, "/v1/release/"+url.PathEscape(id)+"?format=dense", func(r io.Reader) error {
+	err := c.do(ctx, http.MethodGet, "/v1/release/"+url.PathEscape(id)+"?format=dense", nil, func(r io.Reader) error {
 		var err error
 		rel, epsilon, err = hcoc.ReadRelease(r)
 		return err
 	})
 	return rel, epsilon, err
-}
-
-// download streams a GET body into decode, through the same retry loop
-// as JSON calls.
-func (c *Client) download(ctx context.Context, path string, decode func(io.Reader) error) error {
-	return c.attempt(ctx, func() error {
-		return c.downloadOnce(ctx, path, decode)
-	})
-}
-
-func (c *Client) downloadOnce(ctx context.Context, path string, decode func(io.Reader) error) error {
-	u := strings.TrimSuffix(c.base.String(), "/") + path
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return fmt.Errorf("client: building request: %w", err)
-	}
-	req.Header.Set("User-Agent", c.userAgent)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return fmt.Errorf("client: %w", ctxErr)
-		}
-		return fmt.Errorf("client: GET %s: %w", path, &transportError{err})
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return c.responseError(resp)
-	}
-	return decode(resp.Body)
 }
 
 // QueryParams selects the optional statistics of a node query; group
@@ -673,7 +644,7 @@ func (c *Client) Healthz(ctx context.Context) error {
 // Metrics fetches the daemon's Prometheus text metrics verbatim.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
 	var out []byte
-	err := c.download(ctx, "/metrics", func(r io.Reader) error {
+	err := c.do(ctx, http.MethodGet, "/metrics", nil, func(r io.Reader) error {
 		var err error
 		out, err = io.ReadAll(r)
 		return err

@@ -285,7 +285,9 @@ func (c *Client) delay(attempt int, err error) time.Duration {
 }
 
 // once is a single request/response cycle. path is joined to the base
-// URL verbatim, so callers control its escaping.
+// URL verbatim, so callers control its escaping. A 2xx answer's body
+// goes to out: handed to it when out is a func(io.Reader) error,
+// decoded into it as JSON otherwise, and drained when out is nil.
 func (c *Client) once(ctx context.Context, method, path string, body []byte, out any, hdr map[string]string) error {
 	u := strings.TrimSuffix(c.base.String(), "/") + path
 
@@ -342,12 +344,16 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		_, _ = io.CopyN(io.Discard, resp.Body, drainLimit)
 		return nil
 	}
-	return readBody(resp, func(body io.Reader) error {
-		if err := json.NewDecoder(body).Decode(out); err != nil {
-			return fmt.Errorf("client: decoding response: %w", err)
+	read, ok := out.(func(io.Reader) error)
+	if !ok {
+		read = func(body io.Reader) error {
+			if err := json.NewDecoder(body).Decode(out); err != nil {
+				return fmt.Errorf("client: decoding response: %w", err)
+			}
+			return nil
 		}
-		return nil
-	})
+	}
+	return readBody(resp, read)
 }
 
 // decompressor is an idle response decompressor: a gzip reader with

@@ -189,11 +189,11 @@ func ReleaseSingle(h Histogram, method Method, opts Options) (Histogram, error) 
 	if k == 0 {
 		k = DefaultK
 	}
-	res, err := estimator.Estimate(method, h, estimator.Params{Epsilon: opts.Epsilon, K: k}, noise.New(opts.Seed))
+	runs, err := estimator.EstimateRuns(method, h, estimator.Params{Epsilon: opts.Epsilon, K: k}, noise.New(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
-	return res.Hist, nil
+	return estimator.RunsHist(runs), nil
 }
 
 // Check verifies the four release requirements (integrality,

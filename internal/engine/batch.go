@@ -20,8 +20,8 @@ func (e *Engine) Query(q plan.Query) plan.Result {
 // EvalBatch evaluates a planned batch against the engine's two cache
 // tiers: the scan-sharing planner groups the queries by release key,
 // each distinct key is looked up exactly once (LRU, then durable
-// store), and every query is answered with lazy run scans over the
-// shared artifacts. Per-query failures — including an individual key
+// store), and every query is answered with run scans over the shared
+// artifacts. Per-query failures — including an individual key
 // missing from both tiers, which wraps ErrNotCached — are reported on
 // the corresponding plan.Result and never fail the batch.
 func (e *Engine) EvalBatch(qs []plan.Query) []plan.Result {

@@ -442,12 +442,24 @@ func (e *Engine) leave(key string, c *call) {
 }
 
 // run drives one detached release computation: durable-store lookup
-// first (free), then a compute slot, the budget charge, and the
-// computation itself, publishing the outcome to every waiter.
+// first (free), then a budget check, a compute slot, the budget charge,
+// and the computation itself, publishing the outcome to every waiter.
+// The check refuses a release its budget cannot cover before it waits
+// in the tenant's queue; the charge after the grant stays the
+// authoritative one, since the spend may move while the release waits.
 func (e *Engine) run(key, treeFP string, c *call, tree *hcoc.Tree, alg Algorithm, opts hcoc.Options, prev func() []PrevVersion, lineage func() []string) {
 	if e.store != nil {
 		if v, ok := e.loadFromStore(key); ok {
 			e.finish(key, treeFP, c, v, nil)
+			return
+		}
+	}
+	if noise.CheckEpsilon(opts.Epsilon, 1) == nil {
+		e.mu.Lock()
+		err := e.overBudget(treeFP, opts.Epsilon, lineage)
+		e.mu.Unlock()
+		if err != nil {
+			e.finish(key, treeFP, c, nil, err)
 			return
 		}
 	}
@@ -653,16 +665,26 @@ func (e *Engine) computeThrough(key, treeFP string, tree *hcoc.Tree, alg Algorit
 const budgetSlack = 1e-9
 
 // charge reserves epsilon for one computation of tree fp under both
-// bounds, in one critical section: fp's own spend against the
-// per-hierarchy bound, and the spend of its lineage (fp alone when
-// lineage is nil) against the continual bound. With neither bound set
-// it only records the spend. The lineage is read inside the critical
-// section because that is what makes the continual bound exact: a
-// version appended and charged concurrently is either in the lineage
-// read here, or its own charge comes later and sees this one.
+// bounds, checking and recording in one critical section. With neither
+// bound set it only records the spend. The lineage is read inside the
+// critical section because that is what makes the continual bound
+// exact: a version appended and charged concurrently is either in the
+// lineage read here, or its own charge comes later and sees this one.
 func (e *Engine) charge(fp string, eps float64, lineage func() []string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.overBudget(fp, eps, lineage); err != nil {
+		return err
+	}
+	e.epsSpent[fp] += eps
+	return nil
+}
+
+// overBudget returns the *BudgetError that spending eps on tree fp
+// meets under either bound, or nil: fp's own spend against the
+// per-hierarchy bound, and the spend of its lineage (fp alone when
+// lineage is nil) against the continual bound. Caller holds e.mu.
+func (e *Engine) overBudget(fp string, eps float64, lineage func() []string) error {
 	if spent := e.epsSpent[fp]; e.epsLimit > 0 && spent+eps > e.epsLimit+budgetSlack {
 		return &BudgetError{Hierarchy: fp, Requested: eps, Remaining: max(e.epsLimit-spent, 0), Limit: e.epsLimit}
 	}
@@ -675,7 +697,6 @@ func (e *Engine) charge(fp string, eps float64, lineage func() []string) error {
 			return &BudgetError{Hierarchy: fp, Requested: eps, Remaining: max(e.contLimit-spent, 0), Limit: e.contLimit, Continual: true}
 		}
 	}
-	e.epsSpent[fp] += eps
 	return nil
 }
 
@@ -960,7 +981,7 @@ func (e *Engine) Metrics() Metrics {
 		RecomputeParentsMatched: e.parentsMatched,
 		RecomputeParentsTotal:   e.parentsTotal,
 		StateEntries:            e.states.len(),
-		StateCostBytes:          e.states.costBytes(),
+		StateCostBytes:          e.states.cost,
 	}
 }
 

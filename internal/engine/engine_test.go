@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -460,6 +461,55 @@ func TestReleaseErrorNotCached(t *testing.T) {
 // far below three releases' worth, older entries are evicted by cost,
 // the newest release is always retained, and the metrics expose the
 // accounting.
+// TestStateCostRunningTotal: StateCostBytes is the sum of the retained
+// states' CostBytes after adds, a same-key replace, and evictions past
+// stateCap.
+func TestStateCostRunningTotal(t *testing.T) {
+	e := New(Options{})
+	var groups []hcoc.Group
+	for i := 0; i < 40; i++ {
+		groups = append(groups, hcoc.Group{Path: []string{fmt.Sprint("S", i%7), fmt.Sprint("C", i)}, Size: int64(i)})
+	}
+	big, err := hcoc.BuildHierarchy("US", groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var states []*hcoc.ReleaseState
+	for _, tree := range []*hcoc.Tree{testTree(t), big} {
+		_, st, _, err := hcoc.ReleaseSparseFrom(tree, testOpts(1), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, st)
+	}
+	if states[0].CostBytes() == states[1].CostBytes() {
+		t.Fatal("test states have equal costs; a replace would not show")
+	}
+	add := func(key string, st *hcoc.ReleaseState) {
+		e.mu.Lock()
+		e.states.add(key, st)
+		e.mu.Unlock()
+		var want int64
+		e.mu.Lock()
+		for _, entry := range e.states.m {
+			want += entry.st.CostBytes()
+		}
+		e.mu.Unlock()
+		if got := e.Metrics().StateCostBytes; got != want {
+			t.Fatalf("after adding %s: StateCostBytes %d, want %d", key, got, want)
+		}
+	}
+	add("a", states[0])
+	add("b", states[1])
+	add("a", states[1]) // same key, other state
+	for i := 0; i < stateCap+5; i++ {
+		add(fmt.Sprint("k", i), states[i%2])
+	}
+	if n := e.Metrics().StateEntries; n != stateCap {
+		t.Fatalf("%d states retained, want %d", n, stateCap)
+	}
+}
+
 func TestCacheByteBudget(t *testing.T) {
 	tree := testTree(t)
 	ctx := context.Background()
@@ -769,6 +819,37 @@ func TestBudgetEnforcement(t *testing.T) {
 	}
 }
 
+// TestBudgetRefusalSkipsQueue: a release its budget cannot cover is
+// refused at once, with every compute slot held, and takes no slot
+// grant.
+func TestBudgetRefusalSkipsQueue(t *testing.T) {
+	e := New(Options{ComputeSlots: 2, MaxEpsilonPerHierarchy: 1})
+	tree := testTree(t)
+	fp := FingerprintTree(tree)
+	if _, err := e.Release(context.Background(), tree, fp, TopDown, testOpts(1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < e.Scheduler().Slots(); i++ {
+		hold, err := e.Scheduler().Acquire(context.Background(), "slot-hog")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hold.Release()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := e.Release(ctx, tree, fp, TopDown, testOpts(2))
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Remaining != 0 {
+		t.Fatalf("got %v, want a *BudgetError with nothing remaining, before any slot frees", err)
+	}
+	for _, st := range e.Scheduler().Tenants() {
+		if st.Tenant == fp && st.Granted != 1 {
+			t.Fatalf("tenant granted %d slots, want 1 (the refusal takes none)", st.Granted)
+		}
+	}
+}
+
 // TestBudgetRefundOnFailure: a computation that fails before drawing
 // noise refunds its charge, in memory and in the durable ledger.
 func TestBudgetRefundOnFailure(t *testing.T) {
@@ -830,7 +911,9 @@ func TestRefusedEpsilonNeverCharged(t *testing.T) {
 // TestContinualBound: the continual bound sums the ledger over the
 // distinct fingerprints of a lineage and refuses with a *BudgetError
 // naming that bound. ReleaseFrom reads the history it is handed, the
-// lineage and the incremental candidates, only for a computation.
+// lineage and the incremental candidates, only for a computation: the
+// candidates once, the lineage at the check before a compute slot and
+// again at the charge.
 func TestContinualBound(t *testing.T) {
 	e := New(Options{MaxEpsilonContinual: 2.5})
 	ctx := context.Background()
@@ -853,8 +936,8 @@ func TestContinualBound(t *testing.T) {
 	if _, err := e.ReleaseFrom(ctx, b, fpB, TopDown, testOpts(1), prev, lineage); err != nil {
 		t.Fatal(err)
 	}
-	if reads != 2 || candidates != 2 {
-		t.Fatalf("lineage read %d times and candidates %d, want once per computation (2)", reads, candidates)
+	if reads != 4 || candidates != 2 {
+		t.Fatalf("lineage read %d times and candidates %d, want 4 and 2 (2 computations)", reads, candidates)
 	}
 	// fpA repeats in the lineage but was spent on once: 2 of 2.5.
 	_, err = e.ReleaseFrom(ctx, b, fpB, TopDown, testOpts(2), nil, lineage)

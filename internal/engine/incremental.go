@@ -32,10 +32,11 @@ type PrevVersion struct {
 //
 // lineage, when non-nil, returns the fingerprints of every version of
 // the hierarchy (repeats allowed): the spend Options.MaxEpsilonContinual
-// bounds. The engine calls it when it charges the computation, with its
-// lock held, so it must return promptly and must not call back into the
-// engine; eventlog.Log.Fingerprints, whose lock is never held across
-// I/O, qualifies.
+// bounds. The engine calls it, with its lock held, when it checks the
+// bounds before queueing a computation and again when it charges it,
+// so it must return promptly and must not call back into the engine;
+// eventlog.Log.Fingerprints, whose lock is never held across I/O,
+// qualifies.
 func (e *Engine) ReleaseFrom(ctx context.Context, tree *hcoc.Tree, treeFP string, alg Algorithm, opts hcoc.Options, prev func() []PrevVersion, lineage func() []string) (Result, error) {
 	return e.release(ctx, tree, treeFP, alg, opts, prev, lineage)
 }
@@ -49,12 +50,22 @@ const stateCap = 32
 // stateCache is a small LRU of per-release recompute state, keyed by
 // release key. Guarded by Engine.mu.
 type stateCache struct {
-	m     map[string]*hcoc.ReleaseState
+	m     map[string]stateEntry
 	order []string // least recently used first
+	// cost is the sum of the retained states' CostBytes, kept as states
+	// come and go so that Engine.Metrics reads it without a walk.
+	cost int64
+}
+
+// stateEntry is one retained state with its CostBytes, computed once on
+// add: a state never changes after its release.
+type stateEntry struct {
+	st   *hcoc.ReleaseState
+	cost int64
 }
 
 func newStateCache() *stateCache {
-	return &stateCache{m: make(map[string]*hcoc.ReleaseState)}
+	return &stateCache{m: make(map[string]stateEntry)}
 }
 
 func (s *stateCache) touch(key string) {
@@ -68,36 +79,30 @@ func (s *stateCache) touch(key string) {
 }
 
 func (s *stateCache) get(key string) (*hcoc.ReleaseState, bool) {
-	st, ok := s.m[key]
+	e, ok := s.m[key]
 	if ok {
 		s.touch(key)
 	}
-	return st, ok
+	return e.st, ok
 }
 
 func (s *stateCache) add(key string, st *hcoc.ReleaseState) {
 	if st == nil {
 		return
 	}
-	s.m[key] = st
+	e := stateEntry{st: st, cost: st.CostBytes()}
+	s.cost += e.cost - s.m[key].cost // a replaced entry's cost leaves
+	s.m[key] = e
 	s.touch(key)
 	for len(s.m) > stateCap {
 		oldest := s.order[0]
 		s.order = s.order[1:]
+		s.cost -= s.m[oldest].cost
 		delete(s.m, oldest)
 	}
 }
 
 func (s *stateCache) len() int { return len(s.m) }
-
-// costBytes sums the retained states' estimated resident cost.
-func (s *stateCache) costBytes() int64 {
-	var b int64
-	for _, st := range s.m {
-		b += st.CostBytes()
-	}
-	return b
-}
 
 // resolvePrev finds the first candidate with retained state, returning
 // the state and its changed set. Caller must NOT hold e.mu.

@@ -12,12 +12,12 @@
 //
 // Every estimator also produces the per-group variance estimates of
 // Section 5.1, which the hierarchical consistency step consumes. Those
-// variances are constant over runs of equally-estimated groups, so each
-// method has two output forms: Estimate returns the dense Result (one
-// histogram cell per size, one variance per group) and EstimateRuns
-// returns the run-length form (one SizeRun per block of groups sharing
-// a value and a variance). Both are driven by the same noise draws and
-// describe bit-for-bit the same estimate; the run form is what the
-// sparse release pipeline consumes, and for G groups it avoids the
-// O(G) per-group arrays entirely.
+// variances are constant over runs of equally-estimated groups, so
+// EstimateRuns, the one implementation of each method, returns the
+// estimate in run-length form: one SizeRun per block of groups sharing
+// a value and a variance. The sparse release pipeline consumes the runs
+// directly, and for G groups they avoid the O(G) per-group arrays
+// entirely. Estimate expands the same runs into the dense Result (one
+// histogram cell per size, one variance per group) through RunsHist and
+// RunsGroupVar, for the dense pipelines and the paper reproduction.
 package estimator

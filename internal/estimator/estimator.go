@@ -133,57 +133,25 @@ func (p Params) validate() error {
 }
 
 // Estimate runs the selected method on the true histogram h, spending
-// p.Epsilon of privacy budget, drawing noise from gen.
+// p.Epsilon of privacy budget, drawing noise from gen. It is
+// EstimateRuns expanded by RunsHist and RunsGroupVar; a zero-group h
+// estimates to an empty histogram with no variances.
 func Estimate(m Method, h histogram.Hist, p Params, gen *noise.Gen) (Result, error) {
-	if err := p.validate(); err != nil {
+	runs, err := EstimateRuns(m, h, p, gen)
+	if err != nil {
 		return Result{}, err
 	}
-	g := h.Groups()
-	if g == 0 {
+	if len(runs) == 0 {
 		return Result{Hist: histogram.Hist{}}, nil
 	}
-	switch m {
-	case MethodNaive:
-		est := estimateNaiveCore(h, g, p, gen)
-		groupVar := make([]float64, g)
-		flat := noise.LaplaceVariance(2 / p.Epsilon)
-		for i := range groupVar {
-			groupVar[i] = flat
-		}
-		return Result{Hist: est, GroupVar: groupVar}, nil
-	case MethodHg:
-		fit, blockSizes := estimateHgCore(h, p, gen)
-		est := make(histogram.GroupSizes, len(fit))
-		groupVar := make([]float64, len(fit))
-		perCell := noise.LaplaceVariance(1 / p.Epsilon)
-		for i, z := range fit {
-			est[i] = int64(z + 0.5) // z >= 0, so this is round-to-nearest
-			groupVar[i] = perCell / float64(blockSizes[i])
-		}
-		return Result{Hist: est.Hist(), GroupVar: groupVar}, nil
-	case MethodHc, MethodHcL2:
-		est := estimateHcCore(h, g, p, gen, m == MethodHc)
-		hEst := est.Hist().Trim()
-		// Variance per group, aligned with hEst.GroupSizes(): all groups
-		// of estimated size j share variance 4/(eps^2 * hEst[j]).
-		groupVar := make([]float64, 0, g)
-		perCell := 2 * noise.LaplaceVariance(1/p.Epsilon) // 4/eps^2
-		for _, count := range hEst {
-			for k := int64(0); k < count; k++ {
-				groupVar = append(groupVar, perCell/float64(count))
-			}
-		}
-		return Result{Hist: hEst, GroupVar: groupVar}, nil
-	default:
-		return Result{}, fmt.Errorf("estimator: unknown method %d", int(m))
-	}
+	return Result{Hist: RunsHist(runs), GroupVar: RunsGroupVar(runs)}, nil
 }
 
-// EstimateRuns is Estimate in run-length form: the same noise draws,
-// the same estimate, but returned as rank-ordered runs of (size,
-// variance) blocks instead of a dense histogram plus a per-group
-// variance array. RunsHist and RunsGroupVar recover the dense Result
-// exactly.
+// EstimateRuns is the one implementation of the single-node estimates:
+// it runs the selected method on the true histogram h, spending
+// p.Epsilon of privacy budget, drawing noise from gen, and returns the
+// estimate as rank-ordered runs of (size, variance) blocks. A zero-group
+// h returns no runs.
 func EstimateRuns(m Method, h histogram.Hist, p Params, gen *noise.Gen) ([]SizeRun, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -212,12 +180,12 @@ func EstimateRuns(m Method, h histogram.Hist, p Params, gen *noise.Gen) ([]SizeR
 	}
 }
 
-// estimateHgRuns is the Hg pipeline fused for the run-length output:
-// the same noise draws and float operations as estimateHgCore, but the
-// noisy unattributed histogram is built straight into the float buffer
-// (no hg or noisy int arrays) and the isotonic blocks are emitted as
-// runs without the per-index blockSizes, est, and groupVar arrays —
-// 3 G-length allocations instead of 8.
+// estimateHgRuns adds double-geometric noise with scale 1/eps to every
+// cell of the unattributed histogram (sensitivity 1), built straight
+// into the float buffer, applies L2 isotonic regression clamped below
+// at zero, and emits each isotonic block as one run. Per Section 5.1.1
+// the variance of a group is 2/(S eps^2), where S is the size of its
+// block.
 func estimateHgRuns(h histogram.Hist, g int64, p Params, gen *noise.Gen) []SizeRun {
 	scale := 1 / p.Epsilon
 	ys := make([]float64, 0, g)
@@ -241,11 +209,19 @@ func estimateHgRuns(h histogram.Hist, g int64, p Params, gen *noise.Gen) []SizeR
 	return runs
 }
 
-// estimateHcRuns is the Hc pipeline fused for the run-length output:
-// identical draws and float operations to estimateHcCore, but the
-// noisy truncated cumulative histogram is accumulated cell by cell
-// straight into a reused float buffer (no dense Hist, Cumulative, or
-// noisy arrays), the L1 fit runs in that buffer, and the clamped,
+// estimateHcRuns adds double-geometric noise with scale 1/eps to the
+// cumulative histogram of the K-truncated data (sensitivity 1,
+// Lemma 4), fits isotonic regression (L1 per the paper's finding, L2
+// for the ablation) under the boundary condition Hc[K] = G, clamps into
+// [0, G], rounds, and scans the estimated cumulative into runs. The
+// final cell is pinned to the public G, so its noisy value is
+// discarded; the remaining cells' constrained optimum is exactly the
+// box-clamped unconstrained fit. Per Section 5.1.2 the variance of a
+// group with estimated size j is 4/(eps^2 * (number of estimated groups
+// of size j)).
+//
+// The noisy cumulative is accumulated cell by cell straight into a
+// reused float buffer, the L1 fit runs in that buffer, and the clamped,
 // rounded cumulative is scanned into runs without materializing it.
 // Every noisy cell is an integer, so the draw loop also keeps the
 // smallest and largest, which let the L1 fit pick how it keeps its
@@ -276,8 +252,8 @@ func estimateHcRuns(h histogram.Hist, g int64, p Params, gen *noise.Gen, l1 bool
 		fit = isotonic.FitL2(ys)
 	}
 
-	// Clamping into [0, G] keeps the box-constrained optimum (see
-	// estimateHcCore); it runs here, cell by cell, before the rounding.
+	// Clamping into [0, G] keeps the box-constrained optimum; it runs
+	// here, cell by cell, before the rounding.
 	perCell := 2 * noise.LaplaceVariance(scale) // 4/eps^2
 	gf := float64(g)
 	var runs []SizeRun
@@ -370,57 +346,6 @@ func estimateNaiveCore(h histogram.Hist, g int64, p Params, gen *noise.Gen) hist
 	}
 	est := histogram.Hist(simplex.ProjectAndRound(asFloat, g))
 	return est.Trim()
-}
-
-// estimateHgCore adds double-geometric noise with scale 1/eps to every
-// cell of the unattributed histogram (sensitivity 1) and applies L2
-// isotonic regression clamped below at zero. It returns the clamped fit
-// together with the per-index isotonic block sizes; per Section 5.1.1
-// the variance of group i is 2/(S_i eps^2) where S_i is the size of the
-// block containing i.
-func estimateHgCore(h histogram.Hist, p Params, gen *noise.Gen) (fit []float64, blockSizes []int) {
-	hg := h.GroupSizes()
-	noisy := gen.AddDoubleGeometric(hg, 1/p.Epsilon)
-	ys := make([]float64, len(noisy))
-	for i, v := range noisy {
-		ys[i] = float64(v)
-	}
-	fit = isotonic.FitL2(ys)
-	isotonic.ClampBox(fit, 0, maxFloat)
-	return fit, isotonic.BlockSizes(fit)
-}
-
-// estimateHcCore adds double-geometric noise with scale 1/eps to the
-// cumulative histogram of the K-truncated data (sensitivity 1,
-// Lemma 4), fits isotonic regression (L1 per the paper's finding, L2
-// for the ablation) under the boundary condition Hc[K] = G, clamps into
-// [0, G], and rounds, returning the estimated cumulative histogram. The
-// final cell is pinned to the public G, so its noisy value is
-// discarded; the remaining cells' constrained optimum is exactly the
-// box-clamped unconstrained fit.
-//
-// Per Section 5.1.2 the variance of a group with estimated size j is
-// 4/(eps^2 * (number of estimated groups of size j)).
-func estimateHcCore(h histogram.Hist, g int64, p Params, gen *noise.Gen, l1 bool) histogram.Cumulative {
-	hc := h.Sparse().Truncate(int64(p.K)).Cumulative(p.K + 1)
-	noisy := gen.AddDoubleGeometric(hc, 1/p.Epsilon)
-	ys := make([]float64, len(noisy)-1) // cell K is pinned to G
-	for i := range ys {
-		ys[i] = float64(noisy[i])
-	}
-	var fit []float64
-	if l1 {
-		fit = isotonic.FitL1(ys)
-	} else {
-		fit = isotonic.FitL2(ys)
-	}
-	isotonic.ClampBox(fit, 0, float64(g))
-	est := make(histogram.Cumulative, len(fit)+1)
-	for i, z := range fit {
-		est[i] = int64(z + 0.5)
-	}
-	est[len(est)-1] = g
-	return est
 }
 
 // maxFloat is a clamp upper bound meaning "no upper bound".

@@ -184,7 +184,7 @@ func (g *Gateway) RemoveBackend(u string) error {
 	delete(g.clients, u)
 	delete(g.stats, u)
 	// Job hints pointing at the departed backend are dead routes; drop
-	// them so polls fall back to the live scatter.
+	// them so polls fail over across every live backend (anyOrder).
 	for id, owner := range g.jobOwner {
 		if owner == u {
 			delete(g.jobOwner, id)

@@ -173,42 +173,6 @@ func (s Sparse) Add(other Sparse) Sparse {
 	return out
 }
 
-// Truncate records every group of size greater than k as having size k,
-// the H' construction of Section 4.1.
-func (s Sparse) Truncate(k int64) Sparse {
-	out := make(Sparse, 0, len(s))
-	var spill int64
-	for _, r := range s {
-		if r.Size >= k {
-			spill += r.Count
-		} else {
-			out = append(out, r)
-		}
-	}
-	if spill > 0 {
-		out = append(out, Run{Size: k, Count: spill})
-	}
-	return out
-}
-
-// Cumulative returns the dense cumulative representation, padded with
-// the final group count out to length n (n cells, indices 0..n-1). It
-// is the bridge into the estimators, whose noise is necessarily dense:
-// every cumulative cell receives an independent draw.
-func (s Sparse) Cumulative(n int) Cumulative {
-	out := make(Cumulative, n)
-	var run int64
-	i := 0
-	for cell := 0; cell < n; cell++ {
-		for i < len(s) && s[i].Size == int64(cell) {
-			run += s[i].Count
-			i++
-		}
-		out[cell] = run
-	}
-	return out
-}
-
 // EMDSparse computes the earthmover's distance between two sparse
 // histograms without densifying either: between consecutive distinct
 // sizes the cumulative difference is constant, so each gap contributes

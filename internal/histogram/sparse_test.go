@@ -68,34 +68,12 @@ func TestSparseGroupSizes(t *testing.T) {
 	}
 }
 
-func TestSparseAddTruncateDifferential(t *testing.T) {
+func TestSparseAddDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		a, b := randHist(r), randHist(r)
 		if !a.Sparse().Add(b.Sparse()).Hist().Equal(a.Add(b)) {
 			t.Fatalf("trial %d: sparse Add differs from dense", trial)
-		}
-		k := 1 + r.Intn(600)
-		if !a.Sparse().Truncate(int64(k)).Hist().Equal(a.Truncate(k).Trim()) {
-			t.Fatalf("trial %d: sparse Truncate(%d) differs from dense", trial, k)
-		}
-	}
-}
-
-func TestSparseCumulative(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 100; trial++ {
-		h := randHist(r)
-		k := 1 + r.Intn(700)
-		want := h.Truncate(k).Cumulative()
-		got := h.Sparse().Truncate(int64(k)).Cumulative(k + 1)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: length %d != %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: cell %d: %d != %d", trial, i, got[i], want[i])
-			}
 		}
 	}
 }

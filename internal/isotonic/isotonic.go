@@ -339,19 +339,6 @@ func Blocks(zs []float64) [][2]int {
 	return out
 }
 
-// BlockSizes returns, for every index i, the size of the maximal
-// equal-value run containing i in the fitted solution.
-func BlockSizes(zs []float64) []int {
-	out := make([]int, len(zs))
-	for _, b := range Blocks(zs) {
-		n := b[1] - b[0]
-		for i := b[0]; i < b[1]; i++ {
-			out[i] = n
-		}
-	}
-	return out
-}
-
 // IsMonotone reports whether zs is non-decreasing.
 func IsMonotone(zs []float64) bool {
 	for i := 1; i < len(zs); i++ {

@@ -236,13 +236,6 @@ func TestBlocks(t *testing.T) {
 			t.Fatalf("Blocks = %v, want %v", got, want)
 		}
 	}
-	sizes := BlockSizes(zs)
-	wantSizes := []int{1, 2, 2, 3, 3, 3}
-	for i := range wantSizes {
-		if sizes[i] != wantSizes[i] {
-			t.Fatalf("BlockSizes = %v, want %v", sizes, wantSizes)
-		}
-	}
 }
 
 func TestPropFitsAreMonotoneAndNoWorseThanConstant(t *testing.T) {

@@ -5,13 +5,16 @@
 // aggregate, a greedy scan-sharing planner that groups a batch by
 // release key so each distinct artifact is fetched from the serving
 // engine exactly once however many queries touch it, and an evaluator
-// built on lazy iterators over the run-length sparse representation —
-// nothing dense is ever materialized.
+// over the run-length sparse representation that never materializes a
+// dense histogram. The evaluator computes no statistic itself: node
+// reports come from query.ReportSparse, distances from
+// histogram.EMDSparse, and deltas from the runs' group and people
+// totals.
 //
 // Five aggregates are supported. OpStats is the single-release node
 // report: the answer to a GET and to a plain batch entry. The
 // cross-release ops compare releases of the same hierarchy: OpEMD
-// streams the earthmover's distance (drift) between two releases of a
+// reports the earthmover's distance (drift) between two releases of a
 // node, OpDelta the per-node group/people count deltas, OpSeries a time
 // series of the summary statistics across an ordered list of release
 // versions, and OpCompare a side-by-side pair of full node reports (for

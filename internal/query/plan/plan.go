@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hcoc"
+	"hcoc/internal/histogram"
 	"hcoc/internal/query"
 )
 
@@ -16,9 +17,9 @@ const (
 	// OpStats evaluates one node of one release: the always-computed
 	// summary statistics plus whatever Params requests.
 	OpStats Op = "stats"
-	// OpEMD streams the earthmover's distance between two releases of a
+	// OpEMD reports the earthmover's distance between two releases of a
 	// node — the drift measure the paper evaluates accuracy with —
-	// together with the group/people deltas the same pass computes.
+	// together with the group/people deltas.
 	OpEMD Op = "emd"
 	// OpDelta reports the per-node group-count and people-count change
 	// between two releases.
@@ -130,7 +131,7 @@ type Result struct {
 	Err error
 	// Report answers OpStats.
 	Report *query.Report
-	// EMD answers OpEMD (the same pass also fills the deltas below).
+	// EMD answers OpEMD, which also fills the deltas below.
 	EMD *int64
 	// GroupsDelta and PeopleDelta answer OpDelta and OpEMD: second
 	// release minus first.
@@ -179,9 +180,9 @@ func New(queries []Query) *Plan {
 func (p *Plan) Keys() []string { return p.keys }
 
 // Execute fetches each distinct release key exactly once from src, then
-// evaluates every query against the shared artifacts with lazy run
-// scans. Results are index-aligned with the planned queries; fetch
-// failures surface as per-query errors on the queries reading that key.
+// evaluates every query against the shared artifacts with run scans.
+// Results are index-aligned with the planned queries; fetch failures
+// surface as per-query errors on the queries reading that key.
 func (p *Plan) Execute(src Source) []Result {
 	rels := make(map[string]hcoc.SparseHistograms, len(p.keys))
 	errs := make(map[string]error, len(p.keys))
@@ -229,11 +230,10 @@ func eval(q Query, rels map[string]hcoc.SparseHistograms, errs map[string]error)
 		if !okB {
 			return Result{Err: nodeErr(q.Releases[1], q.Node)}
 		}
-		st := scanPair(a, b)
-		groups, people := st.GroupsB-st.GroupsA, st.PeopleB-st.PeopleA
+		groups, people := b.Groups()-a.Groups(), b.People()-a.People()
 		res := Result{GroupsDelta: &groups, PeopleDelta: &people}
 		if q.Op == OpEMD {
-			emd := st.EMD
+			emd := histogram.EMDSparse(a, b)
 			res.EMD = &emd
 		}
 		return res

@@ -74,9 +74,9 @@ func TestParseOp(t *testing.T) {
 	}
 }
 
-// TestDifferentialEMDAndDelta proves the shared-scan cross-release
-// results equal the naive route: fetch each release independently and
-// use the existing per-release functions.
+// TestDifferentialEMDAndDelta proves the cross-release results equal
+// the dense route: the earthmover's distance and the totals of each
+// release's trimmed dense histogram.
 func TestDifferentialEMDAndDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	nodes := []string{"US", "US/CA", "US/NY", "US/TX"}
@@ -97,9 +97,10 @@ func TestDifferentialEMDAndDelta(t *testing.T) {
 			if emdRes.Err != nil || deltaRes.Err != nil {
 				t.Fatalf("trial %d node %s: errs %v, %v", trial, n, emdRes.Err, deltaRes.Err)
 			}
-			wantEMD := histogram.EMDSparse(a[n], b[n])
-			wantGroups := b[n].Groups() - a[n].Groups()
-			wantPeople := b[n].People() - a[n].People()
+			da, db := a[n].Hist(), b[n].Hist()
+			wantEMD := histogram.EMD(da, db)
+			wantGroups := db.Groups() - da.Groups()
+			wantPeople := db.People() - da.People()
 			if *emdRes.EMD != wantEMD {
 				t.Fatalf("trial %d node %s: EMD = %d, want %d", trial, n, *emdRes.EMD, wantEMD)
 			}
@@ -269,19 +270,29 @@ func TestFetchErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestScanPairEmpty covers the empty-vs-nonempty edges the merge join
-// must drain correctly.
-func TestScanPairEmpty(t *testing.T) {
-	a := histogram.SparseFromSizes([]int64{2, 2, 5})
-	var empty histogram.Sparse
-	st := scanPair(a, empty)
-	if st.EMD != histogram.EMDSparse(a, empty) {
-		t.Fatalf("EMD vs empty = %d, want %d", st.EMD, histogram.EMDSparse(a, empty))
-	}
-	if st.GroupsA != 3 || st.PeopleA != 9 || st.GroupsB != 0 || st.PeopleB != 0 {
-		t.Fatalf("totals = %+v", st)
-	}
-	if st := scanPair(empty, empty); st != (pairStats{}) {
-		t.Fatalf("empty/empty = %+v, want zero", st)
+// TestEMDAndDeltaEmpty covers a node with no groups on either side of
+// a pair.
+func TestEMDAndDeltaEmpty(t *testing.T) {
+	full := hcoc.SparseHistograms{"US": histogram.SparseFromSizes([]int64{2, 2, 5})}
+	empty := hcoc.SparseHistograms{"US": nil}
+	src := &mapSource{rels: map[string]hcoc.SparseHistograms{"full": full, "empty": empty}}
+	for _, c := range []struct {
+		a, b                string
+		emd, groups, people int64
+	}{
+		// The cumulative counts of {2, 2, 5} over sizes 0..5 are
+		// 0, 0, 2, 2, 2, 3: the distance to no groups is their sum.
+		{"full", "empty", 9, -3, -9},
+		{"empty", "full", 9, 3, 9},
+		{"empty", "empty", 0, 0, 0},
+	} {
+		res := New([]Query{{Op: OpEMD, Releases: []string{c.a, c.b}, Node: "US"}}).Execute(src)[0]
+		if res.Err != nil {
+			t.Fatalf("%s/%s: %v", c.a, c.b, res.Err)
+		}
+		if *res.EMD != c.emd || *res.GroupsDelta != c.groups || *res.PeopleDelta != c.people {
+			t.Fatalf("%s/%s: (emd, groups, people) = (%d, %d, %d), want (%d, %d, %d)",
+				c.a, c.b, *res.EMD, *res.GroupsDelta, *res.PeopleDelta, c.emd, c.groups, c.people)
+		}
 	}
 }

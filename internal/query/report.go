@@ -47,18 +47,21 @@ type Report struct {
 // in a single scan over its runs: the rank-based statistics (median,
 // quantiles, k-th largest) are converted to ranks up front and answered
 // from the cumulative count, while the Gini accumulator and the
-// top-coded table ride the same loop. It is the batch-friendly core
-// behind the serving engine's /v1/query and /v1/query/batch endpoints —
-// N statistics cost one pass, not N.
+// top-coded table ride the same loop. It is the one implementation of
+// these statistics: the serving engine's /v1/query and /v1/query/batch
+// endpoints and every single-statistic query read their answers off it,
+// so N statistics cost one pass, not N.
 //
-// Explicitly requested statistics on a zero-group node surface
-// ErrEmptyHistogram (matching the individual query functions); the
-// always-computed ones are omitted as zeros.
+// Parameters are checked in order: a negative TopCode, then emptiness,
+// then each quantile, then each rank. Explicitly requested statistics
+// on a zero-group node surface ErrEmptyHistogram (matching the
+// individual query functions); the always-computed ones are omitted as
+// zeros.
 func ReportSparse(s histogram.Sparse, p Params) (Report, error) {
 	// Zero means "not requested"; an explicit negative cap is a caller
 	// bug, named the same way TopCodedSparse names it.
 	if p.TopCode < 0 {
-		return Report{}, fmt.Errorf("query: cap must be >= 1, got %d", p.TopCode)
+		return Report{}, capError(p.TopCode)
 	}
 	rep := Report{Groups: s.Groups(), People: s.People()}
 	g := rep.Groups
@@ -90,16 +93,15 @@ func ReportSparse(s histogram.Sparse, p Params) (Report, error) {
 	targets = append(targets, target{qrank(0.5), &rep.Median})
 	rep.Quantiles = make([]int64, len(p.Quantiles))
 	for i, q := range p.Quantiles {
-		// The negated comparison also rejects NaN.
-		if !(q >= 0 && q <= 1) {
-			return Report{}, fmt.Errorf("query: quantile %g out of [0, 1]", q)
+		if err := checkQuantile(q); err != nil {
+			return Report{}, err
 		}
 		targets = append(targets, target{qrank(q), &rep.Quantiles[i]})
 	}
 	rep.KthLargest = make([]int64, len(p.KthLargest))
 	for i, k := range p.KthLargest {
-		if k < 1 || k > g {
-			return Report{}, fmt.Errorf("query: k = %d out of range [1, %d]", k, g)
+		if err := checkRank(k, g); err != nil {
+			return Report{}, err
 		}
 		targets = append(targets, target{g - k + 1, &rep.KthLargest[i]})
 	}
@@ -136,3 +138,22 @@ func ReportSparse(s histogram.Sparse, p Params) (Report, error) {
 	}
 	return rep, nil
 }
+
+// checkQuantile, checkRank and capError name a malformed parameter with
+// the one text that every query form reports.
+func checkQuantile(q float64) error {
+	// The negated comparison also rejects NaN.
+	if !(q >= 0 && q <= 1) {
+		return fmt.Errorf("query: quantile %g out of [0, 1]", q)
+	}
+	return nil
+}
+
+func checkRank(k, g int64) error {
+	if k < 1 || k > g {
+		return fmt.Errorf("query: k = %d out of range [1, %d]", k, g)
+	}
+	return nil
+}
+
+func capError(cap int) error { return fmt.Errorf("query: cap must be >= 1, got %d", cap) }

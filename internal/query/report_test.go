@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hcoc/internal/histogram"
@@ -21,76 +22,87 @@ func randomSparse(rng *rand.Rand, maxRuns int) histogram.Sparse {
 	return out
 }
 
+// sameReport compares two reports field for field, floats bit for bit
+// and nil slices equal to empty ones.
+func sameReport(a, b Report) bool {
+	return a.Groups == b.Groups && a.People == b.People &&
+		math.Float64bits(a.Mean) == math.Float64bits(b.Mean) && a.Median == b.Median &&
+		math.Float64bits(a.Gini) == math.Float64bits(b.Gini) &&
+		slices.Equal(a.Quantiles, b.Quantiles) && slices.Equal(a.KthLargest, b.KthLargest) &&
+		slices.Equal(a.TopCoded, b.TopCoded)
+}
+
+// checkReport requires ReportSparse over s to equal the dense reference
+// report over s.Hist(): the same statistics, or the same error text.
+func checkReport(t *testing.T, s histogram.Sparse, p Params) {
+	t.Helper()
+	got, err := ReportSparse(s, p)
+	want, werr := reportReference(s.Hist(), p)
+	if !sameErr(err, werr) || !sameReport(got, want) {
+		t.Fatalf("%v %+v: ReportSparse = (%+v, %v), reference (%+v, %v)", s, p, got, err, want, werr)
+	}
+}
+
 // TestReportSparseDifferential pins ReportSparse's single-scan answers
-// to the individual query functions over randomized histograms and
-// parameter sets.
+// to the dense references over randomized histograms and parameter
+// sets, malformed parameters included.
 func TestReportSparseDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
 		s := randomSparse(rng, 12)
 		g := s.Groups()
 
-		p := Params{TopCode: 1 + rng.Intn(9)}
+		p := Params{TopCode: rng.Intn(10)}
 		for i := rng.Intn(4); i > 0; i-- {
 			p.Quantiles = append(p.Quantiles, rng.Float64())
 		}
-		if g > 0 {
-			for i := rng.Intn(4); i > 0; i-- {
-				p.KthLargest = append(p.KthLargest, 1+rng.Int63n(g))
-			}
+		for i := rng.Intn(4); i > 0; i-- {
+			p.KthLargest = append(p.KthLargest, 1+rng.Int63n(g+1))
 		}
-
-		rep, err := ReportSparse(s, p)
-		if g == 0 {
-			if err != ErrEmptyHistogram {
-				t.Fatalf("trial %d: empty histogram with requested stats: got err %v", trial, err)
-			}
-			continue
+		switch rng.Intn(8) {
+		case 0:
+			p.Quantiles = append(p.Quantiles, []float64{math.NaN(), 1.5, -0.25}[rng.Intn(3)])
+		case 1:
+			p.KthLargest = append(p.KthLargest, []int64{0, -3, g + 1}[rng.Intn(3)])
+		case 2:
+			p.TopCode = -1 - rng.Intn(3)
 		}
-		if err != nil {
-			t.Fatalf("trial %d: ReportSparse: %v", trial, err)
-		}
-
-		if rep.Groups != g || rep.People != s.People() {
-			t.Fatalf("trial %d: totals %d/%d, want %d/%d", trial, rep.Groups, rep.People, g, s.People())
-		}
-		wantMean, err := MeanSparse(s)
-		if err != nil || math.Abs(rep.Mean-wantMean) > 1e-12 {
-			t.Fatalf("trial %d: mean %g (err %v), want %g", trial, rep.Mean, err, wantMean)
-		}
-		wantMedian, err := MedianSparse(s)
-		if err != nil || rep.Median != wantMedian {
-			t.Fatalf("trial %d: median %d (err %v), want %d", trial, rep.Median, err, wantMedian)
-		}
-		wantGini, err := GiniSparse(s)
-		if err != nil || math.Abs(rep.Gini-wantGini) > 1e-12 {
-			t.Fatalf("trial %d: gini %g (err %v), want %g", trial, rep.Gini, err, wantGini)
-		}
-		for i, q := range p.Quantiles {
-			want, err := QuantileSparse(s, q)
-			if err != nil || rep.Quantiles[i] != want {
-				t.Fatalf("trial %d: quantile %g = %d (err %v), want %d", trial, q, rep.Quantiles[i], err, want)
-			}
-		}
-		for i, k := range p.KthLargest {
-			want, err := KthLargestSparse(s, k)
-			if err != nil || rep.KthLargest[i] != want {
-				t.Fatalf("trial %d: kth %d = %d (err %v), want %d", trial, k, rep.KthLargest[i], err, want)
-			}
-		}
-		wantTable, err := TopCodedSparse(s, p.TopCode)
-		if err != nil {
-			t.Fatalf("trial %d: TopCodedSparse: %v", trial, err)
-		}
-		if len(rep.TopCoded) != len(wantTable) {
-			t.Fatalf("trial %d: topcoded length %d, want %d", trial, len(rep.TopCoded), len(wantTable))
-		}
-		for i := range wantTable {
-			if rep.TopCoded[i] != wantTable[i] {
-				t.Fatalf("trial %d: topcoded[%d] = %d, want %d", trial, i, rep.TopCoded[i], wantTable[i])
-			}
-		}
+		checkReport(t, s, p)
 	}
+}
+
+// FuzzReportSparse checks ReportSparse and every single-statistic query
+// against the dense references on valid run lists: each run takes three
+// bytes, the gap to its size (under 32, so that the dense references
+// stay cheap) and a two-byte count. The parameters reach
+// NaN and infinite quantiles, ranks out of range and caps up to 4096;
+// kIn is also folded into [0, G+1], so that in-range ranks come up as
+// often as the edges.
+func FuzzReportSparse(f *testing.F) {
+	f.Add([]byte{1, 2, 0, 0, 1, 0, 3, 3, 0}, 0.5, 0.9, int64(2), int64(1), int16(4))
+	f.Add([]byte{0, 9, 0, 255, 0, 1}, math.NaN(), 1.0, int64(0), int64(-1), int16(1))
+	f.Add([]byte{}, 0.0, math.Inf(1), int64(1), int64(3), int16(0))
+	f.Add([]byte{200, 255, 255, 7, 1, 0}, math.Inf(-1), 0.0, int64(1<<40), int64(5), int16(4096))
+	f.Add([]byte{3, 1, 0}, 1e-300, 0.9999999, int64(-7), int64(9), int16(-2))
+	f.Fuzz(func(t *testing.T, raw []byte, q1, q2 float64, k, kIn int64, topcode int16) {
+		var s histogram.Sparse
+		size := int64(-1)
+		for i := 0; i+2 < len(raw) && len(s) < 64; i += 3 {
+			size += 1 + int64(raw[i]%32)
+			s = append(s, histogram.Run{Size: size, Count: 1 + int64(raw[i+1]) + int64(raw[i+2])<<8})
+		}
+		g := s.Groups()
+		kIn = int64(uint64(kIn) % uint64(g+2))
+		cap := int(topcode)
+		if cap > 4096 {
+			cap %= 4097
+		}
+		qs := []float64{q1, q2}
+		checkReport(t, s, Params{Quantiles: qs, KthLargest: []int64{kIn, k}, TopCode: cap})
+		checkReport(t, s, Params{KthLargest: []int64{kIn}, TopCode: cap})
+		checkReport(t, s, Params{})
+		checkQueries(t, s, []int64{k, kIn}, qs, []int{cap})
+	})
 }
 
 func TestReportSparseEmpty(t *testing.T) {

@@ -2,15 +2,83 @@ package query
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hcoc/internal/histogram"
 )
 
-// TestSparseQueryDifferential drives every sparse query and its dense
-// twin over randomized histograms and asserts identical answers and
-// identical error classification.
+// sameErr reports whether two errors are both nil or carry the same
+// text.
+func sameErr(a, b error) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Error() == b.Error()
+}
+
+// checkQueries drives every single-statistic query over s against its
+// dense reference over s.Hist(), with ks as ranks and sizes, qs as
+// quantiles and caps as top-code caps: equal values, equal error text.
+func checkQueries(t *testing.T, s histogram.Sparse, ks []int64, qs []float64, caps []int) {
+	t.Helper()
+	h := s.Hist()
+	for _, k := range ks {
+		sv, se := KthSmallestSparse(s, k)
+		rv, re := kthSmallestReference(h, k)
+		if sv != rv || !sameErr(se, re) {
+			t.Fatalf("%v: KthSmallest(%d) = (%d, %v), reference (%d, %v)", s, k, sv, se, rv, re)
+		}
+		sv, se = KthLargestSparse(s, k)
+		rv, re = kthLargestReference(h, k)
+		if sv != rv || !sameErr(se, re) {
+			t.Fatalf("%v: KthLargest(%d) = (%d, %v), reference (%d, %v)", s, k, sv, se, rv, re)
+		}
+		if sc, rc := CountAtLeastSparse(s, k), countAtLeastReference(h, k); sc != rc {
+			t.Fatalf("%v: CountAtLeast(%d) = %d, reference %d", s, k, sc, rc)
+		}
+	}
+	for _, q := range qs {
+		sv, se := QuantileSparse(s, q)
+		rv, re := quantileReference(h, q)
+		if sv != rv || !sameErr(se, re) {
+			t.Fatalf("%v: Quantile(%g) = (%d, %v), reference (%d, %v)", s, q, sv, se, rv, re)
+		}
+	}
+	svs, se := QuantilesSparse(s, qs)
+	rvs, re := quantilesReference(h, qs)
+	if !slices.Equal(svs, rvs) || !sameErr(se, re) {
+		t.Fatalf("%v: Quantiles(%v) = (%v, %v), reference (%v, %v)", s, qs, svs, se, rvs, re)
+	}
+	sm, se := MedianSparse(s)
+	rm, re := quantileReference(h, 0.5)
+	if sm != rm || !sameErr(se, re) {
+		t.Fatalf("%v: Median = (%d, %v), reference (%d, %v)", s, sm, se, rm, re)
+	}
+	smean, se := MeanSparse(s)
+	rmean, re := meanReference(h)
+	if smean != rmean || !sameErr(se, re) {
+		t.Fatalf("%v: Mean = (%g, %v), reference (%g, %v)", s, smean, se, rmean, re)
+	}
+	sg, se := GiniSparse(s)
+	rg, re := giniReference(h)
+	if sg != rg || !sameErr(se, re) {
+		t.Fatalf("%v: Gini = (%g, %v), reference (%g, %v)", s, sg, se, rg, re)
+	}
+	for _, cap := range caps {
+		st, se := TopCodedSparse(s, cap)
+		rt, re := topCodedReference(h, cap)
+		if !slices.Equal(st, rt) || !sameErr(se, re) {
+			t.Fatalf("%v: TopCoded(%d) = (%v, %v), reference (%v, %v)", s, cap, st, se, rt, re)
+		}
+	}
+}
+
+// TestSparseQueryDifferential drives every single-statistic query over
+// randomized histograms against the dense references, requiring equal
+// answers and equal error text.
 func TestSparseQueryDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 200; trial++ {
@@ -18,90 +86,23 @@ func TestSparseQueryDifferential(t *testing.T) {
 		for n := r.Intn(10); n > 0; n-- {
 			h[r.Intn(len(h))] = int64(r.Intn(40))
 		}
-		s := h.Sparse()
 		g := h.Groups()
-
-		for _, k := range []int64{0, 1, g / 2, g, g + 1} {
-			dv, de := KthSmallest(h, k)
-			sv, se := KthSmallestSparse(s, k)
-			if dv != sv || (de == nil) != (se == nil) {
-				t.Fatalf("trial %d: KthSmallest(%d): dense (%d, %v), sparse (%d, %v)", trial, k, dv, de, sv, se)
-			}
-			dv, de = KthLargest(h, k)
-			sv, se = KthLargestSparse(s, k)
-			if dv != sv || (de == nil) != (se == nil) {
-				t.Fatalf("trial %d: KthLargest(%d): dense (%d, %v), sparse (%d, %v)", trial, k, dv, de, sv, se)
-			}
-		}
-		for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
-			dv, de := Quantile(h, q)
-			sv, se := QuantileSparse(s, q)
-			if dv != sv || (de == nil) != (se == nil) {
-				t.Fatalf("trial %d: Quantile(%g): dense (%d, %v), sparse (%d, %v)", trial, q, dv, de, sv, se)
-			}
-		}
-		qs := []float64{0.9, 0.1, 0.5, 0.5}
-		dvs, de := Quantiles(h, qs)
-		svs, se := QuantilesSparse(s, qs)
-		if (de == nil) != (se == nil) {
-			t.Fatalf("trial %d: Quantiles errors differ: %v vs %v", trial, de, se)
-		}
-		for i := range dvs {
-			if dvs[i] != svs[i] {
-				t.Fatalf("trial %d: Quantiles[%d]: %d != %d", trial, i, dvs[i], svs[i])
-			}
-		}
-		if dm, de := Mean(h); true {
-			sm, se := MeanSparse(s)
-			if dm != sm || (de == nil) != (se == nil) {
-				t.Fatalf("trial %d: Mean: dense (%g, %v), sparse (%g, %v)", trial, dm, de, sm, se)
-			}
-		}
-		if dg, de := Gini(h); true {
-			sg, se := GiniSparse(s)
-			if dg != sg || (de == nil) != (se == nil) {
-				t.Fatalf("trial %d: Gini: dense (%g, %v), sparse (%g, %v)", trial, dg, de, sg, se)
-			}
-		}
-		for _, sz := range []int64{0, 1, 5, 1000} {
-			if CountAtLeast(h, sz) != CountAtLeastSparse(s, sz) {
-				t.Fatalf("trial %d: CountAtLeast(%d) differs", trial, sz)
-			}
-		}
-		for _, cap := range []int{1, 3, 8} {
-			dt, de := TopCoded(h, cap)
-			st, se := TopCodedSparse(s, cap)
-			if (de == nil) != (se == nil) {
-				t.Fatalf("trial %d: TopCoded(%d) errors differ: %v vs %v", trial, cap, de, se)
-			}
-			if de == nil && !dt.Equal(st) {
-				t.Fatalf("trial %d: TopCoded(%d): %v != %v", trial, cap, dt, st)
-			}
-			if de == nil && len(st) != cap+1 {
-				t.Fatalf("trial %d: TopCodedSparse(%d) has %d cells", trial, cap, len(st))
-			}
-		}
+		checkQueries(t, h.Sparse(),
+			[]int64{-1, 0, 1, g / 2, g, g + 1, 5, 1000},
+			[]float64{0, 0.25, 0.5, 0.99, 1, 0.9, 0.1, 0.5, -0.5, 1.5, math.NaN(), math.Inf(1)},
+			[]int{-1, 0, 1, 3, 8})
+		checkQueries(t, h.Sparse(), nil, []float64{0.9, 0.1, 0.5, 0.5}, nil)
 	}
 }
 
-// TestEmptyHistogramTypedError pins the satellite fix: every query that
-// is undefined on a zero-group node reports ErrEmptyHistogram, dense
-// and sparse alike.
+// TestEmptyHistogramTypedError pins that every query that is undefined
+// on a zero-group node reports ErrEmptyHistogram.
 func TestEmptyHistogramTypedError(t *testing.T) {
-	empty := histogram.Hist{0, 0}
 	se := histogram.Sparse{}
 	checks := []struct {
 		name string
 		err  error
 	}{
-		{"KthSmallest", func() error { _, err := KthSmallest(empty, 1); return err }()},
-		{"KthLargest", func() error { _, err := KthLargest(empty, 1); return err }()},
-		{"Quantile", func() error { _, err := Quantile(empty, 0.5); return err }()},
-		{"Quantiles", func() error { _, err := Quantiles(empty, []float64{0.5}); return err }()},
-		{"Median", func() error { _, err := Median(empty); return err }()},
-		{"Mean", func() error { _, err := Mean(empty); return err }()},
-		{"Gini", func() error { _, err := Gini(empty); return err }()},
-		{"TopCoded", func() error { _, err := TopCoded(empty, 3); return err }()},
 		{"KthSmallestSparse", func() error { _, err := KthSmallestSparse(se, 1); return err }()},
 		{"KthLargestSparse", func() error { _, err := KthLargestSparse(se, 1); return err }()},
 		{"QuantileSparse", func() error { _, err := QuantileSparse(se, 0.5); return err }()},
@@ -117,10 +118,11 @@ func TestEmptyHistogramTypedError(t *testing.T) {
 		}
 	}
 	// Parameter errors must stay distinguishable from emptiness.
-	if _, err := TopCoded(histogram.Hist{1}, 0); errors.Is(err, ErrEmptyHistogram) || err == nil {
-		t.Errorf("TopCoded(cap=0) = %v, want a non-empty-histogram error", err)
+	one := histogram.Sparse{{Size: 0, Count: 1}}
+	if _, err := TopCodedSparse(one, 0); errors.Is(err, ErrEmptyHistogram) || err == nil {
+		t.Errorf("TopCodedSparse(cap=0) = %v, want a non-empty-histogram error", err)
 	}
-	if _, err := Quantile(histogram.Hist{1}, 2); errors.Is(err, ErrEmptyHistogram) || err == nil {
-		t.Errorf("Quantile(q=2) = %v, want a non-empty-histogram error", err)
+	if _, err := QuantileSparse(one, 2); errors.Is(err, ErrEmptyHistogram) || err == nil {
+		t.Errorf("QuantileSparse(q=2) = %v, want a non-empty-histogram error", err)
 	}
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // The query helpers below are pure post-processing of released
-// histograms and incur no additional privacy cost. Each has a Sparse
-// twin that answers against the run-length representation in
-// O(distinct sizes); every query that is undefined on a zero-group
-// node returns ErrEmptyHistogram.
+// histograms and incur no additional privacy cost. Each Sparse form
+// answers against the run-length representation in O(distinct sizes);
+// the dense form converts its histogram to runs and calls it, so the
+// two give the same answers and the same errors. Every query that is
+// undefined on a zero-group node returns ErrEmptyHistogram.
 
 // ErrEmptyHistogram is the typed error returned by order statistics,
 // quantiles, mean, Gini, and top-coded tables evaluated on a node with
@@ -20,7 +21,7 @@ var ErrEmptyHistogram = query.ErrEmptyHistogram
 
 // KthSmallest returns the size of the k-th smallest group (1-based).
 func KthSmallest(h Histogram, k int64) (int64, error) {
-	return query.KthSmallest(h, k)
+	return query.KthSmallestSparse(h.Sparse(), k)
 }
 
 // KthSmallestSparse is KthSmallest over the run-length representation.
@@ -32,7 +33,7 @@ func KthSmallestSparse(s SparseHistogram, k int64) (int64, error) {
 // unattributed-histogram query ("what is the size of the kth largest
 // group?").
 func KthLargest(h Histogram, k int64) (int64, error) {
-	return query.KthLargest(h, k)
+	return query.KthLargestSparse(h.Sparse(), k)
 }
 
 // KthLargestSparse is KthLargest over the run-length representation.
@@ -43,7 +44,7 @@ func KthLargestSparse(s SparseHistogram, k int64) (int64, error) {
 // Quantile returns the q-th quantile (0 <= q <= 1) of the group-size
 // distribution.
 func Quantile(h Histogram, q float64) (int64, error) {
-	return query.Quantile(h, q)
+	return query.QuantileSparse(h.Sparse(), q)
 }
 
 // QuantileSparse is Quantile over the run-length representation.
@@ -55,7 +56,7 @@ func QuantileSparse(s SparseHistogram, q float64) (int64, error) {
 // index-aligned with qs. It is the batch form hcoc-serve uses to answer
 // multi-quantile queries in one read.
 func Quantiles(h Histogram, qs []float64) ([]int64, error) {
-	return query.Quantiles(h, qs)
+	return query.QuantilesSparse(h.Sparse(), qs)
 }
 
 // QuantilesSparse is Quantiles over the run-length representation.
@@ -64,21 +65,21 @@ func QuantilesSparse(s SparseHistogram, qs []float64) ([]int64, error) {
 }
 
 // Median returns the median group size.
-func Median(h Histogram) (int64, error) { return query.Median(h) }
+func Median(h Histogram) (int64, error) { return query.MedianSparse(h.Sparse()) }
 
 // MedianSparse is Median over the run-length representation.
 func MedianSparse(s SparseHistogram) (int64, error) { return query.MedianSparse(s) }
 
 // MeanGroupSize returns the mean group size; a zero-group histogram is
 // ErrEmptyHistogram.
-func MeanGroupSize(h Histogram) (float64, error) { return query.Mean(h) }
+func MeanGroupSize(h Histogram) (float64, error) { return query.MeanSparse(h.Sparse()) }
 
 // MeanGroupSizeSparse is MeanGroupSize over the run-length
 // representation.
 func MeanGroupSizeSparse(s SparseHistogram) (float64, error) { return query.MeanSparse(s) }
 
 // CountAtLeast returns the number of groups of size >= s.
-func CountAtLeast(h Histogram, s int64) int64 { return query.CountAtLeast(h, s) }
+func CountAtLeast(h Histogram, s int64) int64 { return query.CountAtLeastSparse(h.Sparse(), s) }
 
 // CountAtLeastSparse is CountAtLeast over the run-length
 // representation.
@@ -89,7 +90,7 @@ func CountAtLeastSparse(s SparseHistogram, size int64) int64 {
 // Gini returns the Gini coefficient of the group-size distribution, a
 // skewness summary in [0, 1]; a zero-group histogram is
 // ErrEmptyHistogram.
-func Gini(h Histogram) (float64, error) { return query.Gini(h) }
+func Gini(h Histogram) (float64, error) { return query.GiniSparse(h.Sparse()) }
 
 // GiniSparse is Gini over the run-length representation.
 func GiniSparse(s SparseHistogram) (float64, error) { return query.GiniSparse(s) }
@@ -97,7 +98,7 @@ func GiniSparse(s SparseHistogram) (float64, error) { return query.GiniSparse(s)
 // TopCoded returns the census-style truncated table: counts for sizes
 // 0..cap-1 plus a "cap or more" bucket (the 2010 Summary File 1 shape).
 func TopCoded(h Histogram, cap int) (Histogram, error) {
-	return query.TopCoded(h, cap)
+	return query.TopCodedSparse(h.Sparse(), cap)
 }
 
 // TopCodedSparse is TopCoded over the run-length representation; the
