@@ -63,8 +63,9 @@ staticcheck:
 
 # Short fuzz budget over the CSV/dataset parser, the release-artifact
 # decoder, the isotonic fits, the event log's delta apply, the batch
-# query body, the events-append body, the table-driven noise draws and
-# the node report against the dense references, as in CI.
+# query body, the events-append body, the table-driven noise draws, the
+# node report against the dense references and the store's manifest
+# replay, as in CI.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadGroups -fuzztime=10s ./internal/dataset
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRelease -fuzztime=10s .
@@ -74,6 +75,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzAppendEvents -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzDoubleGeometric -fuzztime=10s ./internal/noise
 	$(GO) test -run=NONE -fuzz=FuzzReportSparse -fuzztime=10s ./internal/query
+	$(GO) test -run=NONE -fuzz=FuzzManifestReplay -fuzztime=10s ./internal/store
 
 serve:
 	$(GO) run ./cmd/hcoc-serve

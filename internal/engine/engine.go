@@ -227,6 +227,9 @@ type Engine struct {
 	// historical ones replayed from the store manifest. Both bounds are
 	// checked against it.
 	epsSpent map[string]float64
+	// epsTotal is the sum of epsSpent, kept by every write to it, so
+	// Metrics reads it without walking the ledger.
+	epsTotal float64
 
 	// epsReplayed is the spend replayed from the store manifest at
 	// construction: subtracting it from the live total gives the spend
@@ -286,6 +289,7 @@ func New(opts Options) *Engine {
 				e.epsReplayed += spent
 			}
 		}
+		e.epsTotal = e.epsReplayed
 	}
 	return e
 }
@@ -677,6 +681,7 @@ func (e *Engine) charge(fp string, eps float64, lineage func() []string) error {
 		return err
 	}
 	e.epsSpent[fp] += eps
+	e.epsTotal += eps
 	return nil
 }
 
@@ -719,7 +724,11 @@ func (e *Engine) spentOver(fps []string) float64 {
 func (e *Engine) refund(fp string, eps float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.epsSpent[fp] -= eps; e.epsSpent[fp] <= 0 {
+	if left := e.epsSpent[fp] - eps; left > 0 {
+		e.epsSpent[fp] = left
+		e.epsTotal -= eps
+	} else {
+		e.epsTotal -= e.epsSpent[fp]
 		delete(e.epsSpent, fp)
 	}
 }
@@ -942,14 +951,8 @@ func (e *Engine) Metrics() Metrics {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var spent float64
-	for _, eps := range e.epsSpent {
-		spent += eps
-	}
-	local := spent - e.epsReplayed
-	if local < 0 {
-		local = 0
-	}
+	spent := e.epsTotal
+	local := max(spent-e.epsReplayed, 0)
 	return Metrics{
 		CacheHits:         e.hits,
 		CacheMisses:       e.misses,

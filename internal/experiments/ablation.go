@@ -32,16 +32,16 @@ func AblationTable(cfg Config) (Table, error) {
 	for run := 0; run < cfg.Runs; run++ {
 		gen := noise.New(cfg.Seed + int64(run)*5413)
 		p := estimator.Params{Epsilon: 0.1, K: cfg.K}
-		r1, err := estimator.Estimate(estimator.MethodHc, tree.Root.Hist, p, gen)
+		h1, err := estimateHist(estimator.MethodHc, tree.Root.Hist, p, gen)
 		if err != nil {
 			return Table{}, err
 		}
-		r2, err := estimator.Estimate(estimator.MethodHcL2, tree.Root.Hist, p, gen)
+		h2, err := estimateHist(estimator.MethodHcL2, tree.Root.Hist, p, gen)
 		if err != nil {
 			return Table{}, err
 		}
-		l1.Add(float64(histogram.EMD(tree.Root.Hist, r1.Hist)))
-		l2.Add(float64(histogram.EMD(tree.Root.Hist, r2.Hist)))
+		l1.Add(float64(histogram.EMD(tree.Root.Hist, h1)))
+		l2.Add(float64(histogram.EMD(tree.Root.Hist, h2)))
 	}
 	t.Rows = append(t.Rows, []string{
 		"Hc isotonic norm", fmt.Sprintf("L1: %.0f", l1.Mean()), fmt.Sprintf("L2: %.0f", l2.Mean()), "White",

@@ -62,6 +62,17 @@ type Series struct {
 	Std  []float64
 }
 
+// estimateHist runs a single-node estimate and returns its histogram,
+// without the per-group variances Estimate would expand and every
+// experiment here discards.
+func estimateHist(m estimator.Method, h histogram.Hist, p estimator.Params, gen *noise.Gen) (histogram.Hist, error) {
+	runs, err := estimator.EstimateRuns(m, h, p, gen)
+	if err != nil {
+		return nil, err
+	}
+	return estimator.RunsHist(runs), nil
+}
+
 // levelErrors computes the paper's metric: the earthmover's distance per
 // node, averaged within each level.
 func levelErrors(tree *hierarchy.Tree, rel consistency.Release) []float64 {
@@ -162,16 +173,16 @@ func NaiveTable(cfg Config) (Table, error) {
 		for run := 0; run < cfg.Runs; run++ {
 			gen := noise.New(cfg.Seed + int64(run)*104729)
 			p := estimator.Params{Epsilon: 1, K: cfg.K}
-			resN, err := estimator.Estimate(estimator.MethodNaive, tree.Root.Hist, p, gen)
+			estN, err := estimateHist(estimator.MethodNaive, tree.Root.Hist, p, gen)
 			if err != nil {
 				return Table{}, err
 			}
-			resC, err := estimator.Estimate(estimator.MethodHc, tree.Root.Hist, p, gen)
+			estC, err := estimateHist(estimator.MethodHc, tree.Root.Hist, p, gen)
 			if err != nil {
 				return Table{}, err
 			}
-			naive.Add(float64(histogram.EMD(tree.Root.Hist, resN.Hist)))
-			hc.Add(float64(histogram.EMD(tree.Root.Hist, resC.Hist)))
+			naive.Add(float64(histogram.EMD(tree.Root.Hist, estN)))
+			hc.Add(float64(histogram.EMD(tree.Root.Hist, estC)))
 		}
 		ratio := 0.0
 		if hc.Mean() > 0 {
@@ -259,11 +270,11 @@ func Fig1(cfg Config) ([]Series, error) {
 	var out []Series
 	for _, m := range []estimator.Method{estimator.MethodHg, estimator.MethodHc} {
 		gen := noise.New(cfg.Seed + 31)
-		res, err := estimator.Estimate(m, truth, estimator.Params{Epsilon: 1, K: cfg.K}, gen)
+		est, err := estimateHist(m, truth, estimator.Params{Epsilon: 1, K: cfg.K}, gen)
 		if err != nil {
 			return nil, err
 		}
-		estCum := res.Hist.Pad(len(truth)).Cumulative()
+		estCum := est.Pad(len(truth)).Cumulative()
 		s := Series{Name: m.String()}
 		for size, count := range truth {
 			if count == 0 {

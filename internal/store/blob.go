@@ -55,9 +55,10 @@ type BlobStore interface {
 	// Name identifies the backend ("disk", "s3") for metrics and logs.
 	Name() string
 	// Shared reports whether other processes may write the same
-	// backing store concurrently (a bucket shared by a fleet). Store
-	// uses it to re-read the manifest on a miss instead of trusting
-	// the boot-time snapshot.
+	// backing store concurrently (a bucket shared by a fleet). On a
+	// miss, Store then Stats the key's artifact instead of trusting
+	// its last replay, and re-reads the manifest only when the
+	// artifact is there.
 	Shared() bool
 	Put(key string, data []byte) error
 	Get(key string) (io.ReadSeekCloser, BlobInfo, error)

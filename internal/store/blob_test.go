@@ -326,7 +326,7 @@ func TestStoreS3TornFinalChunk(t *testing.T) {
 
 // TestStoreSharedRefreshOnMiss: a second Store over the same bucket
 // sees a key released after its boot-time replay, because a shared
-// backend refreshes the index on a miss.
+// backend refreshes the index on a miss whose artifact is in the bucket.
 func TestStoreSharedRefreshOnMiss(t *testing.T) {
 	srv := httptest.NewServer(s3stub.New("hcoc-test"))
 	defer srv.Close()

@@ -19,10 +19,11 @@
 //     manifest is a sequence of chunk objects under manifest/,
 //     replayed by listing, sorting, and concatenating them; a handle
 //     keeps the chunks it has written or fetched, so a re-read fetches
-//     only chunks it has not seen. An S3
-//     backend is Shared: several serve nodes may point at one bucket,
-//     and a node with an empty local disk warm-starts directly from
-//     the shared manifest.
+//     only chunks it has not seen. An S3 backend is Shared: several
+//     serve nodes may point at one bucket, a lookup that misses the
+//     index HEADs the key's artifact and re-reads the manifest only
+//     when another node has put it, and a node with an empty local
+//     disk warm-starts directly from the shared manifest.
 //
 // Logical layout (file paths on disk, object keys on S3):
 //

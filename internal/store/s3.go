@@ -52,10 +52,12 @@ type S3Options struct {
 // nanosecond timestamp, so lexicographic order is append order.
 //
 // An S3 backend reports Shared: several processes may write the same
-// bucket, and Store re-reads the manifest on index misses. To keep
-// those re-reads cheap, the handle keeps the bytes of every complete
-// manifest chunk it has written or fetched, so a re-read costs one
-// LIST per page of chunks plus one GET per chunk it has never seen.
+// bucket. On an index miss Store HEADs the key's artifact, and a 404
+// ends the miss there; only an artifact another process has put makes
+// it re-read the manifest. To keep those re-reads cheap, the handle
+// keeps the bytes of every complete manifest chunk it has written or
+// fetched, so a re-read costs one LIST per page of chunks plus one GET
+// per chunk it has never seen.
 type S3 struct {
 	opts   S3Options
 	base   string // endpoint/bucket, no trailing slash

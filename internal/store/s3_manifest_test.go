@@ -1,20 +1,26 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
+	"hcoc"
 	"hcoc/internal/store/s3stub"
 )
 
-// s3Counts tallies the requests and TCP dials an S3 backend makes.
+// s3Counts tallies the requests and TCP dials an S3 backend makes;
+// order names the requests in the order they were sent.
 type s3Counts struct {
 	lists, gets, heads, puts, dials int
+	order                           []string
 }
 
 // requestCounter is an http.RoundTripper that counts S3 requests by
@@ -24,6 +30,9 @@ type requestCounter struct {
 
 	mu sync.Mutex
 	n  s3Counts
+	// headStatus, when nonzero, answers the next HEAD with that status
+	// without sending it.
+	headStatus int
 }
 
 func newRequestCounter() *requestCounter {
@@ -40,9 +49,11 @@ func newRequestCounter() *requestCounter {
 
 func (c *requestCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 	c.mu.Lock()
+	kind := r.Method
 	switch {
 	case r.Method == http.MethodGet && r.URL.Query().Has("list-type"):
 		c.n.lists++
+		kind = "LIST"
 	case r.Method == http.MethodGet:
 		c.n.gets++
 	case r.Method == http.MethodHead:
@@ -50,8 +61,27 @@ func (c *requestCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 	case r.Method == http.MethodPut:
 		c.n.puts++
 	}
+	c.n.order = append(c.n.order, kind)
+	status := 0
+	if r.Method == http.MethodHead {
+		status, c.headStatus = c.headStatus, 0
+	}
 	c.mu.Unlock()
+	if status != 0 {
+		return &http.Response{
+			Status: fmt.Sprintf("%d %s", status, http.StatusText(status)), StatusCode: status,
+			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+			Header: make(http.Header), Body: http.NoBody, Request: r,
+		}, nil
+	}
 	return c.tr.RoundTrip(r)
+}
+
+// failNextHead makes the next HEAD answer status.
+func (c *requestCounter) failNextHead(status int) {
+	c.mu.Lock()
+	c.headStatus = status
+	c.mu.Unlock()
 }
 
 // take returns the counts so far and resets them.
@@ -269,6 +299,105 @@ func TestS3ManifestColdReadReusesConnection(t *testing.T) {
 		t.Fatalf("cold replay of 200 chunks made %+v, want 200 GETs over at most 2 dials", got)
 	}
 	wantSpent(t, s, "fp1", 200)
+}
+
+// TestS3SharedMissCost pins what a shared-store miss costs over a
+// 200-chunk manifest. A key with no artifact is one HEAD and never
+// reads the manifest; only an artifact in the bucket — a peer's
+// release, or one whose manifest line never landed — pays the LIST
+// refresh, and only a manifest line makes it a hit. A HEAD that fails
+// other than 404 proves nothing, so it refreshes too.
+func TestS3SharedMissCost(t *testing.T) {
+	srv := httptest.NewServer(s3stub.New("hcoc-test"))
+	defer srv.Close()
+	writer := manifestStore(t, srv.URL, 0, nil)
+	defer writer.Close()
+	appendCharges(t, writer, "fp1", 200)
+
+	c := newRequestCounter()
+	s := manifestStore(t, srv.URL, 0, c)
+	defer s.Close()
+	rel, _ := testRelease(t, 1)
+	wantOrder := func(t *testing.T, op string, want ...string) {
+		t.Helper()
+		if got := c.take(); strings.Join(got.order, " ") != strings.Join(want, " ") {
+			t.Fatalf("%s made %v, want %v", op, got.order, want)
+		}
+	}
+	// peerPut has the writer charge and put key, two manifest chunks.
+	peerPut := func(t *testing.T, key, fp string) {
+		t.Helper()
+		if err := writer.AppendCharge(meta(key, fp, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := writer.PutRelease(meta(key, fp, 1), rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.take()
+
+	t.Run("no-artifact", func(t *testing.T) {
+		if _, _, err := s.GetRelease("absent"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("GetRelease: %v, want ErrNotFound", err)
+		}
+		wantOrder(t, "GetRelease of a key with no artifact", "HEAD")
+		if _, _, _, err := s.OpenRelease("absent"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("OpenRelease: %v, want ErrNotFound", err)
+		}
+		wantOrder(t, "OpenRelease of a key with no artifact", "HEAD")
+	})
+
+	t.Run("peer-put", func(t *testing.T) {
+		peerPut(t, "peer", "fp2")
+		got, m, err := s.GetRelease("peer")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The miss: HEAD, LIST, one GET per new chunk; then the
+		// artifact read: HEAD, GET.
+		wantOrder(t, "GetRelease of a peer's key", "HEAD", "LIST", "GET", "GET", "HEAD", "GET")
+		if m.Key != "peer" || m.Epsilon != 1 {
+			t.Fatalf("meta = %+v", m)
+		}
+		for path, h := range rel {
+			if !h.Equal(got[path]) {
+				t.Fatalf("peer's release differs at %q", path)
+			}
+		}
+		wantSpent(t, s, "fp2", 1)
+	})
+
+	t.Run("artifact-without-line", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := hcoc.WriteReleaseSparse(&buf, rel, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := writer.Blob().Put(releaseKey("orphan"), buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.GetRelease("orphan"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("GetRelease: %v, want ErrNotFound", err)
+		}
+		wantOrder(t, "GetRelease of an unindexed artifact", "HEAD", "LIST")
+		if _, _, _, err := s.OpenRelease("orphan"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("OpenRelease: %v, want ErrNotFound", err)
+		}
+		wantOrder(t, "OpenRelease of an unindexed artifact", "HEAD", "LIST")
+	})
+
+	for _, status := range []int{http.StatusInternalServerError, http.StatusForbidden} {
+		t.Run(fmt.Sprintf("head-%d", status), func(t *testing.T) {
+			key := fmt.Sprintf("peer-%d", status)
+			peerPut(t, key, key)
+			c.take()
+			c.failNextHead(status)
+			if _, _, err := s.GetRelease(key); err != nil {
+				t.Fatal(err)
+			}
+			wantOrder(t, fmt.Sprintf("GetRelease after a HEAD answered %d", status), "HEAD", "LIST", "GET", "GET", "HEAD", "GET")
+			wantSpent(t, s, key, 1)
+		})
+	}
 }
 
 // BenchmarkManifestRefresh measures a manifest read over an in-process

@@ -96,9 +96,9 @@ func releaseKey(key string) string { return "releases/" + key + ".json" }
 
 // Store is a durable release store over a pluggable BlobStore backend.
 // It keeps an in-memory index replayed from the backend's manifest log;
-// on a Shared backend the index may lag other writers, so misses
-// trigger a Refresh before being reported. It is safe for concurrent
-// use.
+// on a Shared backend the index may lag other writers, so a miss Stats
+// the key's artifact and, only when another writer has put it, runs a
+// Refresh before being reported. It is safe for concurrent use.
 type Store struct {
 	b BlobStore
 
@@ -191,7 +191,10 @@ func (s *Store) Shared() bool { return s.b.Shared() }
 
 // loadManifest replays the backend's manifest log into a fresh index.
 // It tolerates a torn final line (crash mid-append) and rejects
-// corruption anywhere else.
+// corruption anywhere else. An append writes its newline last, so a
+// torn line is the one unterminated line, the last; a complete line
+// that does not parse is corruption even at the end, where tolerating
+// it would let the next append turn it into a store that cannot open.
 func (s *Store) loadManifest() (*index, error) {
 	r, err := s.b.ManifestReader()
 	if err != nil {
@@ -202,23 +205,25 @@ func (s *Store) loadManifest() (*index, error) {
 	idx := newIndex()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var pendingErr error
+	terminated := false // whether the line just scanned ended in '\n'
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		terminated = adv > 0 && data[adv-1] == '\n'
+		return adv, tok, err
+	})
 	line := 0
 	for sc.Scan() {
 		line++
-		// A parse failure is only tolerated on the final line (torn
-		// append); seeing another line after one means real corruption.
-		if pendingErr != nil {
-			return nil, pendingErr
-		}
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
 			continue
 		}
 		var m Meta
-		if err := json.Unmarshal([]byte(raw), &m); err != nil || m.Key == "" {
-			pendingErr = fmt.Errorf("store: manifest line %d is corrupt: %q", line, raw)
-			continue
+		if err := json.Unmarshal(raw, &m); err != nil || m.Key == "" {
+			if !terminated {
+				break // a torn append
+			}
+			return nil, fmt.Errorf("store: manifest line %d is corrupt: %q", line, raw)
 		}
 		idx.record(m)
 	}
@@ -310,15 +315,22 @@ func (s *Store) PutRelease(m Meta, rel hcoc.SparseHistograms) error {
 	return s.appendEntry(m)
 }
 
-// meta looks up a key's manifest entry. On a shared backend a miss
-// re-reads the manifest once before giving up — another process may
-// have released the key since our last replay.
+// meta looks up a key's manifest entry. On a shared backend another
+// process may have released the key since our last replay, so a miss
+// first Stats the key's artifact (one HEAD on S3). PutRelease, the only
+// writer of release lines, puts the artifact before its line and
+// nothing deletes artifacts, so ErrNoBlob proves no line indexes the
+// key: the miss stands without reading the manifest. A found artifact,
+// or any other Stat error, re-reads the manifest once before giving up.
 func (s *Store) meta(key string) (Meta, bool) {
 	s.mu.Lock()
 	m, ok := s.idx.metas[key]
 	s.mu.Unlock()
 	if ok || !s.b.Shared() {
 		return m, ok
+	}
+	if _, err := s.b.Stat(releaseKey(key)); errors.Is(err, ErrNoBlob) {
+		return Meta{}, false
 	}
 	if err := s.Refresh(); err != nil {
 		return Meta{}, false

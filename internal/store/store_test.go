@@ -379,6 +379,20 @@ func TestCorruptManifestMidFile(t *testing.T) {
 	}
 }
 
+// TestCorruptManifestFinalLine: a complete (newline-terminated) final
+// line that does not parse is corruption too, not a torn append: an
+// append writes its newline last.
+func TestCorruptManifestFinalLine(t *testing.T) {
+	dir := t.TempDir()
+	valid := `{"key":"k1","hierarchy":"fp1","epsilon":1}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "manifest.jsonl"), []byte(valid+"not json\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil {
+		t.Fatal("a corrupt complete final line opened cleanly")
+	}
+}
+
 // TestHierarchyRoundtrip pins the read side of the legacy layout: a
 // hierarchies/<fp>.json object loads back as its root and groups.
 func TestHierarchyRoundtrip(t *testing.T) {
