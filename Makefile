@@ -86,7 +86,7 @@ serve:
 # JSON route.
 docs-check:
 	$(GO) test -run TestGodocConventions .
-	$(GO) test -run 'TestOpenAPI|TestRoutesStable|TestGatewayRoutesStable|TestWireGolden' ./internal/serve ./internal/gateway
+	$(GO) test -run 'TestOpenAPI|TestRoutesStable|TestGatewayRoutesStable|TestWireGolden|TestGatewayWireGolden' ./internal/serve ./internal/gateway
 
 # The repository benchmark (perfbench/) is its own module, which
 # ./... in this one skips: build, vet and test it against the root

@@ -1,9 +1,7 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,11 +9,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"hcoc/internal/httpx"
 )
 
 // Default transport tuning. Every knob has an Option.
@@ -28,22 +26,7 @@ const (
 	DefaultBackoff = 100 * time.Millisecond
 	// DefaultMaxBackoff caps the growing retry delay.
 	DefaultMaxBackoff = 5 * time.Second
-	// gzipThreshold is the smallest request body the client compresses:
-	// bodies of at least 1 KiB go out gzipped. Hierarchy uploads are
-	// highly repetitive JSON and typically shrink 10-20x; tiny bodies
-	// are not worth the header overhead.
-	gzipThreshold = 1 << 10
 )
-
-// gzipWriters pools request compressors. A flate writer's state is
-// about 800 KB, and only bodies of gzipThreshold bytes or more use
-// one, so a bounded idle list (as for decompressors) would pin a
-// megabyte per slot in every process that ever sent one; a sync.Pool
-// lets an idle process drop it after two garbage collections. Reset
-// clears 640 KB of hash chains at the default level, so a compressor
-// is reset when it is taken, not when it is put back: an idle one may
-// still point at the last call's buffer, which it never writes again.
-var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 
 // Client is a typed HTTP client for an hcoc-serve daemon. It covers
 // every /v1 endpoint, retries backpressure responses with exponential
@@ -285,55 +268,41 @@ func (c *Client) delay(attempt int, err error) time.Duration {
 }
 
 // once is a single request/response cycle. path is joined to the base
-// URL verbatim, so callers control its escaping. A 2xx answer's body
-// goes to out: handed to it when out is a func(io.Reader) error,
+// URL verbatim, so callers control its escaping. A body of at least
+// httpx.GzipMinSize bytes goes out gzipped (hierarchy uploads are
+// highly repetitive JSON and typically shrink 10-20x). A 2xx answer's
+// body goes to out: handed to it when out is a func(io.Reader) error,
 // decoded into it as JSON otherwise, and drained when out is nil.
 func (c *Client) once(ctx context.Context, method, path string, body []byte, out any, hdr map[string]string) error {
-	u := strings.TrimSuffix(c.base.String(), "/") + path
-
 	var rd io.Reader
 	gzipped := false
 	if body != nil {
-		if !c.noGzip && len(body) >= gzipThreshold {
-			var buf bytes.Buffer
-			zw := gzipWriters.Get().(*gzip.Writer)
-			zw.Reset(&buf)
-			if _, err := zw.Write(body); err == nil && zw.Close() == nil {
-				rd, gzipped = &buf, true
-			} else {
-				rd = bytes.NewReader(body)
+		if !c.noGzip && len(body) >= httpx.GzipMinSize {
+			if zb, err := httpx.Gzip(body); err == nil {
+				rd, gzipped = zb, true
 			}
-			gzipWriters.Put(zw)
-		} else {
+		}
+		if !gzipped {
 			rd = bytes.NewReader(body)
 		}
 	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
-	if err != nil {
-		return fmt.Errorf("client: building request: %w", err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-		if gzipped {
-			req.Header.Set("Content-Encoding", "gzip")
+	resp, err := c.send(ctx, method, path, rd, func(h http.Header) {
+		if body != nil {
+			h.Set("Content-Type", "application/json")
+			if gzipped {
+				h.Set("Content-Encoding", "gzip")
+			}
 		}
-	}
-	req.Header.Set("User-Agent", c.userAgent)
-	// Asking for gzip here, as the transport would, keeps the transport
-	// from decompressing: readBody does it with a reused decompressor.
-	req.Header.Set("Accept-Encoding", "gzip")
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		// Surface the context end itself so callers (and the retry
-		// predicate) see context.Canceled/DeadlineExceeded.
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return fmt.Errorf("client: %w", ctxErr)
+		// Asking for gzip here, as the transport would, keeps the
+		// transport from decompressing: readBody does it with a reused
+		// decompressor.
+		h.Set("Accept-Encoding", "gzip")
+		for k, v := range hdr {
+			h.Set(k, v)
 		}
-		return fmt.Errorf("client: %s %s: %w", method, path, &transportError{err})
+	})
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
 
@@ -356,52 +325,28 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	return readBody(resp, read)
 }
 
-// decompressor is an idle response decompressor: a gzip reader with
-// its 32 KB flate window, and the buffer it reads the body through.
-type decompressor struct {
-	br *bufio.Reader
-	zr gzip.Reader
-}
-
-// decompressors holds idle decompressors. Decompression is CPU-bound,
-// so one idle decompressor per CPU is kept, and no more.
-var decompressors = make(chan *decompressor, runtime.GOMAXPROCS(0))
-
 // drainLimit bounds what readBody reads past the part of a body it
 // used, so that the connection can carry the next request; a longer
 // remainder costs less to drop with the connection.
 const drainLimit = 64 << 10
 
-// readBody calls read with resp's body, decompressed through an idle
-// decompressor when the answer is Content-Encoding: gzip. It then reads
-// the rest of the body, and only then returns the decompressor to the
-// idle list.
+// readBody calls read with resp's body, decompressed through a reused
+// decompressor when the answer is Content-Encoding: gzip, then reads
+// the rest of the body.
 func readBody(resp *http.Response, read func(io.Reader) error) error {
-	if !strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		err := read(resp.Body)
-		_, _ = io.CopyN(io.Discard, resp.Body, drainLimit)
-		return err
-	}
-	var d *decompressor
-	select {
-	case d = <-decompressors:
-		d.br.Reset(resp.Body)
-	default:
-		d = &decompressor{br: bufio.NewReader(resp.Body)}
-	}
-	err := d.zr.Reset(d.br)
-	if err == nil {
-		err = read(&d.zr)
-		_, _ = io.CopyN(io.Discard, &d.zr, drainLimit)
+	var err error
+	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
+		var d *httpx.Decompressor
+		if d, err = httpx.NewDecompressor(resp.Body); err == nil {
+			err = read(d)
+			d.Close()
+		} else {
+			err = fmt.Errorf("client: decompressing response: %w", err)
+		}
 	} else {
-		err = fmt.Errorf("client: decompressing response: %w", err)
+		err = read(resp.Body)
 	}
-	_, _ = io.CopyN(io.Discard, d.br, drainLimit)
-	d.br.Reset(nil) // an idle decompressor holds no body
-	select {
-	case decompressors <- d:
-	default:
-	}
+	_, _ = io.CopyN(io.Discard, resp.Body, drainLimit)
 	return err
 }
 
@@ -420,18 +365,30 @@ func (c *Client) Do(ctx context.Context, method, target string, header http.Head
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, strings.TrimSuffix(c.base.String(), "/")+target, rd)
+	return c.send(ctx, method, target, rd, func(h http.Header) {
+		for k, vs := range header {
+			h[k] = vs
+		}
+		if h.Get("Accept-Encoding") == "" {
+			h.Set("Accept-Encoding", "identity")
+		}
+	})
+}
+
+// send makes one attempt at a request: target is joined to the base
+// URL verbatim, setHeader fills the header, and the client's
+// User-Agent goes out unless setHeader named one. A context end is
+// reported as itself, so callers (and the retry predicate) see
+// context.Canceled or DeadlineExceeded; any other failure below HTTP
+// is a transportError.
+func (c *Client) send(ctx context.Context, method, target string, body io.Reader, setHeader func(http.Header)) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimSuffix(c.base.String(), "/")+target, body)
 	if err != nil {
 		return nil, fmt.Errorf("client: building request: %w", err)
 	}
-	for k, vs := range header {
-		req.Header[k] = vs
-	}
+	setHeader(req.Header)
 	if req.Header.Get("User-Agent") == "" {
 		req.Header.Set("User-Agent", c.userAgent)
-	}
-	if req.Header.Get("Accept-Encoding") == "" {
-		req.Header.Set("Accept-Encoding", "identity")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

@@ -29,18 +29,17 @@
 // and server message.
 //
 // Request bodies of at least 1 KiB (hierarchy uploads, cross-release
-// batches) are gzip-compressed automatically, at the default level,
-// by a compressor reused from a sync.Pool: a compressor is about
-// 800 KB, and the pool lets an idle process drop it, where an idle
-// list would keep it for good. The daemon reuses its request
-// decompressors too. API calls send Accept-Encoding: gzip themselves,
-// the header the transport would send, and decompress a gzipped answer
-// or error with a reused decompressor (one idle per CPU), so they
-// decode on a transport with compression disabled too. They read what
-// is left of every body (up to 64 KiB) before closing it, so the
-// connection carries the next request. Artifact downloads rely on the
-// transport's own decompression, and Do returns the bytes the daemon
-// sent.
+// batches) are gzip-compressed automatically, at the default level.
+// API calls send Accept-Encoding: gzip themselves, the header the
+// transport would send, and decompress a gzipped answer or error
+// themselves, so they decode on a transport with compression disabled
+// too. Compressors and decompressors come from the gzip codec the
+// daemon and the gateway use as well, which keeps one idle compressor
+// and one idle decompressor per CPU for reuse (a compressor is about
+// 800 KB). Calls read what is left of every body (up to 64 KiB) before
+// closing it, so the connection carries the next request. Artifact
+// downloads rely on the transport's own decompression, and Do returns
+// the bytes the daemon sent.
 //
 // # Asynchronous releases
 //

@@ -128,10 +128,6 @@ func TestClientReusesConnection(t *testing.T) {
 	}
 }
 
-// raceEnabled reports whether the tests run under the race detector,
-// where sync.Pool drops a quarter of its Puts at random.
-var raceEnabled bool
-
 // crossQueries is a batch of n emd entries across two releases, the
 // shape of a cross-release batch: at n = 16 its body is over 1 KiB.
 func crossQueries(n int) []client.NodeQuery {
@@ -246,9 +242,6 @@ func allocated(f func()) uint64 {
 // quarter of what 100 fresh compressors would, stub server included.
 // A fresh compressor is about 800 KB of flate state.
 func TestClientReusesCompressors(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
 	stub := gzipBatchStub(t, nil)
 	defer stub.Close()
 

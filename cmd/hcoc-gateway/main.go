@@ -55,18 +55,14 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"hcoc/internal/gateway"
+	"hcoc/internal/httpx"
 )
 
 func main() {
@@ -126,54 +122,16 @@ func initialBackends(flagList, file string) (all, static []string, err error) {
 	}
 	var fromFile []string
 	if file != "" {
-		fromFile, err = readBackendsFile(file)
+		fromFile, err = httpx.ReadURLFile(file, "-backends-file", "backend")
 		if err != nil {
 			return nil, nil, err
 		}
 	}
-	all = mergeBackends(static, fromFile)
+	all = httpx.MergeURLs(static, fromFile)
 	if len(all) == 0 {
 		return nil, nil, fmt.Errorf("-backends or -backends-file is required")
 	}
 	return all, static, nil
-}
-
-// mergeBackends unions URL lists preserving first-seen order.
-func mergeBackends(lists ...[]string) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, l := range lists {
-		for _, u := range l {
-			if !seen[u] {
-				seen[u] = true
-				out = append(out, u)
-			}
-		}
-	}
-	return out
-}
-
-// readBackendsFile parses a membership file: one URL per token,
-// whitespace- or comma-separated, blank lines and #-comments ignored.
-func readBackendsFile(path string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading -backends-file: %w", err)
-	}
-	var out []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if i := strings.Index(line, "#"); i >= 0 {
-			line = line[:i]
-		}
-		for _, tok := range strings.FieldsFunc(line, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' || r == '\r' }) {
-			u := strings.TrimSuffix(tok, "/")
-			if !strings.Contains(u, "://") {
-				return nil, fmt.Errorf("%s: backend %q needs a scheme (http://host:port)", path, tok)
-			}
-			out = append(out, u)
-		}
-	}
-	return out, nil
 }
 
 // parseBackends splits and validates the -backends list.
@@ -212,58 +170,23 @@ func run(cfg config) error {
 	gw.Start()
 	defer gw.Stop()
 
-	srv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           gw,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// SIGHUP re-reads -backends-file and applies the delta as runtime
-	// joins/leaves — the same code path as POST/DELETE /v1/cluster/nodes,
-	// so the movement bound applies.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for range hup {
+	return httpx.Daemon{
+		Name:    "hcoc-gateway",
+		Addr:    cfg.addr,
+		Handler: gw,
+		Banner: fmt.Sprintf("hcoc-gateway: listening on %s over %d backends (replication=%d)",
+			cfg.addr, len(cfg.backends), gw.Cluster().Replication()),
+		// SIGHUP re-reads -backends-file and applies the delta as runtime
+		// joins/leaves — the same code path as POST/DELETE
+		// /v1/cluster/nodes, so the movement bound applies.
+		OnHUP: func() {
 			if cfg.backendsFile == "" {
 				fmt.Println("hcoc-gateway: SIGHUP ignored (no -backends-file to reload)")
-				continue
-			}
-			if err := reload(gw, cfg); err != nil {
+			} else if err := reload(gw, cfg); err != nil {
 				fmt.Fprintf(os.Stderr, "hcoc-gateway: reload: %v\n", err)
 			}
-		}
-	}()
-
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Printf("hcoc-gateway: listening on %s over %d backends (replication=%d)\n",
-			cfg.addr, len(cfg.backends), gw.Cluster().Replication())
-		errc <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-
-	fmt.Println("hcoc-gateway: shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+		},
+	}.Run()
 }
 
 // reload diffs the desired membership (static -backends ∪ the current
@@ -272,11 +195,11 @@ func run(cfg config) error {
 // are reported and skipped — one bad URL must not wedge the rest of
 // the reload.
 func reload(gw *gateway.Gateway, cfg config) error {
-	fromFile, err := readBackendsFile(cfg.backendsFile)
+	fromFile, err := httpx.ReadURLFile(cfg.backendsFile, "-backends-file", "backend")
 	if err != nil {
 		return err
 	}
-	desired := mergeBackends(cfg.static, fromFile)
+	desired := httpx.MergeURLs(cfg.static, fromFile)
 	if len(desired) == 0 {
 		return fmt.Errorf("%s lists no backends; keeping current membership", cfg.backendsFile)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hcoc/internal/gateway"
+	"hcoc/internal/httpx"
 )
 
 func TestParseBackends(t *testing.T) {
@@ -55,7 +56,7 @@ func TestBackendsFileReload(t *testing.T) {
 		t.Fatal("no backends at all accepted")
 	}
 	write("b:2\n")
-	if _, err := readBackendsFile(file); err == nil {
+	if _, err := httpx.ReadURLFile(file, "-backends-file", "backend"); err == nil {
 		t.Fatal("schemeless backend in the file accepted")
 	}
 

@@ -64,16 +64,15 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"os/signal"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"hcoc"
 	"hcoc/client"
+	"hcoc/internal/httpx"
 )
 
 func main() {
@@ -430,7 +429,7 @@ func run(ctx context.Context, cfg config, out io.Writer) (*summary, error) {
 		if err != nil {
 			return nil, err
 		}
-		targets = mergeTargets(cfg.targets, fromFile)
+		targets = httpx.MergeURLs(cfg.targets, fromFile)
 	}
 	var c *client.Client
 	var err error
@@ -539,72 +538,32 @@ func run(ctx context.Context, cfg config, out io.Writer) (*summary, error) {
 
 // readTargetsFile parses a -targets-file: one URL per token,
 // whitespace- or comma-separated, blank lines and #-comments ignored.
+// Every target needs a scheme, as client.NewCluster requires.
 func readTargetsFile(path string) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading -targets-file: %w", err)
+	out, err := httpx.ReadURLFile(path, "-targets-file", "target")
+	if err == nil && len(out) == 0 {
+		err = fmt.Errorf("%s lists no targets", path)
 	}
-	var out []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if i := strings.Index(line, "#"); i >= 0 {
-			line = line[:i]
-		}
-		for _, tok := range strings.FieldsFunc(line, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' || r == '\r' }) {
-			out = append(out, strings.TrimSuffix(tok, "/"))
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s lists no targets", path)
-	}
-	return out, nil
-}
-
-// mergeTargets unions URL lists preserving first-seen order.
-func mergeTargets(lists ...[]string) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, l := range lists {
-		for _, u := range l {
-			if !seen[u] {
-				seen[u] = true
-				out = append(out, u)
-			}
-		}
-	}
-	return out
+	return out, err
 }
 
 // retargetOnHUP re-reads the -targets-file on SIGHUP and swaps the
 // cluster client's rotation mid-run (static -targets stay members).
 // The returned stop function uninstalls the handler.
 func retargetOnHUP(cc *client.ClusterClient, cfg config, out io.Writer) func() {
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case <-hup:
-			}
-			fromFile, err := readTargetsFile(cfg.targetsFile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hcoc-load: reload: %v\n", err)
-				continue
-			}
-			next := mergeTargets(cfg.targets, fromFile)
-			if err := cc.SetTargets(next); err != nil {
-				fmt.Fprintf(os.Stderr, "hcoc-load: reload: %v\n", err)
-				continue
-			}
-			fmt.Fprintf(out, "hcoc-load: retargeted to %s\n", strings.Join(next, ","))
+	return httpx.OnHUP(func() {
+		fromFile, err := readTargetsFile(cfg.targetsFile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hcoc-load: reload: %v\n", err)
+			return
 		}
-	}()
-	return func() {
-		signal.Stop(hup)
-		close(done)
-	}
+		next := httpx.MergeURLs(cfg.targets, fromFile)
+		if err := cc.SetTargets(next); err != nil {
+			fmt.Fprintf(os.Stderr, "hcoc-load: reload: %v\n", err)
+			return
+		}
+		fmt.Fprintf(out, "hcoc-load: retargeted to %s\n", strings.Join(next, ","))
+	})
 }
 
 // tenantTarget is one tenant's warm serving state: its hierarchy, the

@@ -14,6 +14,7 @@ import (
 
 	"hcoc/client"
 	"hcoc/internal/engine"
+	"hcoc/internal/httpx"
 	"hcoc/internal/serve"
 
 	"net/http/httptest"
@@ -182,7 +183,7 @@ func TestParseFlags(t *testing.T) {
 
 func TestReadTargetsFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "targets.txt")
-	content := "# the cluster\nhttp://a:1, http://b:2/\n\nhttp://c:3\thttp://a:1 # repeat kept; mergeTargets dedups\n"
+	content := "# the cluster\nhttp://a:1, http://b:2/\n\nhttp://c:3\thttp://a:1 # repeat kept; MergeURLs dedups\n"
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +209,16 @@ func TestReadTargetsFile(t *testing.T) {
 	if _, err := readTargetsFile(filepath.Join(t.TempDir(), "absent")); err == nil {
 		t.Fatal("missing file accepted")
 	}
+	if err := os.WriteFile(path, []byte("http://a:1\nb:2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readTargetsFile(path); err == nil || !strings.Contains(err.Error(), `target "b:2" needs a scheme`) {
+		t.Fatalf("schemeless target: %v", err)
+	}
 }
 
 func TestMergeTargets(t *testing.T) {
-	got := mergeTargets(
+	got := httpx.MergeURLs(
 		[]string{"http://a:1", "http://b:2"},
 		[]string{"http://b:2", "http://c:3", "http://a:1"},
 	)
@@ -224,7 +231,7 @@ func TestMergeTargets(t *testing.T) {
 			t.Fatalf("merged = %v, want %v", got, want)
 		}
 	}
-	if out := mergeTargets(nil, nil); out != nil {
+	if out := httpx.MergeURLs(nil, nil); out != nil {
 		t.Fatalf("merge of nothing = %v", out)
 	}
 }

@@ -89,19 +89,15 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
-	"time"
 
 	"hcoc/internal/engine"
+	"hcoc/internal/httpx"
 	"hcoc/internal/serve"
 	"hcoc/internal/store"
 )
@@ -304,56 +300,16 @@ func run(addr string, workers, cache int, cacheBytes int64, maxEps, maxCont floa
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		// Bound the whole request read so a trickled body cannot pin a
-		// connection forever. WriteTimeout stays 0: release computations
-		// and artifact downloads may legitimately run long.
-		ReadTimeout: 5 * time.Minute,
-		IdleTimeout: 2 * time.Minute,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// SIGHUP must never kill the daemon. It is the operator's "re-read
-	// your config now"; handleHUP runs each reload step independently so
-	// one failing step cannot mask another.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for range hup {
+	return httpx.Daemon{
+		Name:    "hcoc-serve",
+		Addr:    addr,
+		Handler: handler,
+		Banner: fmt.Sprintf("hcoc-serve: listening on %s (cache=%d workers=%d compute-slots=%d)",
+			addr, cache, workers, eng.Scheduler().Slots()),
+		OnHUP: func() {
 			handleHUP(st, handler, eng, qos.weightsFile, func(format string, args ...any) {
 				fmt.Printf(format+"\n", args...)
 			})
-		}
-	}()
-
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Printf("hcoc-serve: listening on %s (cache=%d workers=%d compute-slots=%d)\n",
-			addr, cache, workers, eng.Scheduler().Slots())
-		errc <- srv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-
-	// Graceful shutdown: stop accepting, drain in-flight requests.
-	fmt.Println("hcoc-serve: shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+		},
+	}.Run()
 }

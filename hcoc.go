@@ -70,7 +70,7 @@ const DefaultK = 100000
 // node), so a request naming a larger size would make a few bytes of
 // input cost gigabytes. ReadReleaseSparse applies the same bound to the
 // sizes an artifact declares.
-const MaxGroupSize = 1 << 22
+const MaxGroupSize = hierarchy.MaxGroupSize
 
 // Options configures a hierarchical release.
 type Options struct {

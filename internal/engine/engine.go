@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hcoc"
+	"hcoc/internal/hierarchy"
 	"hcoc/internal/noise"
 	"hcoc/internal/sched"
 	"hcoc/internal/store"
@@ -351,7 +352,7 @@ type Result struct {
 // release completed recently, by waiting on an identical in-flight
 // computation if one is running, from the durable store if a past run
 // (possibly before a restart) persisted it, and by computing otherwise.
-// treeFP must be FingerprintTree(tree); pass "" to have it computed
+// treeFP must be hierarchy.FingerprintTree(tree); pass "" to have it computed
 // here.
 //
 // The computation itself is detached from the requesting context: a
@@ -374,7 +375,7 @@ func (e *Engine) release(ctx context.Context, tree *hcoc.Tree, treeFP string, al
 		return Result{}, fmt.Errorf("engine: got %d methods for %d levels", n, tree.Depth())
 	}
 	if treeFP == "" {
-		treeFP = FingerprintTree(tree)
+		treeFP = hierarchy.FingerprintTree(tree)
 	}
 	key := releaseKey(treeFP, alg, opts)
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hcoc"
+	"hcoc/internal/hierarchy"
 	"hcoc/internal/query"
 	"hcoc/internal/query/plan"
 	"hcoc/internal/store"
@@ -135,7 +136,7 @@ func TestReleaseKeyIgnoresWorkers(t *testing.T) {
 func TestReleaseDedupsInflight(t *testing.T) {
 	e := New(Options{})
 	tree := testTree(t)
-	fp := FingerprintTree(tree)
+	fp := hierarchy.FingerprintTree(tree)
 	opts := testOpts(7)
 	key := releaseKey(fp, TopDown, opts)
 
@@ -198,7 +199,7 @@ func TestReleaseDedupsInflight(t *testing.T) {
 func TestReleaseDedupCancellation(t *testing.T) {
 	e := New(Options{})
 	tree := testTree(t)
-	fp := FingerprintTree(tree)
+	fp := hierarchy.FingerprintTree(tree)
 	opts := testOpts(8)
 	key := releaseKey(fp, TopDown, opts)
 
@@ -227,7 +228,7 @@ func TestReleaseDedupCancellation(t *testing.T) {
 func TestConcurrentIdenticalRequests(t *testing.T) {
 	e := New(Options{})
 	tree := testTree(t)
-	fp := FingerprintTree(tree)
+	fp := hierarchy.FingerprintTree(tree)
 
 	const n = 16
 	results := make([]Result, n)
@@ -278,7 +279,7 @@ func TestCacheEviction(t *testing.T) {
 	if _, _, err := e.Sparse(r1.Key); err != nil {
 		t.Fatal(err)
 	}
-	r2key := releaseKey(FingerprintTree(tree), TopDown, testOpts(2))
+	r2key := releaseKey(hierarchy.FingerprintTree(tree), TopDown, testOpts(2))
 	if _, err := e.Release(ctx, tree, "", TopDown, testOpts(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func statsQuery(key, node string, p query.Params) plan.Query {
 func TestFingerprintTree(t *testing.T) {
 	a := testTree(t)
 	b := testTree(t)
-	if FingerprintTree(a) != FingerprintTree(b) {
+	if hierarchy.FingerprintTree(a) != hierarchy.FingerprintTree(b) {
 		t.Fatal("identical trees fingerprint differently")
 	}
 	other, err := hcoc.BuildHierarchy("US", []hcoc.Group{
@@ -387,7 +388,7 @@ func TestFingerprintTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FingerprintTree(a) == FingerprintTree(other) {
+	if hierarchy.FingerprintTree(a) == hierarchy.FingerprintTree(other) {
 		t.Fatal("different trees fingerprint identically")
 	}
 }
@@ -563,7 +564,7 @@ func TestCacheByteBudget(t *testing.T) {
 func TestCancelingFirstClientDoesNotFailSecond(t *testing.T) {
 	e := New(Options{ComputeSlots: 1})
 	tree := testTree(t)
-	fp := FingerprintTree(tree)
+	fp := hierarchy.FingerprintTree(tree)
 	// Saturate the only slot so the request queues.
 	hold, err := e.Scheduler().Acquire(context.Background(), "slot-hog")
 	if err != nil {
@@ -752,7 +753,7 @@ func TestBudgetEnforcement(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := testTree(t)
-	fp := FingerprintTree(tree)
+	fp := hierarchy.FingerprintTree(tree)
 	ctx := context.Background()
 
 	e := New(Options{Store: st, MaxEpsilonPerHierarchy: 2.5})
@@ -825,7 +826,7 @@ func TestBudgetEnforcement(t *testing.T) {
 func TestBudgetRefusalSkipsQueue(t *testing.T) {
 	e := New(Options{ComputeSlots: 2, MaxEpsilonPerHierarchy: 1})
 	tree := testTree(t)
-	fp := FingerprintTree(tree)
+	fp := hierarchy.FingerprintTree(tree)
 	if _, err := e.Release(context.Background(), tree, fp, TopDown, testOpts(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -859,7 +860,7 @@ func TestBudgetRefundOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := testTree(t)
-	fp := FingerprintTree(tree)
+	fp := hierarchy.FingerprintTree(tree)
 	e := New(Options{Store: st, MaxEpsilonPerHierarchy: 1})
 	// An out-of-range method value passes the length check but fails
 	// estimation — after the charge, before any noise is drawn.
@@ -893,7 +894,7 @@ func TestBudgetRefundOnFailure(t *testing.T) {
 // refunding it (Inf - Inf would leave NaN spent).
 func TestRefusedEpsilonNeverCharged(t *testing.T) {
 	tree := testTree(t)
-	fp := FingerprintTree(tree)
+	fp := hierarchy.FingerprintTree(tree)
 	e := New(Options{})
 	if _, err := e.Release(context.Background(), tree, fp, TopDown, testOpts(1)); err != nil {
 		t.Fatal(err)
@@ -922,7 +923,7 @@ func TestContinualBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpA, fpB := FingerprintTree(a), FingerprintTree(b)
+	fpA, fpB := hierarchy.FingerprintTree(a), hierarchy.FingerprintTree(b)
 	reads, candidates := 0, 0
 	lineage := func() []string { reads++; return []string{fpA, fpB, fpA} }
 	prev := func() []PrevVersion { candidates++; return nil }
@@ -1075,7 +1076,7 @@ func TestEpsilonSpentLocalExcludesReplay(t *testing.T) {
 func TestDedupBypassesAdmission(t *testing.T) {
 	e := New(Options{ComputeSlots: 1, ComputeQueueDepth: 1})
 	tree := testTree(t)
-	fp := FingerprintTree(tree)
+	fp := hierarchy.FingerprintTree(tree)
 
 	hold, err := e.Scheduler().Acquire(context.Background(), "slot-hog")
 	if err != nil {
@@ -1167,7 +1168,7 @@ func TestDedupBypassesAdmission(t *testing.T) {
 func TestReleaseOverload(t *testing.T) {
 	e := New(Options{ComputeSlots: 1, ComputeQueueDepth: 1})
 	tree := testTree(t)
-	fp := FingerprintTree(tree)
+	fp := hierarchy.FingerprintTree(tree)
 
 	hold, err := e.Scheduler().Acquire(context.Background(), "slot-hog")
 	if err != nil {

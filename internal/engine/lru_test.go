@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hcoc"
+	"hcoc/internal/hierarchy"
 )
 
 // sparseOfRuns builds a release with exactly n runs in one node, for
@@ -100,7 +101,7 @@ func TestLRURefreshMovesToFront(t *testing.T) {
 func TestMetricsUnderConcurrentReleases(t *testing.T) {
 	e := New(Options{CacheSize: 4})
 	tree := testTree(t)
-	fp := FingerprintTree(tree)
+	fp := hierarchy.FingerprintTree(tree)
 
 	const goroutines = 24
 	var wg sync.WaitGroup

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"hcoc/internal/engine"
 	"hcoc/internal/hierarchy"
 	"hcoc/internal/histogram"
 	"hcoc/internal/store"
@@ -56,7 +55,7 @@ type Event struct {
 
 // Version identifies one immutable hierarchy version: the 1-based
 // event sequence that produced it and the content fingerprint
-// (engine.FingerprintTree) of the rebuilt tree.
+// (hierarchy.FingerprintTree) of the rebuilt tree.
 type Version struct {
 	Seq         int64     `json:"seq"`
 	Fingerprint string    `json:"fingerprint"`
@@ -92,9 +91,6 @@ type chunk struct {
 	CreatedAt   time.Time `json:"created_at"`
 	Event       Event     `json:"event"`
 }
-
-// fingerprint content-addresses a version tree.
-func fingerprint(t *hierarchy.Tree) string { return engine.FingerprintTree(t) }
 
 // chunkKey maps a log id and sequence number to its blob key.
 func chunkKey(id string, seq int64) string {
@@ -343,7 +339,7 @@ func step(head *hierarchy.Tree, seq int64, ev Event) (*hierarchy.Tree, Version, 
 	}
 	return tree, Version{
 		Seq:         seq,
-		Fingerprint: fingerprint(tree),
+		Fingerprint: hierarchy.FingerprintTree(tree),
 		Type:        ev.Type,
 		Nodes:       len(tree.Nodes()),
 		Groups:      tree.Root.G(),
@@ -479,7 +475,7 @@ func (l *Log) Tree(seq int64) (*hierarchy.Tree, Version, error) {
 		tree = next
 	}
 	v := l.versions[seq-1]
-	if fp := fingerprint(tree); fp != v.Fingerprint {
+	if fp := hierarchy.FingerprintTree(tree); fp != v.Fingerprint {
 		return nil, Version{}, fmt.Errorf("eventlog: log %s version %d rebuilt to fingerprint %s, recorded %s",
 			l.id, seq, fp, v.Fingerprint)
 	}

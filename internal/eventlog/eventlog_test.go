@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"hcoc"
-	"hcoc/internal/engine"
 	"hcoc/internal/eventlog"
+	"hcoc/internal/hierarchy"
 	"hcoc/internal/store"
 )
 
@@ -192,7 +192,7 @@ func TestDifferentialTraces(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: fresh build: %v", label, err)
 			}
-			if fp := engine.FingerprintTree(fresh); fp != head.Fingerprint {
+			if fp := hierarchy.FingerprintTree(fresh); fp != head.Fingerprint {
 				t.Fatalf("%s: log fingerprint %s, freshly built %s", label, head.Fingerprint, fp)
 			}
 			if err := sameTree(l.HeadTree(), fresh); err != nil {
@@ -309,7 +309,7 @@ func TestHistoricalVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got1.Fingerprint != v1.Fingerprint || engine.FingerprintTree(tree1) != v1.Fingerprint {
+	if got1.Fingerprint != v1.Fingerprint || hierarchy.FingerprintTree(tree1) != v1.Fingerprint {
 		t.Fatal("version 1 rebuild does not match its recorded fingerprint")
 	}
 	if _, _, err := l.Tree(99); err == nil {
@@ -486,7 +486,7 @@ func TestLegacyMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := engine.FingerprintTree(tree)
+	fp := hierarchy.FingerprintTree(tree)
 	legacy := `{"root":"root","groups":[{"path":["a","x"],"size":3},{"path":["b","y"],"size":5}]}` + "\n"
 	if err := st.Blob().Put("hierarchies/"+fp+".json", []byte(legacy)); err != nil {
 		t.Fatal(err)
@@ -552,12 +552,12 @@ func TestConcurrentReadersDuringAppends(t *testing.T) {
 				default:
 				}
 				head, hv, err := l.Tree(0)
-				if err == nil && engine.FingerprintTree(head) != hv.Fingerprint {
+				if err == nil && hierarchy.FingerprintTree(head) != hv.Fingerprint {
 					err = fmt.Errorf("head version %d read back with another fingerprint", hv.Seq)
 				}
 				if err == nil {
 					tree, v, e := l.Tree(1 + r.Int63n(hv.Seq))
-					if err = e; err == nil && engine.FingerprintTree(tree) != v.Fingerprint {
+					if err = e; err == nil && hierarchy.FingerprintTree(tree) != v.Fingerprint {
 						err = fmt.Errorf("version %d read back with another fingerprint", v.Seq)
 					}
 				}

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"hcoc"
-	"hcoc/internal/engine"
 	"hcoc/internal/eventlog"
+	"hcoc/internal/hierarchy"
 )
 
 // sameTree compares two trees node by node: level lists, and per node
@@ -52,7 +52,7 @@ func sameTree(got, want *hcoc.Tree) error {
 			}
 		}
 	}
-	if engine.FingerprintTree(got) != engine.FingerprintTree(want) {
+	if hierarchy.FingerprintTree(got) != hierarchy.FingerprintTree(want) {
 		return errors.New("equal trees fingerprint differently")
 	}
 	return nil
@@ -215,12 +215,12 @@ func FuzzApplyEvents(f *testing.F) {
 			if err := sameTree(l.HeadTree(), fresh); err != nil {
 				t.Fatalf("event %d %+v: %v", i, ev, err)
 			}
-			if v.Fingerprint != engine.FingerprintTree(fresh) || v.Groups != fresh.Root.G() || v.Nodes != len(fresh.Nodes()) {
+			if v.Fingerprint != hierarchy.FingerprintTree(fresh) || v.Groups != fresh.Root.G() || v.Nodes != len(fresh.Nodes()) {
 				t.Fatalf("event %d: version %+v does not describe the fresh tree", i, v)
 			}
 		}
 		for i, tree := range trees {
-			if engine.FingerprintTree(tree) != versions[i].Fingerprint {
+			if hierarchy.FingerprintTree(tree) != versions[i].Fingerprint {
 				t.Fatalf("version %d's tree changed after later appends", versions[i].Seq)
 			}
 		}

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"hcoc"
-	"hcoc/internal/engine"
 	"hcoc/internal/eventlog"
+	"hcoc/internal/hierarchy"
 	"hcoc/internal/store"
 )
 
@@ -48,7 +48,7 @@ func goldenScript() (root string, snapshot []hcoc.Group, deltas []eventlog.Event
 
 // goldenVersions pins every version the script produces, as
 // "seq fingerprint nodes groups". They were captured before the event
-// log's apply was rewritten; the bytes FingerprintTree hashes, and so
+// log's apply was rewritten; the bytes hierarchy.FingerprintTree hashes, and so
 // every hierarchy id and recorded chunk fingerprint, must not move.
 var goldenVersions = []string{
 	"1 d5c45e33911fb737d00b9f94d344b9f8 8 7",
@@ -109,7 +109,7 @@ func TestGoldenVersionFingerprints(t *testing.T) {
 				t.Errorf("%s: version %d: %v", label, v.Seq, err)
 				continue
 			}
-			if fp := engine.FingerprintTree(tree); fp != v.Fingerprint {
+			if fp := hierarchy.FingerprintTree(tree); fp != v.Fingerprint {
 				t.Errorf("%s: version %d rebuilt to %s, recorded %s", label, v.Seq, fp, v.Fingerprint)
 			}
 		}

@@ -30,4 +30,9 @@
 // and request-path failures share one ejection counter, and the first
 // success — probe or forwarded request — re-admits a backend. The
 // command wrapper is cmd/hcoc-gateway.
+//
+// The gateway links the SDK, the ring, the shared transport
+// (internal/httpx: body bound, gzip codec, error bodies, /metrics
+// writer) and internal/hierarchy for the upload check and the tree
+// fingerprint; it links none of the backend's packages.
 package gateway

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,7 +15,7 @@ import (
 
 	"hcoc/client"
 	"hcoc/internal/cluster"
-	"hcoc/internal/serve"
+	"hcoc/internal/httpx"
 )
 
 // hopHeaders are the hop-by-hop fields of RFC 9110 §7.6.1, with the
@@ -278,9 +277,9 @@ func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, key func(listE
 	for i, id := range ids {
 		out[i] = merged[id]
 	}
-	w, finish := serve.CompressResponse(w, r)
+	w, finish := httpx.CompressResponse(w, r)
 	defer finish()
-	serve.WriteJSON(w, http.StatusOK, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 // relayBufs pools relay's copy buffers. Copying into the
@@ -319,9 +318,12 @@ func peek(resp *http.Response, v any) error {
 	}
 	var rd io.Reader = bytes.NewReader(raw)
 	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		if rd, err = gzip.NewReader(rd); err != nil {
+		d, err := httpx.NewDecompressor(rd)
+		if err != nil {
 			return err
 		}
+		defer d.Close()
+		rd = d
 	}
 	return json.NewDecoder(rd).Decode(v)
 }
@@ -330,10 +332,10 @@ func peek(resp *http.Response, v any) error {
 // when there was no backend to try, else 502 naming the last failure.
 func unanswered(w http.ResponseWriter, err error) {
 	if err == nil {
-		serve.WriteError(w, http.StatusServiceUnavailable, "%v", cluster.ErrNoBackends)
+		httpx.WriteError(w, http.StatusServiceUnavailable, "%v", cluster.ErrNoBackends)
 		return
 	}
-	serve.WriteError(w, http.StatusBadGateway, "no replica could serve the request: %v", err)
+	httpx.WriteError(w, http.StatusBadGateway, "no replica could serve the request: %v", err)
 }
 
 // lastError is the last non-nil error of a parallel request.
@@ -355,9 +357,9 @@ func bufferBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		serve.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooLarge.Limit)
+		httpx.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooLarge.Limit)
 	} else {
-		serve.WriteError(w, http.StatusBadRequest, "reading request: %v", err)
+		httpx.WriteError(w, http.StatusBadRequest, "reading request: %v", err)
 	}
 	return nil, false
 }

@@ -10,11 +10,8 @@ import (
 
 	"hcoc/client"
 	"hcoc/internal/cluster"
-	"hcoc/internal/serve"
+	"hcoc/internal/httpx"
 )
-
-// maxBodyBytes bounds request bodies, mirroring the backend bound.
-const maxBodyBytes = 1 << 30
 
 // maxLearned caps the learned release→hierarchy and job→backend maps.
 // They are routing hints, not state: an evicted entry degrades a read
@@ -111,8 +108,7 @@ func New(opts Options) (*Gateway, error) {
 	g := &Gateway{
 		cluster:      cl,
 		clients:      make(map[string]*client.Client),
-		mux:          http.NewServeMux(),
-		maxBody:      maxBodyBytes,
+		maxBody:      httpx.MaxBodyBytes,
 		releaseOwner: make(map[string]string),
 		jobOwner:     make(map[string]string),
 		stats:        make(map[string]*backendStats),
@@ -127,9 +123,7 @@ func New(opts Options) (*Gateway, error) {
 		g.clients[u] = c
 		g.stats[u] = &backendStats{}
 	}
-	for _, rt := range g.routeTable() {
-		g.mux.HandleFunc(rt.Method+" "+rt.Pattern, rt.handler)
-	}
+	g.mux = httpx.NewMux(g.Routes())
 	return g, nil
 }
 
@@ -198,54 +192,37 @@ func (g *Gateway) RemoveBackend(u string) error {
 // Cluster exposes the routing state for introspection and tests.
 func (g *Gateway) Cluster() *cluster.Cluster { return g.cluster }
 
-// routeEntry pairs a route with its handler.
-type routeEntry struct {
-	serve.Route
-	handler http.HandlerFunc
-}
-
-// routeTable lists the gateway surface. The /v1 data routes relay
-// backend answers verbatim; the routes wrapped in compressed are the
-// ones whose bodies the gateway writes itself.
-func (g *Gateway) routeTable() []routeEntry {
-	return []routeEntry{
-		{serve.Route{Method: "POST", Pattern: "/v1/hierarchy"}, g.handleHierarchy},
-		{serve.Route{Method: "GET", Pattern: "/v1/hierarchy"}, g.handleListHierarchies},
-		{serve.Route{Method: "POST", Pattern: "/v1/hierarchy/{id}/events"}, g.handleAppendEvents},
-		{serve.Route{Method: "GET", Pattern: "/v1/hierarchy/{id}/versions"}, g.handleOwned},
-		{serve.Route{Method: "POST", Pattern: "/v1/release"}, g.handleRelease},
-		{serve.Route{Method: "GET", Pattern: "/v1/release"}, g.handleListReleases},
-		{serve.Route{Method: "GET", Pattern: "/v1/release/{id}"}, g.handleGetRelease},
-		{serve.Route{Method: "GET", Pattern: "/v1/jobs/{id}"}, g.handleGetJob},
-		{serve.Route{Method: "POST", Pattern: "/v1/query/batch"}, g.handleBatchQuery},
-		{serve.Route{Method: "GET", Pattern: "/v1/query/{node...}"}, g.handleQuery},
-		{serve.Route{Method: "GET", Pattern: "/v1/budget/{id}"}, g.handleOwned},
-		{serve.Route{Method: "GET", Pattern: "/v1/cluster"}, compressed(g.handleCluster)},
-		{serve.Route{Method: "POST", Pattern: "/v1/cluster/nodes"}, compressed(g.handleAddNode)},
-		{serve.Route{Method: "DELETE", Pattern: "/v1/cluster/nodes"}, compressed(g.handleRemoveNode)},
-		{serve.Route{Method: "GET", Pattern: "/healthz"}, compressed(g.handleHealthz)},
-		{serve.Route{Method: "GET", Pattern: "/metrics"}, compressed(g.handleMetrics)},
+// Routes lists every endpoint with its handler, for registration and
+// for the OpenAPI coverage test: the gateway surface is the backend
+// surface plus /v1/cluster, minus the per-node /v1/tenants report. The
+// /v1 data routes relay backend answers verbatim; the routes wrapped
+// in compressed are the ones whose bodies the gateway writes itself.
+func (g *Gateway) Routes() []httpx.Route {
+	return []httpx.Route{
+		{Method: "POST", Pattern: "/v1/hierarchy", Handler: g.handleHierarchy},
+		{Method: "GET", Pattern: "/v1/hierarchy", Handler: g.handleListHierarchies},
+		{Method: "POST", Pattern: "/v1/hierarchy/{id}/events", Handler: g.handleAppendEvents},
+		{Method: "GET", Pattern: "/v1/hierarchy/{id}/versions", Handler: g.handleOwned},
+		{Method: "POST", Pattern: "/v1/release", Handler: g.handleRelease},
+		{Method: "GET", Pattern: "/v1/release", Handler: g.handleListReleases},
+		{Method: "GET", Pattern: "/v1/release/{id}", Handler: g.handleGetRelease},
+		{Method: "GET", Pattern: "/v1/jobs/{id}", Handler: g.handleGetJob},
+		{Method: "POST", Pattern: "/v1/query/batch", Handler: g.handleBatchQuery},
+		{Method: "GET", Pattern: "/v1/query/{node...}", Handler: g.handleQuery},
+		{Method: "GET", Pattern: "/v1/budget/{id}", Handler: g.handleOwned},
+		{Method: "GET", Pattern: "/v1/cluster", Handler: compressed(g.handleCluster)},
+		{Method: "POST", Pattern: "/v1/cluster/nodes", Handler: compressed(g.handleAddNode)},
+		{Method: "DELETE", Pattern: "/v1/cluster/nodes", Handler: compressed(g.handleRemoveNode)},
+		{Method: "GET", Pattern: "/healthz", Handler: compressed(g.handleHealthz)},
+		{Method: "GET", Pattern: "/metrics", Handler: compressed(g.handleMetrics)},
 	}
-}
-
-// Routes lists every registered endpoint, for the OpenAPI coverage
-// test: the gateway surface is the backend surface plus /v1/cluster,
-// minus the per-node /v1/tenants report.
-func (g *Gateway) Routes() []serve.Route {
-	table := g.routeTable()
-	out := make([]serve.Route, len(table))
-	for i, rt := range table {
-		out[i] = rt.Route
-	}
-	return out
 }
 
 // ServeHTTP implements http.Handler under the request side of the
-// shared transport conventions: a bounded body, gzip request bodies,
-// and 415 for any other encoding. Responses are not compressed here: a
-// forwarded answer crosses in the encoding its backend chose.
+// shared transport conventions (httpx.WrapRequest). Responses are not
+// compressed here: a forwarded answer crosses in its backend's encoding.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r, release, ok := serve.WrapRequest(w, r, g.maxBody)
+	r, release, ok := httpx.WrapRequest(w, r, g.maxBody)
 	if !ok {
 		return
 	}
@@ -257,7 +234,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // response side of the transport conventions.
 func compressed(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		w, finish := serve.CompressResponse(w, r)
+		w, finish := httpx.CompressResponse(w, r)
 		defer finish()
 		h(w, r)
 	}

@@ -4,16 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sort"
 	"strings"
 	"time"
 
-	"hcoc"
 	"hcoc/internal/cluster"
-	"hcoc/internal/engine"
-	"hcoc/internal/serve"
+	"hcoc/internal/hierarchy"
+	"hcoc/internal/httpx"
 )
 
 // handleHierarchy fingerprints the upload — the tree's content
@@ -38,23 +36,23 @@ func (g *Gateway) handleHierarchy(w http.ResponseWriter, r *http.Request) {
 
 // uploadKey fingerprints the tree of an upload body, as its backend
 // will; ok is false for a body no backend would accept, which
-// serve.CheckUpload decides before any tree is built.
+// hierarchy.CheckUpload decides before any tree is built.
 func uploadKey(body []byte) (fp string, ok bool) {
 	var up struct {
-		Root   string       `json:"root"`
-		Groups []hcoc.Group `json:"groups"`
+		Root   string            `json:"root"`
+		Groups []hierarchy.Group `json:"groups"`
 	}
-	if json.Unmarshal(body, &up) != nil || serve.CheckUpload(up.Groups) != nil {
+	if json.Unmarshal(body, &up) != nil || hierarchy.CheckUpload(up.Groups) != nil {
 		return "", false
 	}
 	if up.Root == "" {
 		up.Root = "root"
 	}
-	tree, err := hcoc.BuildHierarchy(up.Root, up.Groups)
+	tree, err := hierarchy.BuildTree(up.Root, up.Groups)
 	if err != nil {
 		return "", false
 	}
-	return engine.FingerprintTree(tree), true
+	return hierarchy.FingerprintTree(tree), true
 }
 
 // handleAppendEvents fans an event append out to all R ring owners of
@@ -294,7 +292,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 			resp.Route = route
 		}
 	}
-	serve.WriteJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // nodeRequest is the JSON body of POST /v1/cluster/nodes.
@@ -316,27 +314,27 @@ type nodeResponse struct {
 // to copy to it.
 func (g *Gateway) handleAddNode(w http.ResponseWriter, r *http.Request) {
 	var req nodeRequest
-	if !serve.DecodeJSON(w, r, &req) {
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	u := strings.TrimSuffix(strings.TrimSpace(req.URL), "/")
 	if u == "" {
-		serve.WriteError(w, http.StatusBadRequest, "missing url")
+		httpx.WriteError(w, http.StatusBadRequest, "missing url")
 		return
 	}
 	if !strings.Contains(u, "://") {
-		serve.WriteError(w, http.StatusBadRequest, "backend %q needs a scheme (http://host:port)", u)
+		httpx.WriteError(w, http.StatusBadRequest, "backend %q needs a scheme (http://host:port)", u)
 		return
 	}
 	joined, err := g.AddBackend(u)
 	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if joined {
 		go g.cluster.ProbeNow(context.Background())
 	}
-	serve.WriteJSON(w, http.StatusOK, nodeResponse{URL: u, Changed: joined, Backends: len(g.cluster.Backends())})
+	httpx.WriteJSON(w, http.StatusOK, nodeResponse{URL: u, Changed: joined, Backends: len(g.cluster.Backends())})
 }
 
 // handleRemoveNode drains a backend from the ring at runtime
@@ -346,21 +344,21 @@ func (g *Gateway) handleAddNode(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleRemoveNode(w http.ResponseWriter, r *http.Request) {
 	u := strings.TrimSuffix(strings.TrimSpace(r.URL.Query().Get("url")), "/")
 	if u == "" {
-		serve.WriteError(w, http.StatusBadRequest, "missing url query parameter")
+		httpx.WriteError(w, http.StatusBadRequest, "missing url query parameter")
 		return
 	}
 	if err := g.RemoveBackend(u); err != nil {
 		switch {
 		case errors.Is(err, cluster.ErrUnknownBackend):
-			serve.WriteError(w, http.StatusNotFound, "%v", err)
+			httpx.WriteError(w, http.StatusNotFound, "%v", err)
 		case errors.Is(err, cluster.ErrLastBackend):
-			serve.WriteError(w, http.StatusConflict, "%v", err)
+			httpx.WriteError(w, http.StatusConflict, "%v", err)
 		default:
-			serve.WriteError(w, http.StatusBadRequest, "%v", err)
+			httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
-	serve.WriteJSON(w, http.StatusOK, nodeResponse{URL: u, Changed: true, Backends: len(g.cluster.Backends())})
+	httpx.WriteJSON(w, http.StatusOK, nodeResponse{URL: u, Changed: true, Backends: len(g.cluster.Backends())})
 }
 
 // handleHealthz answers 200 while at least one backend is live — the
@@ -369,10 +367,10 @@ func (g *Gateway) handleRemoveNode(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	live := len(g.cluster.Live())
 	if live == 0 {
-		serve.WriteError(w, http.StatusServiceUnavailable, "no live backends")
+		httpx.WriteError(w, http.StatusServiceUnavailable, "no live backends")
 		return
 	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"live":     live,
 		"backends": len(g.cluster.Backends()),
@@ -382,51 +380,47 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics exposes the gateway's routing counters in the
 // Prometheus text format, per-backend series labeled by URL.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	states := g.cluster.States()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-
-	fmt.Fprintf(w, "# HELP hcoc_gateway_backends Configured backends.\nhcoc_gateway_backends %d\n", len(states))
 	live := 0
 	for _, st := range states {
 		if st.Healthy {
 			live++
 		}
 	}
-	fmt.Fprintf(w, "# HELP hcoc_gateway_live_backends Backends currently healthy.\nhcoc_gateway_live_backends %d\n", live)
-	fmt.Fprintf(w, "# HELP hcoc_gateway_failovers_total Requests retried past their first-choice backend.\nhcoc_gateway_failovers_total %d\n", g.failovers)
-	fmt.Fprintf(w, "# HELP hcoc_gateway_fanout_uploads_total Hierarchy uploads fanned out to the ring owners.\nhcoc_gateway_fanout_uploads_total %d\n", g.fanouts)
+	x := httpx.NewMetrics(w)
+	x.Scalar("hcoc_gateway_backends", "Configured backends.", len(states))
+	x.Scalar("hcoc_gateway_live_backends", "Backends currently healthy.", live)
+	x.Scalar("hcoc_gateway_failovers_total", "Requests retried past their first-choice backend.", g.failovers)
+	x.Scalar("hcoc_gateway_fanout_uploads_total", "Hierarchy uploads fanned out to the ring owners.", g.fanouts)
 
-	fmt.Fprintf(w, "# HELP hcoc_gateway_backend_requests_total Requests forwarded per backend.\n")
-	for _, st := range states {
-		if bs := g.stats[st.URL]; bs != nil {
-			fmt.Fprintf(w, "hcoc_gateway_backend_requests_total{backend=%q} %d\n", st.URL, bs.requests)
+	for _, f := range []struct {
+		name, help string
+		value      func(*backendStats) any
+	}{
+		{"hcoc_gateway_backend_requests_total", "Requests forwarded per backend.", func(bs *backendStats) any { return bs.requests }},
+		{"hcoc_gateway_backend_errors_total", "Failed forwards per backend.", func(bs *backendStats) any { return bs.errors }},
+		{"hcoc_gateway_backend_latency_seconds_total", "Cumulative forward latency per backend.", func(bs *backendStats) any { return bs.latency.Seconds() }},
+	} {
+		x.Family(f.name, f.help)
+		for _, st := range states {
+			if bs := g.stats[st.URL]; bs != nil {
+				x.Sample(f.name, f.value(bs), "backend", st.URL)
+			}
 		}
 	}
-	fmt.Fprintf(w, "# HELP hcoc_gateway_backend_errors_total Failed forwards per backend.\n")
-	for _, st := range states {
-		if bs := g.stats[st.URL]; bs != nil {
-			fmt.Fprintf(w, "hcoc_gateway_backend_errors_total{backend=%q} %d\n", st.URL, bs.errors)
-		}
-	}
-	fmt.Fprintf(w, "# HELP hcoc_gateway_backend_latency_seconds_total Cumulative forward latency per backend.\n")
-	for _, st := range states {
-		if bs := g.stats[st.URL]; bs != nil {
-			fmt.Fprintf(w, "hcoc_gateway_backend_latency_seconds_total{backend=%q} %g\n", st.URL, bs.latency.Seconds())
-		}
-	}
-	fmt.Fprintf(w, "# HELP hcoc_gateway_backend_healthy Backend health (1 = live, 0 = ejected).\n")
+	x.Family("hcoc_gateway_backend_healthy", "Backend health (1 = live, 0 = ejected).")
 	for _, st := range states {
 		v := 0
 		if st.Healthy {
 			v = 1
 		}
-		fmt.Fprintf(w, "hcoc_gateway_backend_healthy{backend=%q} %d\n", st.URL, v)
+		x.Sample("hcoc_gateway_backend_healthy", v, "backend", st.URL)
 	}
-	fmt.Fprintf(w, "# HELP hcoc_gateway_backend_ejections_total Healthy-to-ejected transitions per backend.\n")
+	x.Family("hcoc_gateway_backend_ejections_total", "Healthy-to-ejected transitions per backend.")
 	for _, st := range states {
-		fmt.Fprintf(w, "hcoc_gateway_backend_ejections_total{backend=%q} %d\n", st.URL, st.Ejections)
+		x.Sample("hcoc_gateway_backend_ejections_total", st.Ejections, "backend", st.URL)
 	}
 
 	tenantFPs := make([]string, 0, len(g.tenants))
@@ -434,19 +428,20 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		tenantFPs = append(tenantFPs, fp)
 	}
 	sort.Strings(tenantFPs)
-	fmt.Fprintf(w, "# HELP hcoc_gateway_tenant_requests_total Release requests per tenant (hierarchy).\n")
-	for _, fp := range tenantFPs {
-		fmt.Fprintf(w, "hcoc_gateway_tenant_requests_total{tenant=%q} %d\n", "h-"+fp, g.tenants[fp].requests)
-	}
-	fmt.Fprintf(w, "# HELP hcoc_gateway_tenant_errors_total Failed release requests per tenant.\n")
-	for _, fp := range tenantFPs {
-		fmt.Fprintf(w, "hcoc_gateway_tenant_errors_total{tenant=%q} %d\n", "h-"+fp, g.tenants[fp].errors)
-	}
-	fmt.Fprintf(w, "# HELP hcoc_gateway_tenant_throttled_total Release requests answered with a compute-queue 429 per tenant.\n")
-	for _, fp := range tenantFPs {
-		fmt.Fprintf(w, "hcoc_gateway_tenant_throttled_total{tenant=%q} %d\n", "h-"+fp, g.tenants[fp].throttled)
+	for _, f := range []struct {
+		name, help string
+		value      func(*tenantTraffic) any
+	}{
+		{"hcoc_gateway_tenant_requests_total", "Release requests per tenant (hierarchy).", func(tt *tenantTraffic) any { return tt.requests }},
+		{"hcoc_gateway_tenant_errors_total", "Failed release requests per tenant.", func(tt *tenantTraffic) any { return tt.errors }},
+		{"hcoc_gateway_tenant_throttled_total", "Release requests answered with a compute-queue 429 per tenant.", func(tt *tenantTraffic) any { return tt.throttled }},
+	} {
+		x.Family(f.name, f.help)
+		for _, fp := range tenantFPs {
+			x.Sample(f.name, f.value(g.tenants[fp]), "tenant", "h-"+fp)
+		}
 	}
 
-	fmt.Fprintf(w, "# HELP hcoc_gateway_node_joins_total Backends added at runtime.\nhcoc_gateway_node_joins_total %d\n", g.joins)
-	fmt.Fprintf(w, "# HELP hcoc_gateway_node_leaves_total Backends removed at runtime.\nhcoc_gateway_node_leaves_total %d\n", g.leaves)
+	x.Scalar("hcoc_gateway_node_joins_total", "Backends added at runtime.", g.joins)
+	x.Scalar("hcoc_gateway_node_leaves_total", "Backends removed at runtime.", g.leaves)
 }

@@ -18,6 +18,7 @@ import (
 	"hcoc"
 	"hcoc/client"
 	"hcoc/internal/engine"
+	"hcoc/internal/httpx"
 	"hcoc/internal/serve"
 )
 
@@ -279,7 +280,7 @@ func TestGatewayFailoverStatuses(t *testing.T) {
 			if busyURL.Load() == "http://"+r.Host {
 				busyHits.Add(1)
 				w.Header().Set("Retry-After", "7")
-				serve.WriteError(w, http.StatusServiceUnavailable, "busy")
+				httpx.WriteError(w, http.StatusServiceUnavailable, "busy")
 				return
 			}
 			srv.ServeHTTP(w, r)

@@ -1,9 +1,10 @@
-package engine
+package hierarchy_test
 
 import (
 	"testing"
 
 	"hcoc"
+	"hcoc/internal/hierarchy"
 )
 
 // goldenTreeFingerprints pins the exact bytes FingerprintTree hashes.
@@ -46,7 +47,7 @@ func TestFingerprintTreeGolden(t *testing.T) {
 		t.Fatalf("built %d trees, table pins %d", len(trees), len(goldenTreeFingerprints))
 	}
 	for name, tree := range trees {
-		if got, want := FingerprintTree(tree), goldenTreeFingerprints[name]; got != want {
+		if got, want := hierarchy.FingerprintTree(tree), goldenTreeFingerprints[name]; got != want {
 			t.Errorf("%q: %q, // want %q", name, got, want)
 		}
 	}
@@ -67,7 +68,7 @@ func BenchmarkFingerprintTree(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fingerprintSink = FingerprintTree(tree)
+		fingerprintSink = hierarchy.FingerprintTree(tree)
 	}
 	b.ReportMetric(float64(cells), "cells/op")
 }

@@ -1,8 +1,10 @@
 package hierarchy
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"hcoc/internal/histogram"
 )
@@ -288,4 +290,47 @@ func BuildTree(rootName string, groups []Group) (*Tree, error) {
 		b.AddGroup(g.Path, g.Size)
 	}
 	return b.Build()
+}
+
+// MaxGroupSize is the largest group size, and the largest public bound
+// K, that the service accepts (hcoc.MaxGroupSize says why).
+const MaxGroupSize = 1 << 22
+
+// CheckGroup reports why a group named in a request is refused, or
+// nil: its size must lie in [0, MaxGroupSize], and no region name may
+// contain "/", the separator of node paths. Only request input is
+// checked; a persisted event log replays whatever it holds.
+func CheckGroup(path []string, size int64) error {
+	if size < 0 || size > MaxGroupSize {
+		return fmt.Errorf("size %d is outside [0, %d]", size, MaxGroupSize)
+	}
+	for _, name := range path {
+		if strings.Contains(name, "/") {
+			return fmt.Errorf("region name %q contains \"/\"", name)
+		}
+	}
+	return nil
+}
+
+// CheckUpload reports why the groups of a hierarchy upload are refused,
+// or nil: there is at least one, each passes CheckGroup, and every path
+// names a leaf at the same non-zero depth. Groups that pass always
+// build a tree with BuildTree.
+func CheckUpload(groups []Group) error {
+	if len(groups) == 0 {
+		return errors.New("no groups in upload")
+	}
+	depth := len(groups[0].Path)
+	for i, g := range groups {
+		if len(g.Path) == 0 {
+			return fmt.Errorf("group %d has an empty path", i)
+		}
+		if len(g.Path) != depth {
+			return fmt.Errorf("group %d has a path of %d regions, group 0 one of %d", i, len(g.Path), depth)
+		}
+		if err := CheckGroup(g.Path, g.Size); err != nil {
+			return fmt.Errorf("group %d: %v", i, err)
+		}
+	}
+	return nil
 }

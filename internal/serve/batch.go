@@ -8,6 +8,7 @@ import (
 	"hcoc"
 	"hcoc/client"
 	"hcoc/internal/engine"
+	"hcoc/internal/httpx"
 	"hcoc/internal/query"
 	"hcoc/internal/query/plan"
 )
@@ -73,37 +74,37 @@ func (req batchQueryRequest) isPlain() bool {
 // release (400) or names one neither cache tier holds (404).
 func (s *Server) handleBatchQuery(w http.ResponseWriter, r *http.Request) {
 	var req batchQueryRequest
-	if !DecodeJSON(w, r, &req) {
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		WriteError(w, http.StatusBadRequest, "no queries in batch")
+		httpx.WriteError(w, http.StatusBadRequest, "no queries in batch")
 		return
 	}
 	if len(req.Queries) > maxBatchQueries {
-		WriteError(w, http.StatusBadRequest, "batch of %d queries exceeds the %d-query limit", len(req.Queries), maxBatchQueries)
+		httpx.WriteError(w, http.StatusBadRequest, "batch of %d queries exceeds the %d-query limit", len(req.Queries), maxBatchQueries)
 		return
 	}
 	plain := req.isPlain()
 	if plain && releaseID(req.Release) == "" {
-		WriteError(w, http.StatusBadRequest, "missing release")
+		httpx.WriteError(w, http.StatusBadRequest, "missing release")
 		return
 	}
 	qs, err := lower(req.Release, req.Queries)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	results := s.eng.EvalBatch(qs)
 	resp := batchQueryResponse{Release: req.Release, Results: make([]client.NodeResult, len(results))}
 	for i, res := range results {
 		if plain && errors.Is(res.Err, engine.ErrNotCached) {
-			WriteError(w, http.StatusNotFound, "release not cached; POST /v1/release to (re)compute it")
+			httpx.WriteError(w, http.StatusNotFound, "release not cached; POST /v1/release to (re)compute it")
 			return
 		}
 		resp.Results[i] = toBatchItem(req.Queries[i], res)
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // lower turns wire entries into the planner IR; every node query, GET
@@ -236,7 +237,7 @@ func hierarchyID(id string) string {
 func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	l, ok := s.logs.Get(hierarchyID(r.PathValue("id")))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown hierarchy %q; POST /v1/hierarchy first", r.PathValue("id"))
+		httpx.WriteError(w, http.StatusNotFound, "unknown hierarchy %q; POST /v1/hierarchy first", r.PathValue("id"))
 		return
 	}
 	head := l.Head()
@@ -258,5 +259,5 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.ContinualSpentEpsilon, resp.ContinualRemainingEpsilon, resp.MaxEpsilonContinual, resp.ContinualEnforced =
 		s.eng.ContinualStatus(l.Fingerprints())
-	WriteJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }

@@ -14,6 +14,7 @@ import (
 
 	"hcoc/client"
 	"hcoc/internal/engine"
+	"hcoc/internal/httpx"
 )
 
 // releaseSmall uploads smallGroups and runs one seeded release,
@@ -198,7 +199,7 @@ func TestServeQueryOnePath(t *testing.T) {
 
 	// An unknown node: the planner's error text on every route.
 	getStatus, get, plainStatus, plain, extended = ask(release, "US/XX")
-	var getErr errorResponse
+	var getErr struct{ Error, Code string }
 	if err := json.Unmarshal([]byte(get), &getErr); err != nil || getStatus != http.StatusBadRequest {
 		t.Fatalf("unknown node: GET %d: %s", getStatus, get)
 	}
@@ -342,7 +343,7 @@ func TestServeGzip(t *testing.T) {
 
 	// Response encoding: ask for gzip explicitly (the default transport
 	// would transparently decompress; do it by hand to see the header).
-	// The one-entry listing is under gzipMinSize, so it is identity.
+	// The one-entry listing is under httpx.GzipMinSize, so it is identity.
 	req, err = http.NewRequest("GET", ts.URL+"/v1/hierarchy", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +366,7 @@ func TestServeGzip(t *testing.T) {
 		t.Fatalf("listed hierarchies: %+v", listed)
 	}
 
-	// A 16-entry batch answers more than gzipMinSize bytes: gzip.
+	// A 16-entry batch answers more than httpx.GzipMinSize bytes: gzip.
 	_, release := releaseSmall(t, ts)
 	raw16, err := json.Marshal(batchOf(release, 16))
 	if err != nil {
@@ -397,7 +398,7 @@ func TestServeGzip(t *testing.T) {
 	if err := json.Unmarshal(unzipped, &batch); err != nil {
 		t.Fatal(err)
 	}
-	if len(unzipped) < gzipMinSize || len(batch.Results) != 16 {
+	if len(unzipped) < httpx.GzipMinSize || len(batch.Results) != 16 {
 		t.Fatalf("gzip batch: %d bytes, %d results", len(unzipped), len(batch.Results))
 	}
 
@@ -445,7 +446,7 @@ func batchOf(release string, n int) batchQueryRequest {
 
 // TestCompressThreshold pins response compression through
 // Server.ServeHTTP: with Accept-Encoding: gzip, a body under
-// gzipMinSize goes out as identity and one of gzipMinSize or more as
+// httpx.GzipMinSize goes out as identity and one of httpx.GzipMinSize or more as
 // gzip, each with the status and body the same request gets without
 // it, and each varying on Accept-Encoding.
 func TestCompressThreshold(t *testing.T) {
@@ -511,7 +512,7 @@ func TestCompressThreshold(t *testing.T) {
 			if tc.gzipped {
 				body = gunzip(t, body)
 			}
-			if !bytes.Equal(body, want.Body.Bytes()) || (len(body) >= gzipMinSize) != tc.gzipped {
+			if !bytes.Equal(body, want.Body.Bytes()) || (len(body) >= httpx.GzipMinSize) != tc.gzipped {
 				t.Fatalf("body (%d bytes) differs from the identity answer (%d bytes)", len(body), want.Body.Len())
 			}
 		})
@@ -550,7 +551,7 @@ func TestCompressThreshold(t *testing.T) {
 	if w.Code != http.StatusOK || w.Header().Get("Content-Encoding") != "gzip" {
 		t.Fatalf("/metrics: status %d, Content-Encoding %q; want 200 gzip", w.Code, w.Header().Get("Content-Encoding"))
 	}
-	if text := gunzip(t, w.Body.Bytes()); len(text) < gzipMinSize || !bytes.Contains(text, []byte("hcoc_cache_hits_total")) {
+	if text := gunzip(t, w.Body.Bytes()); len(text) < httpx.GzipMinSize || !bytes.Contains(text, []byte("hcoc_cache_hits_total")) {
 		t.Fatalf("/metrics decompressed to %d bytes without its counters", len(text))
 	}
 
@@ -567,35 +568,6 @@ func TestCompressThreshold(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "gzip" || n != 0 {
 		t.Fatalf("HEAD /metrics: status %d, Content-Encoding %q, %d body bytes", resp.StatusCode, resp.Header.Get("Content-Encoding"), n)
-	}
-}
-
-// TestAcceptsGzip pins the Accept-Encoding negotiation: tokens are
-// case-insensitive and every RFC spelling of a zero q-value refuses.
-func TestAcceptsGzip(t *testing.T) {
-	cases := []struct {
-		header string
-		want   bool
-	}{
-		{"", false},
-		{"gzip", true},
-		{"GZIP", true},
-		{"br, gzip;q=0.5", true},
-		{"*", true},
-		{"gzip;q=0", false},
-		{"gzip;q=0.0", false},
-		{"gzip;q=0.000", false},
-		{"br", false},
-		{"identity", false},
-	}
-	for _, tc := range cases {
-		r, _ := http.NewRequest("GET", "/healthz", nil)
-		if tc.header != "" {
-			r.Header.Set("Accept-Encoding", tc.header)
-		}
-		if got := acceptsGzip(r); got != tc.want {
-			t.Errorf("acceptsGzip(%q) = %v, want %v", tc.header, got, tc.want)
-		}
 	}
 }
 

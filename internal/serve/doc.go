@@ -1,7 +1,10 @@
 // Package serve is the HTTP layer of the hcoc-serve daemon: routing,
-// request decoding and validation, error mapping, and the gzip
-// transport over the release engine (internal/engine) and the durable
-// store (internal/store).
+// request decoding and validation, and error mapping over the release
+// engine (internal/engine) and the durable store (internal/store). The
+// transport it shares with the SDK and the gateway (the gzip codec,
+// the body bound, JSON and error writing, the /metrics writer) lives
+// in internal/httpx; the upload check and the tree fingerprint live in
+// internal/hierarchy.
 //
 // Request and answer bodies are the exported types of the client SDK
 // (hcoc/client), the one Go definition of the /v1 schema; handlers

@@ -9,6 +9,7 @@ import (
 	"hcoc"
 	"hcoc/internal/dataset"
 	"hcoc/internal/engine"
+	"hcoc/internal/hierarchy"
 	"hcoc/internal/store"
 	"hcoc/internal/store/s3stub"
 )
@@ -56,7 +57,7 @@ func benchServers(tb testing.TB) (zerocopy, buffered *Server, id string, size in
 		tb.Fatal(err)
 	}
 	eng := engine.New(engine.Options{Store: st})
-	res, err := eng.Release(context.Background(), tree, engine.FingerprintTree(tree), engine.TopDown, hcoc.Options{Epsilon: 1, K: 2000, Seed: 7})
+	res, err := eng.Release(context.Background(), tree, hierarchy.FingerprintTree(tree), engine.TopDown, hcoc.Options{Epsilon: 1, K: 2000, Seed: 7})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -3,11 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"net/url"
 	"sort"
@@ -19,13 +17,11 @@ import (
 	"hcoc/client"
 	"hcoc/internal/engine"
 	"hcoc/internal/eventlog"
+	"hcoc/internal/hierarchy"
+	"hcoc/internal/httpx"
 	"hcoc/internal/noise"
 	"hcoc/internal/store"
 )
-
-// maxBodyBytes bounds request bodies; a group record is tens of bytes,
-// so this admits tens of millions of groups.
-const maxBodyBytes = 1 << 30
 
 // maxHierarchies bounds the uploaded-tree store so a client cycling
 // through distinct uploads cannot grow the daemon without limit (the
@@ -60,13 +56,10 @@ func NewServer(eng *engine.Engine, st *store.Store) (*Server, error) {
 		eng:      eng,
 		st:       st,
 		jobs:     engine.NewJobs(0),
-		mux:      http.NewServeMux(),
-		maxBody:  maxBodyBytes,
+		maxBody:  httpx.MaxBodyBytes,
 		maxTrees: maxHierarchies,
 	}
-	for _, rt := range s.routeTable() {
-		s.mux.HandleFunc(rt.Method+" "+rt.Pattern, rt.handler)
-	}
+	s.mux = httpx.NewMux(s.Routes())
 	logs, err := eventlog.OpenManager(st)
 	if err != nil {
 		return nil, err
@@ -83,256 +76,55 @@ func (s *Server) RefreshLogs() error {
 	return s.logs.Refresh()
 }
 
-// Route is one registered endpoint: an HTTP method and a net/http mux
-// pattern (path parameters spelled {id}, {node...}).
-type Route struct {
-	Method  string
-	Pattern string
-}
-
-// routeEntry pairs a Route with its handler; routeTable is the single
-// source of truth for registration and for Routes.
-type routeEntry struct {
-	Route
-	handler http.HandlerFunc
-}
-
-func (s *Server) routeTable() []routeEntry {
-	return []routeEntry{
-		{Route{"POST", "/v1/hierarchy"}, s.handleHierarchy},
-		{Route{"GET", "/v1/hierarchy"}, s.handleListHierarchies},
-		{Route{"POST", "/v1/hierarchy/{id}/events"}, s.handleAppendEvents},
-		{Route{"GET", "/v1/hierarchy/{id}/versions"}, s.handleVersions},
-		{Route{"POST", "/v1/release"}, s.handleRelease},
-		{Route{"GET", "/v1/release"}, s.handleListReleases},
-		{Route{"GET", "/v1/release/{id}"}, s.handleGetRelease},
-		{Route{"GET", "/v1/jobs/{id}"}, s.handleGetJob},
-		{Route{"POST", "/v1/query/batch"}, s.handleBatchQuery},
-		{Route{"GET", "/v1/query/{node...}"}, s.handleQuery},
-		{Route{"GET", "/v1/budget/{id}"}, s.handleBudget},
-		{Route{"GET", "/v1/tenants"}, s.handleTenants},
-		{Route{"GET", "/healthz"}, s.handleHealthz},
-		{Route{"GET", "/metrics"}, s.handleMetrics},
+// Routes lists every endpoint with its handler: the single source of
+// truth for registration, which the OpenAPI coverage test also uses to
+// fail the build when docs/openapi.yaml misses a route.
+func (s *Server) Routes() []httpx.Route {
+	return []httpx.Route{
+		{Method: "POST", Pattern: "/v1/hierarchy", Handler: s.handleHierarchy},
+		{Method: "GET", Pattern: "/v1/hierarchy", Handler: s.handleListHierarchies},
+		{Method: "POST", Pattern: "/v1/hierarchy/{id}/events", Handler: s.handleAppendEvents},
+		{Method: "GET", Pattern: "/v1/hierarchy/{id}/versions", Handler: s.handleVersions},
+		{Method: "POST", Pattern: "/v1/release", Handler: s.handleRelease},
+		{Method: "GET", Pattern: "/v1/release", Handler: s.handleListReleases},
+		{Method: "GET", Pattern: "/v1/release/{id}", Handler: s.handleGetRelease},
+		{Method: "GET", Pattern: "/v1/jobs/{id}", Handler: s.handleGetJob},
+		{Method: "POST", Pattern: "/v1/query/batch", Handler: s.handleBatchQuery},
+		{Method: "GET", Pattern: "/v1/query/{node...}", Handler: s.handleQuery},
+		{Method: "GET", Pattern: "/v1/budget/{id}", Handler: s.handleBudget},
+		{Method: "GET", Pattern: "/v1/tenants", Handler: s.handleTenants},
+		{Method: "GET", Pattern: "/healthz", Handler: s.handleHealthz},
+		{Method: "GET", Pattern: "/metrics", Handler: s.handleMetrics},
 	}
 }
 
-// Routes lists every registered endpoint. The OpenAPI coverage test
-// uses it to fail the build when docs/openapi.yaml misses a route.
-func (s *Server) Routes() []Route {
-	table := s.routeTable()
-	out := make([]Route, len(table))
-	for i, rt := range table {
-		out[i] = rt.Route
-	}
-	return out
-}
-
-// ServeHTTP implements http.Handler. Request bodies are bounded (and,
-// with Content-Encoding: gzip, transparently decompressed under the
-// same bound); a response body of at least 1 KiB is gzip-compressed
-// when the client accepts it.
+// ServeHTTP implements http.Handler under both sides of the shared
+// transport conventions (httpx.WrapRequest, httpx.CompressResponse).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r, release, ok := WrapRequest(w, r, s.maxBody)
+	r, release, ok := httpx.WrapRequest(w, r, s.maxBody)
 	if !ok {
 		return
 	}
 	defer release()
-	w, finish := CompressResponse(w, r)
+	w, finish := httpx.CompressResponse(w, r)
 	defer finish()
 	s.mux.ServeHTTP(w, r)
-}
-
-// WrapRequest applies the request side of the HTTP transport
-// conventions shared by every hcoc serving tier (this server and
-// hcoc-gateway): the body is bounded at maxBody and, with
-// Content-Encoding: gzip, transparently decompressed under the same
-// bound. ok reports whether to proceed; false means an error response
-// was already written (an unsupported Content-Encoding, 415). When ok,
-// the returned release func must be deferred around the handler: it
-// hands a gzip body's decompressor back for reuse, which the body's
-// Close cannot do, because net/http closes the body it created, not
-// this wrapper.
-func WrapRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (*http.Request, func(), bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	switch ce := r.Header.Get("Content-Encoding"); {
-	case strings.EqualFold(ce, "gzip"):
-		b := &gzipBody{src: r.Body, limit: maxBody}
-		r.Body = b
-		r.Header.Del("Content-Encoding")
-		return r, b.release, true
-	case ce != "" && !strings.EqualFold(ce, "identity"):
-		WriteError(w, http.StatusUnsupportedMediaType, "unsupported Content-Encoding %q; send gzip or identity", ce)
-		return nil, nil, false
-	}
-	return r, func() {}, true
-}
-
-// CompressResponse applies the response side of the transport
-// conventions: a body of at least 1 KiB is gzip-compressed when the
-// client accepts it, and a shorter one goes out as identity. The
-// returned finish func must be deferred around the handler (it flushes
-// the compressor, or sends the short body).
-//
-// Artifact downloads (GET /v1/release/{id}) are always served identity:
-// they go through http.ServeContent for zero-copy streaming with exact
-// Content-Length, strong ETags, and byte ranges — all of which
-// on-the-fly compression would break (a gzip body has no predictable
-// length, and a range into compressed bytes is not a range into the
-// artifact).
-func CompressResponse(w http.ResponseWriter, r *http.Request) (http.ResponseWriter, func()) {
-	if !acceptsGzip(r) || isArtifactDownload(r) {
-		return w, func() {}
-	}
-	gw := gzipResponses.Get().(*gzipResponseWriter)
-	gw.ResponseWriter = w
-	return gw, func() {
-		gw.finish()
-		*gw = gzipResponseWriter{buf: gw.buf[:0]}
-		gzipResponses.Put(gw)
-	}
-}
-
-// isArtifactDownload reports whether the request reads a release
-// artifact (GET/HEAD /v1/release/{id} — the trailing slash excludes the
-// GET /v1/release listing, which stays compressible).
-func isArtifactDownload(r *http.Request) bool {
-	return (r.Method == http.MethodGet || r.Method == http.MethodHead) &&
-		strings.HasPrefix(r.URL.Path, "/v1/release/")
-}
-
-// errorResponse is the JSON shape of every non-2xx response: a human
-// message plus a machine-readable code clients can branch on without
-// parsing prose.
-type errorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
-// errorCode maps an HTTP status to its default machine-readable error
-// code. Handlers with something more specific to say (budget,
-// overload, version_conflict) write a typed body instead.
-func errorCode(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusConflict:
-		return "version_conflict"
-	case http.StatusRequestEntityTooLarge:
-		return "too_large"
-	case http.StatusUnsupportedMediaType:
-		return "unsupported_media"
-	case http.StatusTooManyRequests:
-		return "rate_limited"
-	case http.StatusServiceUnavailable:
-		return "unavailable"
-	case http.StatusInsufficientStorage:
-		return "insufficient_storage"
-	default:
-		return "internal"
-	}
-}
-
-// WriteJSON writes v as a compact JSON response. Exported for the
-// gateway tier, which answers in the same wire shapes as the backend.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// WriteError writes the canonical {"error", "code"} body every non-2xx
-// response carries, deriving the code from the status. Exported for
-// the gateway tier.
-func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
-	WriteJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...), Code: errorCode(status)})
-}
-
-// DecodeJSON parses a POST body into v, writing the precise failure
-// status itself: 415 for a non-JSON Content-Type, 413 when the body
-// overran the MaxBytesReader bound (which would otherwise surface as a
-// generic parse error), 400 for malformed JSON. It reports whether the
-// handler should proceed. Exported for the gateway tier, so both tiers
-// refuse bad bodies with byte-identical semantics.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	// An absent Content-Type is accepted as JSON — the API has exactly
-	// one body format — but an explicit wrong one is a client bug worth
-	// naming.
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		mt, _, err := mime.ParseMediaType(ct)
-		if err != nil || (mt != "application/json" && mt != "text/json") {
-			WriteError(w, http.StatusUnsupportedMediaType,
-				"unsupported Content-Type %q; send application/json", ct)
-			return false
-		}
-	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			WriteError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit", tooLarge.Limit)
-			return false
-		}
-		WriteError(w, http.StatusBadRequest, "parsing request: %v", err)
-		return false
-	}
-	return true
-}
-
-// checkGroup reports why a group named in a request is refused, or
-// nil: its size must lie in [0, hcoc.MaxGroupSize], and no region name
-// may contain "/", the separator of node paths. Only request input is
-// checked; a persisted event log replays whatever it holds.
-func checkGroup(path []string, size int64) error {
-	if size < 0 || size > hcoc.MaxGroupSize {
-		return fmt.Errorf("size %d is outside [0, %d]", size, hcoc.MaxGroupSize)
-	}
-	for _, name := range path {
-		if strings.Contains(name, "/") {
-			return fmt.Errorf("region name %q contains \"/\"", name)
-		}
-	}
-	return nil
-}
-
-// CheckUpload reports why the groups of a hierarchy upload are refused,
-// or nil: there is at least one, each passes checkGroup, and every path
-// names a leaf at the same non-zero depth. Groups that pass always
-// build a hierarchy.
-func CheckUpload(groups []hcoc.Group) error {
-	if len(groups) == 0 {
-		return errors.New("no groups in upload")
-	}
-	depth := len(groups[0].Path)
-	for i, g := range groups {
-		if len(g.Path) == 0 {
-			return fmt.Errorf("group %d has an empty path", i)
-		}
-		if len(g.Path) != depth {
-			return fmt.Errorf("group %d has a path of %d regions, group 0 one of %d", i, len(g.Path), depth)
-		}
-		if err := checkGroup(g.Path, g.Size); err != nil {
-			return fmt.Errorf("group %d: %v", i, err)
-		}
-	}
-	return nil
 }
 
 // checkEvent applies checkGroup to every group an event names.
 func checkEvent(rec client.Event) error {
 	for _, gs := range [][]client.EventGroup{rec.Groups, rec.Remove, rec.Add} {
 		for _, g := range gs {
-			if err := checkGroup(g.Path, g.Size); err != nil {
+			if err := hierarchy.CheckGroup(g.Path, g.Size); err != nil {
 				return err
 			}
 		}
 	}
 	for _, d := range rec.Drift {
-		if err := checkGroup(d.Path, d.From); err != nil {
+		if err := hierarchy.CheckGroup(d.Path, d.From); err != nil {
 			return err
 		}
-		if err := checkGroup(d.Path, d.To); err != nil {
+		if err := hierarchy.CheckGroup(d.Path, d.To); err != nil {
 			return err
 		}
 	}
@@ -353,7 +145,7 @@ type hierarchyRequest struct {
 // version reports the log's current head).
 func (s *Server) handleHierarchy(w http.ResponseWriter, r *http.Request) {
 	var req hierarchyRequest
-	if !DecodeJSON(w, r, &req) {
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	if req.Root == "" {
@@ -363,24 +155,24 @@ func (s *Server) handleHierarchy(w http.ResponseWriter, r *http.Request) {
 	for i, g := range req.Groups {
 		groups[i] = hcoc.Group{Path: g.Path, Size: g.Size}
 	}
-	if err := CheckUpload(groups); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+	if err := hierarchy.CheckUpload(groups); err != nil {
+		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	l, _, err := s.logs.CreateWithin(req.Root, groups, s.maxTrees)
 	if errors.Is(err, eventlog.ErrFull) {
-		WriteError(w, http.StatusInsufficientStorage,
+		httpx.WriteError(w, http.StatusInsufficientStorage,
 			"hierarchy store is full (%d); re-use an uploaded hierarchy or restart the server", s.maxTrees)
 		return
 	}
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "establishing event log: %v", err)
+		httpx.WriteError(w, http.StatusInternalServerError, "establishing event log: %v", err)
 		return
 	}
 
 	w.Header().Set("Deprecation", "true")
 	w.Header().Set("Link", fmt.Sprintf("</v1/hierarchy/h-%s/events>; rel=\"successor-version\"", l.ID()))
-	WriteJSON(w, http.StatusOK, logResponse(l))
+	httpx.WriteJSON(w, http.StatusOK, logResponse(l))
 }
 
 // logResponse renders a log's head-version summary.
@@ -405,7 +197,7 @@ func (s *Server) handleListHierarchies(w http.ResponseWriter, r *http.Request) {
 		out = append(out, logResponse(l))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	WriteJSON(w, http.StatusOK, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 // appendEventsRequest is the body of POST /v1/hierarchy/{id}/events.
@@ -470,22 +262,22 @@ func eventFromRecord(rec client.Event) eventlog.Event {
 func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) {
 	l, ok := s.logs.Get(hierarchyID(r.PathValue("id")))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown hierarchy %q; POST /v1/hierarchy first", r.PathValue("id"))
+		httpx.WriteError(w, http.StatusNotFound, "unknown hierarchy %q; POST /v1/hierarchy first", r.PathValue("id"))
 		return
 	}
 	var req appendEventsRequest
-	if !DecodeJSON(w, r, &req) {
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Events) == 0 {
-		WriteError(w, http.StatusBadRequest, "no events in request")
+		httpx.WriteError(w, http.StatusBadRequest, "no events in request")
 		return
 	}
 	ifMatch := strings.Trim(r.Header.Get("If-Match"), `"`)
 	var head eventlog.Version
 	for i, rec := range req.Events {
 		if err := checkEvent(rec); err != nil {
-			WriteError(w, http.StatusBadRequest, "event %d (after %d applied): %v", i, i, err)
+			httpx.WriteError(w, http.StatusBadRequest, "event %d (after %d applied): %v", i, i, err)
 			return
 		}
 		ev := eventFromRecord(rec)
@@ -497,7 +289,7 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			var conflict *eventlog.ConflictError
 			if errors.As(err, &conflict) {
-				WriteJSON(w, http.StatusConflict, conflictResponse{
+				httpx.WriteJSON(w, http.StatusConflict, conflictResponse{
 					Error:           err.Error(),
 					Code:            "version_conflict",
 					Hierarchy:       "h-" + l.ID(),
@@ -507,12 +299,12 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) {
 				})
 				return
 			}
-			WriteError(w, http.StatusBadRequest, "event %d (after %d applied): %v", i, i, err)
+			httpx.WriteError(w, http.StatusBadRequest, "event %d (after %d applied): %v", i, i, err)
 			return
 		}
 		head = v
 	}
-	WriteJSON(w, http.StatusOK, client.AppendResult{
+	httpx.WriteJSON(w, http.StatusOK, client.AppendResult{
 		Hierarchy: "h-" + l.ID(),
 		Applied:   len(req.Events),
 		Head:      toVersionInfo(head),
@@ -531,7 +323,7 @@ type versionsResponse struct {
 func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 	l, ok := s.logs.Get(hierarchyID(r.PathValue("id")))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown hierarchy %q; POST /v1/hierarchy first", r.PathValue("id"))
+		httpx.WriteError(w, http.StatusNotFound, "unknown hierarchy %q; POST /v1/hierarchy first", r.PathValue("id"))
 		return
 	}
 	vs := l.Versions()
@@ -544,7 +336,7 @@ func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 	for i, v := range vs {
 		out.Versions[i] = toVersionInfo(v)
 	}
-	WriteJSON(w, http.StatusOK, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 // budgetResponse is the 429 body when a release would exceed an
@@ -583,7 +375,7 @@ func (s *Server) writeReleaseError(w http.ResponseWriter, l *eventlog.Log, err e
 		if be.Continual {
 			code, hierarchy = "continual_budget", l.ID()
 		}
-		WriteJSON(w, http.StatusTooManyRequests, budgetResponse{
+		httpx.WriteJSON(w, http.StatusTooManyRequests, budgetResponse{
 			Error:                  err.Error(),
 			Code:                   code,
 			Hierarchy:              "h-" + hierarchy,
@@ -600,7 +392,7 @@ func (s *Server) writeReleaseError(w http.ResponseWriter, l *eventlog.Log, err e
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		WriteJSON(w, http.StatusTooManyRequests, overloadResponse{
+		httpx.WriteJSON(w, http.StatusTooManyRequests, overloadResponse{
 			Error:             err.Error(),
 			Code:              "overload",
 			Hierarchy:         "h-" + ov.Tenant,
@@ -609,7 +401,7 @@ func (s *Server) writeReleaseError(w http.ResponseWriter, l *eventlog.Log, err e
 		})
 		return
 	}
-	WriteError(w, http.StatusInternalServerError, "release failed: %v", err)
+	httpx.WriteError(w, http.StatusInternalServerError, "release failed: %v", err)
 }
 
 // prevCandidates names the versions whose retained release state could
@@ -671,36 +463,36 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		client.ReleaseRequest
 		Async bool `json:"async"`
 	}
-	if !DecodeJSON(w, r, &req) {
+	if !httpx.DecodeJSON(w, r, &req) {
 		return
 	}
 	l, ok := s.logs.Get(hierarchyID(req.Hierarchy))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown hierarchy %q; POST /v1/hierarchy first", req.Hierarchy)
+		httpx.WriteError(w, http.StatusNotFound, "unknown hierarchy %q; POST /v1/hierarchy first", req.Hierarchy)
 		return
 	}
 	if req.Version < 0 {
-		WriteError(w, http.StatusBadRequest, "version must be nonnegative, got %d (0 selects the head)", req.Version)
+		httpx.WriteError(w, http.StatusBadRequest, "version must be nonnegative, got %d (0 selects the head)", req.Version)
 		return
 	}
 	tree, ver, err := l.Tree(req.Version)
 	if err != nil {
-		WriteError(w, http.StatusNotFound, "%v", err)
+		httpx.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	alg, err := engine.ParseAlgorithm(req.Algorithm)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	methods, err := parseMethods(req.Methods)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	merge, err := parseMerge(req.Merge)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Refused here, before the engine charges anything: top-down gives
@@ -710,11 +502,11 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		levels = tree.Depth()
 	}
 	if err := noise.CheckEpsilon(req.Epsilon, levels); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.K < 0 || req.K > hcoc.MaxGroupSize {
-		WriteError(w, http.StatusBadRequest, "k must lie in [0, %d], got %d (0 selects the default)", hcoc.MaxGroupSize, req.K)
+		httpx.WriteError(w, http.StatusBadRequest, "k must lie in [0, %d], got %d (0 selects the default)", hcoc.MaxGroupSize, req.K)
 		return
 	}
 
@@ -736,11 +528,11 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 			return s.eng.ReleaseFrom(context.Background(), tree, ver.Fingerprint, alg, opts, prev, l.Fingerprints)
 		})
 		if err != nil {
-			WriteError(w, http.StatusServiceUnavailable, "%v", err)
+			httpx.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
 		w.Header().Set("Location", "/v1/jobs/j-"+job.ID)
-		WriteJSON(w, http.StatusAccepted, client.Job{
+		httpx.WriteJSON(w, http.StatusAccepted, client.Job{
 			Job:       "j-" + job.ID,
 			Status:    string(job.State),
 			Hierarchy: req.Hierarchy,
@@ -757,7 +549,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		s.writeReleaseError(w, l, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, client.Release{
+	httpx.WriteJSON(w, http.StatusOK, client.Release{
 		Release:        "r-" + res.Key,
 		Hierarchy:      "h-" + l.ID(),
 		Version:        ver.Seq,
@@ -786,7 +578,7 @@ func jobID(id string) string {
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.Get(jobID(r.PathValue("id")))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown job; it may have been evicted after completion")
+		httpx.WriteError(w, http.StatusNotFound, "unknown job; it may have been evicted after completion")
 		return
 	}
 	resp := client.Job{
@@ -808,7 +600,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	if !j.Finished.IsZero() {
 		resp.FinishedAt = j.Finished.UTC().Format(time.RFC3339Nano)
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleListReleases lists the durable artifacts: what survives a
@@ -822,19 +614,19 @@ func (s *Server) handleListReleases(w http.ResponseWriter, r *http.Request) {
 	if hid := hierarchyID(q.Get("hierarchy")); hid != "" {
 		l, ok := s.logs.Get(hid)
 		if !ok {
-			WriteError(w, http.StatusNotFound, "unknown hierarchy %q", q.Get("hierarchy"))
+			httpx.WriteError(w, http.StatusNotFound, "unknown hierarchy %q", q.Get("hierarchy"))
 			return
 		}
 		filter = make(map[string]bool)
 		if raw := q.Get("version"); raw != "" {
 			seq, err := strconv.ParseInt(raw, 10, 64)
 			if err != nil || seq < 0 {
-				WriteError(w, http.StatusBadRequest, "bad version %q (want a nonnegative integer)", raw)
+				httpx.WriteError(w, http.StatusBadRequest, "bad version %q (want a nonnegative integer)", raw)
 				return
 			}
 			v, ok := l.Version(seq)
 			if !ok {
-				WriteError(w, http.StatusNotFound, "hierarchy h-%s has no version %d (head is %d)", l.ID(), seq, l.Head().Seq)
+				httpx.WriteError(w, http.StatusNotFound, "hierarchy h-%s has no version %d (head is %d)", l.ID(), seq, l.Head().Seq)
 				return
 			}
 			filter[v.Fingerprint] = true
@@ -844,7 +636,7 @@ func (s *Server) handleListReleases(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	} else if q.Get("version") != "" {
-		WriteError(w, http.StatusBadRequest, "version filter requires a hierarchy filter")
+		httpx.WriteError(w, http.StatusBadRequest, "version filter requires a hierarchy filter")
 		return
 	}
 	out := []client.ReleaseArtifact{}
@@ -864,7 +656,7 @@ func (s *Server) handleListReleases(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	WriteJSON(w, http.StatusOK, out)
+	httpx.WriteJSON(w, http.StatusOK, out)
 }
 
 // releaseID strips the "r-" prefix release keys are served with.
@@ -875,13 +667,12 @@ func releaseID(id string) string {
 	return id
 }
 
-// ServeArtifact writes a release artifact body with the full
+// serveArtifact writes a release artifact body with the full
 // conditional-download contract: exact Content-Length, Accept-Ranges
 // with single- and malformed-Range handling (206/416), If-None-Match
 // against the strong ETag (304), and If-Modified-Since when modTime is
-// known. Exported for the gateway tier, which serves artifacts from a
-// shared store with identical semantics.
-func ServeArtifact(w http.ResponseWriter, r *http.Request, etag string, modTime time.Time, content io.ReadSeeker) {
+// known.
+func serveArtifact(w http.ResponseWriter, r *http.Request, etag string, modTime time.Time, content io.ReadSeeker) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("ETag", etag)
 	// The empty name disables ServeContent's extension-based type
@@ -907,7 +698,7 @@ func (s *Server) handleGetRelease(w http.ResponseWriter, r *http.Request) {
 	switch format {
 	case "", "sparse", "dense":
 	default:
-		WriteError(w, http.StatusBadRequest, "unknown artifact format %q (want sparse|dense)", format)
+		httpx.WriteError(w, http.StatusBadRequest, "unknown artifact format %q (want sparse|dense)", format)
 		return
 	}
 
@@ -917,7 +708,7 @@ func (s *Server) handleGetRelease(w http.ResponseWriter, r *http.Request) {
 	if format != "dense" && s.st != nil {
 		if f, _, m, err := s.st.OpenRelease(key); err == nil {
 			defer f.Close()
-			ServeArtifact(w, r, releaseETag(key, format), m.CreatedAt, f)
+			serveArtifact(w, r, releaseETag(key, format), m.CreatedAt, f)
 			return
 		}
 	}
@@ -927,11 +718,11 @@ func (s *Server) handleGetRelease(w http.ResponseWriter, r *http.Request) {
 	// both tiers: the LRU first, then the durable store (admitting a hit
 	// back into the LRU). Serialize before writing so a failure is a
 	// clean 500, never a 200 with a truncated artifact; serving the
-	// buffer through ServeArtifact keeps ETag/Range semantics identical
+	// buffer through serveArtifact keeps ETag/Range semantics identical
 	// to the zero-copy path.
 	rel, epsilon, err := s.eng.Sparse(key)
 	if err != nil {
-		WriteError(w, http.StatusNotFound, "release not cached or stored; POST /v1/release to (re)compute it")
+		httpx.WriteError(w, http.StatusNotFound, "release not cached or stored; POST /v1/release to (re)compute it")
 		return
 	}
 	var buf bytes.Buffer
@@ -941,10 +732,10 @@ func (s *Server) handleGetRelease(w http.ResponseWriter, r *http.Request) {
 		err = hcoc.WriteReleaseSparse(&buf, rel, epsilon)
 	}
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "writing artifact: %v", err)
+		httpx.WriteError(w, http.StatusInternalServerError, "writing artifact: %v", err)
 		return
 	}
-	ServeArtifact(w, r, releaseETag(key, format), time.Time{}, bytes.NewReader(buf.Bytes()))
+	serveArtifact(w, r, releaseETag(key, format), time.Time{}, bytes.NewReader(buf.Bytes()))
 }
 
 // parseQueryParams parses the q/k/topcode statistics selectors of a
@@ -954,7 +745,7 @@ func parseQueryParams(w http.ResponseWriter, q url.Values) (quantiles []float64,
 	for _, raw := range q["q"] {
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
-			WriteError(w, http.StatusBadRequest, "bad quantile %q", raw)
+			httpx.WriteError(w, http.StatusBadRequest, "bad quantile %q", raw)
 			return nil, nil, 0, false
 		}
 		quantiles = append(quantiles, v)
@@ -962,7 +753,7 @@ func parseQueryParams(w http.ResponseWriter, q url.Values) (quantiles []float64,
 	for _, raw := range q["k"] {
 		v, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
-			WriteError(w, http.StatusBadRequest, "bad rank %q", raw)
+			httpx.WriteError(w, http.StatusBadRequest, "bad rank %q", raw)
 			return nil, nil, 0, false
 		}
 		kth = append(kth, v)
@@ -970,7 +761,7 @@ func parseQueryParams(w http.ResponseWriter, q url.Values) (quantiles []float64,
 	if raw := q.Get("topcode"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 1 {
-			WriteError(w, http.StatusBadRequest, "bad topcode %q (want a positive integer)", raw)
+			httpx.WriteError(w, http.StatusBadRequest, "bad topcode %q (want a positive integer)", raw)
 			return nil, nil, 0, false
 		}
 		topCode = v
@@ -985,21 +776,21 @@ func parseQueryParams(w http.ResponseWriter, q url.Values) (quantiles []float64,
 func (s *Server) resolveReleaseKey(w http.ResponseWriter, hierarchy, version string) (string, bool) {
 	l, ok := s.logs.Get(hierarchyID(hierarchy))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown hierarchy %q", hierarchy)
+		httpx.WriteError(w, http.StatusNotFound, "unknown hierarchy %q", hierarchy)
 		return "", false
 	}
 	var seq int64
 	if version != "" {
 		v, err := strconv.ParseInt(version, 10, 64)
 		if err != nil || v < 0 {
-			WriteError(w, http.StatusBadRequest, "bad version %q (want a nonnegative integer)", version)
+			httpx.WriteError(w, http.StatusBadRequest, "bad version %q (want a nonnegative integer)", version)
 			return "", false
 		}
 		seq = v
 	}
 	ver, ok := l.Version(seq)
 	if !ok {
-		WriteError(w, http.StatusNotFound, "hierarchy h-%s has no version %d (head is %d)", l.ID(), seq, l.Head().Seq)
+		httpx.WriteError(w, http.StatusNotFound, "hierarchy h-%s has no version %d (head is %d)", l.ID(), seq, l.Head().Seq)
 		return "", false
 	}
 	var latest store.Meta
@@ -1008,7 +799,7 @@ func (s *Server) resolveReleaseKey(w http.ResponseWriter, hierarchy, version str
 		latest, found = s.st.LatestRelease(ver.Fingerprint)
 	}
 	if !found {
-		WriteError(w, http.StatusNotFound,
+		httpx.WriteError(w, http.StatusNotFound,
 			"no durable release for hierarchy h-%s version %d; POST /v1/release with \"version\": %d first",
 			l.ID(), ver.Seq, ver.Seq)
 		return "", false
@@ -1031,7 +822,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		key = resolved
 	}
 	if key == "" {
-		WriteError(w, http.StatusBadRequest, "missing release query parameter (or hierarchy+version)")
+		httpx.WriteError(w, http.StatusBadRequest, "missing release query parameter (or hierarchy+version)")
 		return
 	}
 	quantiles, kth, topCode, ok := parseQueryParams(w, q)
@@ -1041,20 +832,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	entry := client.NodeQuery{Node: node, Quantiles: quantiles, KthLargest: kth, TopCode: topCode}
 	qs, err := lower(key, []client.NodeQuery{entry})
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
 	res := s.eng.Query(qs[0])
 	switch {
 	case errors.Is(res.Err, engine.ErrNotCached):
-		WriteError(w, http.StatusNotFound, "release not cached; POST /v1/release to (re)compute it")
+		httpx.WriteError(w, http.StatusNotFound, "release not cached; POST /v1/release to (re)compute it")
 		return
 	case res.Err != nil:
-		WriteError(w, http.StatusBadRequest, "%v", res.Err)
+		httpx.WriteError(w, http.StatusBadRequest, "%v", res.Err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, reportToQueryResponse(entry, *res.Report))
+	httpx.WriteJSON(w, http.StatusOK, reportToQueryResponse(entry, *res.Report))
 }
 
 // handleTenants reports the QoS state per tenant: weights, live queue
@@ -1092,7 +883,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 			EpsilonSpent: ts.EpsilonSpent,
 		})
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // healthzResponse is the JSON shape of GET /healthz. Instance is the
@@ -1108,7 +899,7 @@ type healthzResponse struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	hierarchies := s.logs.Len()
-	WriteJSON(w, http.StatusOK, healthzResponse{
+	httpx.WriteJSON(w, http.StatusOK, healthzResponse{
 		Status:      "ok",
 		Instance:    s.eng.ID(),
 		Hierarchies: hierarchies,
@@ -1117,7 +908,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics exposes the engine counters in the Prometheus text
-// exposition format, dependency-free.
+// exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.eng.Metrics()
 	logs := s.logs.Logs()
@@ -1127,96 +918,76 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		versions += l.Head().Seq
 	}
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	put := func(name, help string, value any) {
-		fmt.Fprintf(w, "# HELP %s %s\n%s %v\n", name, help, name, value)
-	}
-	put("hcoc_cache_hits_total", "Release requests answered from the cache.", m.CacheHits)
-	put("hcoc_cache_misses_total", "Release requests that started a computation.", m.CacheMisses)
-	put("hcoc_deduped_total", "Release requests coalesced onto an in-flight computation.", m.Deduped)
-	put("hcoc_cache_hit_rate", "Fraction of release requests answered from the cache.", m.HitRate())
-	put("hcoc_cache_entries", "Completed releases currently cached.", m.CacheEntries)
-	put("hcoc_cache_capacity", "LRU capacity in releases.", m.CacheCapacity)
-	put("hcoc_cache_cost_bytes", "Estimated resident bytes of cached releases (run accounting).", m.CacheCostBytes)
-	put("hcoc_cache_budget_bytes", "Byte budget of the release cache (0 = unbudgeted).", m.CacheBudgetBytes)
-	put("hcoc_cache_runs", "Total histogram runs held across cached releases.", m.CacheRuns)
-	put("hcoc_cache_evictions_total", "Completed releases evicted by the LRU.", m.Evictions)
-	put("hcoc_store_hits_total", "Reads served from the durable store without recomputation.", m.StoreHits)
-	put("hcoc_store_puts_total", "Releases written through to the durable store.", m.StorePuts)
-	put("hcoc_store_errors_total", "Failed durable-store reads/writes (request still served).", m.StoreErrors)
-	put("hcoc_store_artifacts", "Releases held by the durable store.", m.StoreArtifacts)
+	x := httpx.NewMetrics(w)
+	x.Scalar("hcoc_cache_hits_total", "Release requests answered from the cache.", m.CacheHits)
+	x.Scalar("hcoc_cache_misses_total", "Release requests that started a computation.", m.CacheMisses)
+	x.Scalar("hcoc_deduped_total", "Release requests coalesced onto an in-flight computation.", m.Deduped)
+	x.Scalar("hcoc_cache_hit_rate", "Fraction of release requests answered from the cache.", m.HitRate())
+	x.Scalar("hcoc_cache_entries", "Completed releases currently cached.", m.CacheEntries)
+	x.Scalar("hcoc_cache_capacity", "LRU capacity in releases.", m.CacheCapacity)
+	x.Scalar("hcoc_cache_cost_bytes", "Estimated resident bytes of cached releases (run accounting).", m.CacheCostBytes)
+	x.Scalar("hcoc_cache_budget_bytes", "Byte budget of the release cache (0 = unbudgeted).", m.CacheBudgetBytes)
+	x.Scalar("hcoc_cache_runs", "Total histogram runs held across cached releases.", m.CacheRuns)
+	x.Scalar("hcoc_cache_evictions_total", "Completed releases evicted by the LRU.", m.Evictions)
+	x.Scalar("hcoc_store_hits_total", "Reads served from the durable store without recomputation.", m.StoreHits)
+	x.Scalar("hcoc_store_puts_total", "Releases written through to the durable store.", m.StorePuts)
+	x.Scalar("hcoc_store_errors_total", "Failed durable-store reads/writes (request still served).", m.StoreErrors)
+	x.Scalar("hcoc_store_artifacts", "Releases held by the durable store.", m.StoreArtifacts)
 	backend, shared := "none", false
 	if s.st != nil {
 		backend, shared = s.st.Backend(), s.st.Shared()
 	}
-	fmt.Fprintf(w, "# HELP hcoc_store_backend_info Configured blob backend (constant 1; the labels carry the information).\nhcoc_store_backend_info{backend=%q,shared=%q} 1\n",
-		backend, strconv.FormatBool(shared))
-	put("hcoc_epsilon_spent_total", "Cumulative epsilon of actual computations across hierarchies.", m.EpsilonSpent)
-	put("hcoc_epsilon_spent_local", "Epsilon drawn by this process (excludes spend replayed from the store manifest).", m.EpsilonSpentLocal)
-	put("hcoc_epsilon_limit_per_hierarchy", "Configured per-hierarchy epsilon bound (0 = unenforced).", m.EpsilonLimit)
-	put("hcoc_jobs", "Async release jobs currently retained.", s.jobs.Len())
-	put("hcoc_releases_total", "Completed release computations.", m.Releases)
-	put("hcoc_inflight_releases", "Release computations running now.", m.InFlight)
-	put("hcoc_queries_total", "Node query reads served (batch entries counted individually).", m.Queries)
-	put("hcoc_batch_queries_total", "Batch query requests served, each one engine pass.", m.Batches)
-	put("hcoc_release_seconds_total", "Cumulative release computation time.", m.ReleaseTotal.Seconds())
-	put("hcoc_release_seconds_last", "Duration of the most recent release computation.", m.LastRelease.Seconds())
-	put("hcoc_hierarchies", "Hierarchies (event logs) currently loaded.", hierarchies)
-	put("hcoc_hierarchy_versions", "Immutable hierarchy versions across all event logs.", versions)
-	put("hcoc_incremental_releases_total", "Release computations that reused retained state from a prior version.", m.IncrementalReleases)
-	put("hcoc_recompute_nodes_estimated_total", "Nodes re-estimated across incremental-capable computations.", m.RecomputeNodesEstimated)
-	put("hcoc_recompute_nodes_total", "Nodes visited across incremental-capable computations.", m.RecomputeNodesTotal)
-	put("hcoc_recompute_parents_matched_total", "Parent rerun-matching passes executed across incremental-capable computations.", m.RecomputeParentsMatched)
-	put("hcoc_recompute_parents_total", "Parent nodes visited across incremental-capable computations.", m.RecomputeParentsTotal)
-	put("hcoc_release_states", "Per-release recompute states currently retained.", m.StateEntries)
-	put("hcoc_release_state_cost_bytes", "Estimated resident bytes of retained recompute states.", m.StateCostBytes)
-	put("hcoc_epsilon_limit_continual", "Configured continual-observation epsilon bound per hierarchy (0 = unenforced).", m.EpsilonLimitContinual)
+	x.Family("hcoc_store_backend_info", "Configured blob backend (constant 1; the labels carry the information).")
+	x.Sample("hcoc_store_backend_info", 1, "backend", backend, "shared", strconv.FormatBool(shared))
+	x.Scalar("hcoc_epsilon_spent_total", "Cumulative epsilon of actual computations across hierarchies.", m.EpsilonSpent)
+	x.Scalar("hcoc_epsilon_spent_local", "Epsilon drawn by this process (excludes spend replayed from the store manifest).", m.EpsilonSpentLocal)
+	x.Scalar("hcoc_epsilon_limit_per_hierarchy", "Configured per-hierarchy epsilon bound (0 = unenforced).", m.EpsilonLimit)
+	x.Scalar("hcoc_jobs", "Async release jobs currently retained.", s.jobs.Len())
+	x.Scalar("hcoc_releases_total", "Completed release computations.", m.Releases)
+	x.Scalar("hcoc_inflight_releases", "Release computations running now.", m.InFlight)
+	x.Scalar("hcoc_queries_total", "Node query reads served (batch entries counted individually).", m.Queries)
+	x.Scalar("hcoc_batch_queries_total", "Batch query requests served, each one engine pass.", m.Batches)
+	x.Scalar("hcoc_release_seconds_total", "Cumulative release computation time.", m.ReleaseTotal.Seconds())
+	x.Scalar("hcoc_release_seconds_last", "Duration of the most recent release computation.", m.LastRelease.Seconds())
+	x.Scalar("hcoc_hierarchies", "Hierarchies (event logs) currently loaded.", hierarchies)
+	x.Scalar("hcoc_hierarchy_versions", "Immutable hierarchy versions across all event logs.", versions)
+	x.Scalar("hcoc_incremental_releases_total", "Release computations that reused retained state from a prior version.", m.IncrementalReleases)
+	x.Scalar("hcoc_recompute_nodes_estimated_total", "Nodes re-estimated across incremental-capable computations.", m.RecomputeNodesEstimated)
+	x.Scalar("hcoc_recompute_nodes_total", "Nodes visited across incremental-capable computations.", m.RecomputeNodesTotal)
+	x.Scalar("hcoc_recompute_parents_matched_total", "Parent rerun-matching passes executed across incremental-capable computations.", m.RecomputeParentsMatched)
+	x.Scalar("hcoc_recompute_parents_total", "Parent nodes visited across incremental-capable computations.", m.RecomputeParentsTotal)
+	x.Scalar("hcoc_release_states", "Per-release recompute states currently retained.", m.StateEntries)
+	x.Scalar("hcoc_release_state_cost_bytes", "Estimated resident bytes of retained recompute states.", m.StateCostBytes)
+	x.Scalar("hcoc_epsilon_limit_continual", "Configured continual-observation epsilon bound per hierarchy (0 = unenforced).", m.EpsilonLimitContinual)
 
 	// Compute scheduler: pool state, the read priority lane, and one
 	// labeled series set per tenant.
 	snap := s.eng.Scheduler().Snapshot()
-	put("hcoc_compute_slots", "Compute slots in the release pool.", snap.Slots)
-	put("hcoc_compute_slots_in_use", "Compute slots held by running computations.", snap.InUse)
-	put("hcoc_compute_queue_depth", "Per-tenant compute queue bound.", snap.QueueDepth)
-	put("hcoc_compute_queued", "Release computations queued for a slot across tenants.", snap.Queued)
-	put("hcoc_compute_rejected_total", "Release requests refused at admission (queue full).", snap.Rejected)
-	put("hcoc_read_lane_active", "Reads in flight on the priority lane (never queued behind compute).", snap.ActiveReads)
-	put("hcoc_read_lane_reads_total", "Lifetime reads admitted on the priority lane.", snap.Reads)
+	x.Scalar("hcoc_compute_slots", "Compute slots in the release pool.", snap.Slots)
+	x.Scalar("hcoc_compute_slots_in_use", "Compute slots held by running computations.", snap.InUse)
+	x.Scalar("hcoc_compute_queue_depth", "Per-tenant compute queue bound.", snap.QueueDepth)
+	x.Scalar("hcoc_compute_queued", "Release computations queued for a slot across tenants.", snap.Queued)
+	x.Scalar("hcoc_compute_rejected_total", "Release requests refused at admission (queue full).", snap.Rejected)
+	x.Scalar("hcoc_read_lane_active", "Reads in flight on the priority lane (never queued behind compute).", snap.ActiveReads)
+	x.Scalar("hcoc_read_lane_reads_total", "Lifetime reads admitted on the priority lane.", snap.Reads)
 
-	labeled := func(name, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-	}
 	stats := s.eng.TenantStats()
-	labeled("hcoc_tenant_requests_total", "Release requests per tenant (hierarchy), however satisfied.")
-	for _, ts := range stats {
-		fmt.Fprintf(w, "hcoc_tenant_requests_total{tenant=%q} %d\n", "h-"+ts.Tenant, ts.Requests)
-	}
-	labeled("hcoc_tenant_computed_total", "Release computations per tenant.")
-	for _, ts := range stats {
-		fmt.Fprintf(w, "hcoc_tenant_computed_total{tenant=%q} %d\n", "h-"+ts.Tenant, ts.Computed)
-	}
-	labeled("hcoc_tenant_deduped_total", "Requests coalesced onto in-flight computations, per tenant.")
-	for _, ts := range stats {
-		fmt.Fprintf(w, "hcoc_tenant_deduped_total{tenant=%q} %d\n", "h-"+ts.Tenant, ts.Deduped)
-	}
-	labeled("hcoc_tenant_rejected_total", "Admission refusals (queue full) per tenant.")
-	for _, ts := range stats {
-		fmt.Fprintf(w, "hcoc_tenant_rejected_total{tenant=%q} %d\n", "h-"+ts.Tenant, ts.Rejected)
-	}
-	labeled("hcoc_tenant_queued", "Release computations queued now, per tenant.")
-	for _, ts := range stats {
-		fmt.Fprintf(w, "hcoc_tenant_queued{tenant=%q} %d\n", "h-"+ts.Tenant, ts.Queued)
-	}
-	labeled("hcoc_tenant_active", "Compute slots held now, per tenant.")
-	for _, ts := range stats {
-		fmt.Fprintf(w, "hcoc_tenant_active{tenant=%q} %d\n", "h-"+ts.Tenant, ts.Active)
-	}
-	labeled("hcoc_tenant_weight", "Configured fair-share weight per tenant.")
-	for _, ts := range stats {
-		fmt.Fprintf(w, "hcoc_tenant_weight{tenant=%q} %g\n", "h-"+ts.Tenant, ts.Weight)
-	}
-	labeled("hcoc_tenant_queue_wait_seconds_total", "Cumulative time granted computations spent queued, per tenant.")
-	for _, ts := range stats {
-		fmt.Fprintf(w, "hcoc_tenant_queue_wait_seconds_total{tenant=%q} %g\n", "h-"+ts.Tenant, ts.QueueWait.Seconds())
+	for _, f := range []struct {
+		name, help string
+		value      func(engine.TenantStat) any
+	}{
+		{"hcoc_tenant_requests_total", "Release requests per tenant (hierarchy), however satisfied.", func(ts engine.TenantStat) any { return ts.Requests }},
+		{"hcoc_tenant_computed_total", "Release computations per tenant.", func(ts engine.TenantStat) any { return ts.Computed }},
+		{"hcoc_tenant_deduped_total", "Requests coalesced onto in-flight computations, per tenant.", func(ts engine.TenantStat) any { return ts.Deduped }},
+		{"hcoc_tenant_rejected_total", "Admission refusals (queue full) per tenant.", func(ts engine.TenantStat) any { return ts.Rejected }},
+		{"hcoc_tenant_queued", "Release computations queued now, per tenant.", func(ts engine.TenantStat) any { return ts.Queued }},
+		{"hcoc_tenant_active", "Compute slots held now, per tenant.", func(ts engine.TenantStat) any { return ts.Active }},
+		{"hcoc_tenant_weight", "Configured fair-share weight per tenant.", func(ts engine.TenantStat) any { return ts.Weight }},
+		{"hcoc_tenant_queue_wait_seconds_total", "Cumulative time granted computations spent queued, per tenant.", func(ts engine.TenantStat) any { return ts.QueueWait.Seconds() }},
+	} {
+		x.Family(f.name, f.help)
+		for _, ts := range stats {
+			x.Sample(f.name, f.value(ts), "tenant", "h-"+ts.Tenant)
+		}
 	}
 }

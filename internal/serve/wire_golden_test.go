@@ -22,7 +22,8 @@ import (
 const wireGolden = "testdata/wire.golden"
 
 // wireVolatile matches the values of a transcript that change from run
-// to run: timestamps, wall-clock durations and random job ids.
+// to run: timestamps, wall-clock durations (JSON fields and /metrics
+// series alike) and random job ids.
 var wireVolatile = []struct {
 	re   *regexp.Regexp
 	with string
@@ -30,6 +31,7 @@ var wireVolatile = []struct {
 	{regexp.MustCompile(`"(created_at|started_at|finished_at)":"[^"]*"`), `"$1":"*"`},
 	{regexp.MustCompile(`"(duration_ms|queue_wait_ms)":[-+.0-9eE]+`), `"$1":*`},
 	{regexp.MustCompile(`j-[0-9a-f]+`), `j-*`},
+	{regexp.MustCompile(`(?m)^(hcoc_release_seconds_(?:total|last)|hcoc_tenant_queue_wait_seconds_total\{[^}]*\}) .*$`), `$1 *`},
 }
 
 // wireSession drives one Server through ServeHTTP and keeps a masked
@@ -94,12 +96,13 @@ func mask(transcript string) string {
 	return transcript
 }
 
-// TestWireGolden pins the bytes of every JSON route: it drives one
-// Server over a disk store through uploads, delta appends, releases
-// (computed, cached, pinned, async and refused), listings, downloads,
-// node and batch queries, budget and tenants with fixed seeds, and
-// compares each status and body with testdata/wire.golden. Only
-// timestamps, durations and job ids are masked. A wire change fails
+// TestWireGolden pins the bytes of every JSON route and of /metrics: it
+// drives one Server over a disk store through uploads, delta appends,
+// releases (computed, cached, pinned, async and refused), listings,
+// downloads, node and batch queries, budget, tenants and metrics with
+// fixed seeds, and compares each status and body with
+// testdata/wire.golden. Only timestamps, durations and job ids are
+// masked. A wire change fails
 // here by route; when it is intended, the failure names a file holding
 // the new transcript to copy over the golden one.
 func TestWireGolden(t *testing.T) {
@@ -169,6 +172,7 @@ func TestWireGolden(t *testing.T) {
 
 	s.must(http.StatusOK, "GET", "/v1/budget/"+h, "", nil)
 	s.must(http.StatusOK, "GET", "/v1/tenants", "", nil)
+	s.must(http.StatusOK, "GET", "/metrics", "", nil)
 
 	got := mask(s.out.String())
 	want, err := os.ReadFile(wireGolden)

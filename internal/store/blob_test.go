@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -439,5 +440,72 @@ func TestBackendsByteIdentical(t *testing.T) {
 	}
 	if sums[0] != sums[1] {
 		t.Fatalf("disk and s3 artifacts differ: %s vs %s", sums[0], sums[1])
+	}
+}
+
+// TestStoreS3TornChunkMidManifest: a torn chunk between two complete
+// ones (an S3-alike without atomic PUT can leave one, and later chunks
+// keep arriving) is skipped instead of gluing onto the next chunk's
+// line, so every node still opens the store with both charges; a later
+// newline-terminated rewrite of the torn chunk is read by the next
+// Refresh, and a terminated chunk that does not parse still refuses to
+// open.
+func TestStoreS3TornChunkMidManifest(t *testing.T) {
+	srv := httptest.NewServer(s3stub.New("hcoc-test"))
+	defer srv.Close()
+
+	s := openStoreS3(t, srv)
+	for i, eps := range []float64{1, 2} {
+		if err := s.AppendCharge(meta(fmt.Sprintf("k%d", i+1), "fp1", eps)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunks, err := s.b.List("manifest/")
+	if err != nil || len(chunks) != 2 {
+		t.Fatalf("manifest chunks = %v, %v; want 2", chunks, err)
+	}
+	// A key that sorts between the two charges' chunks.
+	torn := strings.TrimSuffix(chunks[0].Key, ".jsonl") + "x.jsonl"
+	if torn <= chunks[0].Key || torn >= chunks[1].Key {
+		t.Fatalf("torn key %q does not sort between %q and %q", torn, chunks[0].Key, chunks[1].Key)
+	}
+	if err := s.b.Put(torn, []byte(`{"key":"k3","hierarchy":"fp1","eps`)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2 := openStoreS3(t, srv)
+	defer s2.Close()
+	if spent := s2.EpsilonByHierarchy()["fp1"]; spent != 3 {
+		t.Fatalf("spend over [charge 1, torn, charge 2] = %g, want 3", spent)
+	}
+
+	line, err := json.Marshal(Meta{Kind: KindCharge, Key: "k3", Hierarchy: "fp1", Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.b.Put(torn, append(line, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if spent := s2.EpsilonByHierarchy()["fp1"]; spent != 3.5 {
+		t.Fatalf("spend after the torn chunk's rewrite = %g, want 3.5", spent)
+	}
+
+	if err := s2.b.Put(torn, []byte("{\"key\":\"k3\",\"hier\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Refresh(); err == nil || !strings.Contains(err.Error(), "is corrupt") {
+		t.Fatalf("refresh over a terminated corrupt chunk: %v", err)
+	}
+	b, err := NewS3(S3Options{Endpoint: srv.URL, Bucket: "hcoc-test", Prefix: "store", AccessKey: "test", SecretKey: "secret"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3, err := OpenBackend(b); err == nil {
+		s3.Close()
+		t.Fatal("a store with a terminated corrupt chunk opened")
 	}
 }

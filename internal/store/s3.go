@@ -344,10 +344,14 @@ func (s *S3) AppendManifest(line []byte) error {
 }
 
 // ManifestReader implements BlobStore: list the manifest chunks (list
-// sorts them into append order) and concatenate their bodies. A chunk
-// cached with the ETag and size the listing shows is not fetched; any
-// other chunk costs one GET, and is cached if complete. Chunks the
-// listing no longer shows are forgotten.
+// sorts them into append order) and concatenate their bodies. Each
+// chunk is one append, so a chunk that does not end in a newline is a
+// torn append: it is skipped, where concatenating it would glue it
+// onto the next chunk's line, and never cached, so a later rewrite
+// that completes it is read by the next call. A chunk cached with the
+// ETag and size the listing shows is not fetched; any other chunk
+// costs one GET, and is cached if complete. Chunks the listing no
+// longer shows are forgotten.
 func (s *S3) ManifestReader() (io.ReadCloser, error) {
 	listed, err := s.list("manifest/")
 	if err != nil {
@@ -371,10 +375,13 @@ func (s *S3) ManifestReader() (io.ReadCloser, error) {
 		if err != nil {
 			return nil, err
 		}
-		bodies[i] = bytes.NewReader(data)
 		if c, ok := cacheableChunk(etag, data); ok {
 			live[o.Key] = c
 		}
+		if !bytes.HasSuffix(data, []byte("\n")) {
+			data = nil // a torn append
+		}
+		bodies[i] = bytes.NewReader(data)
 	}
 	// A chunk this handle appended after the listing drops out of the
 	// cache here; the next read fetches it once.

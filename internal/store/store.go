@@ -51,7 +51,7 @@ type Meta struct {
 	// Key is the release key (the engine's content address).
 	Key string `json:"key"`
 	// Hierarchy is the fingerprint of the tree the release was computed
-	// from (engine.FingerprintTree).
+	// from (hierarchy.FingerprintTree).
 	Hierarchy string `json:"hierarchy"`
 	// Algorithm names the release algorithm ("topdown"/"bottomup").
 	Algorithm string `json:"algorithm"`
